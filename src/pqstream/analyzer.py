@@ -7,12 +7,18 @@ every 10 minutes and long-term flicker severity every 2 hours.  All record
 timestamps are seconds since stream start and mark the end of the window
 that produced them.  Incomplete windows at stream end are discarded and
 tallied, never emitted.
+
+The sampling rate (``SAMPLE_RATE``), the band a frequency estimate must
+fall in (``FREQUENCY_BAND``), the THD floor factor (``THD_FLOOR_FACTOR``)
+and the Pst calibration (``PST_CALIBRATION``) are fixed module constants,
+not configuration.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -26,6 +32,9 @@ DEMAND_INTERVAL_S = 900.0   # 15 min of per-second fundamental current magnitude
 PST_INTERVAL_S = 600.0      # 10 min of half-cycle RMS values
 PLT_PST_COUNT = 12          # 12 x 10 min = 2 h
 HARMONIC_ORDERS = 33
+FREQUENCY_BAND = (40.0, 70.0)  # Hz; an estimate outside holds the previous value
+THD_FLOOR_FACTOR = 1e-9     # x nominal RMS: fundamental floor below which THD is undefined
+PST_CALIBRATION = 1.0
 
 Triple = tuple[float, float, float]
 OptionalTriple = tuple[Optional[float], Optional[float], Optional[float]]
@@ -93,32 +102,23 @@ class FlickerPltRecord:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Tuning knobs for the analysis pipeline.
+    """Nominal levels of the monitored supply.
 
-    ``thd_floor_factor`` scales the nominal RMS level into the fundamental
+    The nominal RMS levels scale ``THD_FLOOR_FACTOR`` into the fundamental
     magnitude floor below which THD is reported as undefined.
     """
 
     nominal_frequency: float = 50.0
-    sampling_rate: int = SAMPLE_RATE
     nominal_voltage_rms: float = 230.0
     nominal_current_rms: float = 10.0
-    frequency_band: tuple[float, float] = (40.0, 70.0)
-    thd_floor_factor: float = 1e-9
-    pst_calibration: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.sampling_rate != SAMPLE_RATE:
-            raise ValueError(f"sampling_rate is fixed at {SAMPLE_RATE} Hz")
         if self.nominal_frequency <= 0:
             raise ValueError("nominal_frequency must be positive")
-        lo, hi = self.frequency_band
-        if not lo < hi:
-            raise ValueError("frequency_band must be (low, high) with low < high")
 
     @property
     def half_cycle_samples(self) -> int:
-        return round(self.sampling_rate / (2.0 * self.nominal_frequency))
+        return round(SAMPLE_RATE / (2.0 * self.nominal_frequency))
 
 
 def rms(samples: np.ndarray) -> np.ndarray | float:
@@ -146,9 +146,7 @@ def half_cycle_rms(window: np.ndarray, block: int) -> np.ndarray:
     return np.sqrt(np.mean(np.square(grouped), axis=-1))
 
 
-def fundamental_phasor(
-    samples: np.ndarray, frequency: float, sample_rate: int = SAMPLE_RATE
-) -> np.ndarray:
+def fundamental_phasor(samples: np.ndarray, frequency: float) -> np.ndarray:
     """Complex single-frequency projection scaled to peak amplitude.
 
     ``samples`` may be (n,) or (k, n); the magnitude of the result equals
@@ -157,31 +155,38 @@ def fundamental_phasor(
     x = np.atleast_2d(samples)
     n = x.shape[-1]
     k = np.arange(n)
-    basis = np.exp(-2j * np.pi * frequency / sample_rate * k)
+    basis = np.exp(-2j * np.pi * frequency / SAMPLE_RATE * k)
     proj = (2.0 / n) * (x @ basis)
     return proj if samples.ndim > 1 else proj[0]
 
 
-def harmonic_magnitudes(
-    samples: np.ndarray,
-    fundamental: float,
-    sample_rate: int = SAMPLE_RATE,
-    orders: int = HARMONIC_ORDERS,
-) -> np.ndarray:
-    """Peak amplitudes at orders 1..``orders`` times ``fundamental``.
+@lru_cache(maxsize=1)
+def harmonic_basis(fundamental: float, n: int) -> np.ndarray:
+    """Read-only (orders, n) projection basis for orders 1..33 of ``fundamental``.
 
-    Single-frequency projections are evaluated per order (the order-h basis
-    is the elementwise h-th power of the order-1 basis, built by a running
-    product) and scaled so a pure sinusoid of amplitude A reports A.
+    The order-h row is the elementwise h-th power of the order-1 row, built
+    by a running product.  The last basis is cached, so the voltage and
+    current of one window, and windows with an equal frequency estimate,
+    share it.
+    """
+    base = np.exp(-2j * np.pi * fundamental / SAMPLE_RATE * np.arange(n))
+    basis = np.empty((HARMONIC_ORDERS, n), dtype=np.complex128)
+    basis[0] = base
+    for h in range(1, HARMONIC_ORDERS):
+        basis[h] = basis[h - 1] * base
+    basis.flags.writeable = False
+    return basis
+
+
+def harmonic_magnitudes(samples: np.ndarray, fundamental: float) -> np.ndarray:
+    """Peak amplitudes at orders 1..33 times ``fundamental``.
+
+    Single-frequency projections on :func:`harmonic_basis`, scaled so a pure
+    sinusoid of amplitude A reports A.
     """
     x = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     n = x.shape[-1]
-    base = np.exp(-2j * np.pi * fundamental / sample_rate * np.arange(n))
-    basis = np.empty((orders, n), dtype=np.complex128)
-    basis[0] = base
-    for h in range(1, orders):
-        basis[h] = basis[h - 1] * base
-    proj = basis @ x.T  # (orders, channels)
+    proj = harmonic_basis(fundamental, n) @ x.T  # (orders, channels)
     mags = (2.0 / n) * np.abs(proj).T
     return mags if samples.ndim > 1 else mags[0]
 
@@ -205,15 +210,14 @@ def compute_harmonics(
     i_window: np.ndarray,
     fundamental: float,
     timestamp: float,
-    sample_rate: int = SAMPLE_RATE,
     v_floor: float = 0.0,
     i_floor: float = 0.0,
 ) -> HarmonicsRecord:
     """Harmonic magnitudes for orders 1..33 of one 3 s window plus THD."""
     if v_window.shape[-1] != HARMONIC_WINDOW:
         raise ValueError(f"harmonics window must hold exactly {HARMONIC_WINDOW} samples")
-    v_mags = harmonic_magnitudes(v_window, fundamental, sample_rate)
-    i_mags = harmonic_magnitudes(i_window, fundamental, sample_rate)
+    v_mags = harmonic_magnitudes(v_window, fundamental)
+    i_mags = harmonic_magnitudes(i_window, fundamental)
     return HarmonicsRecord(
         timestamp=timestamp,
         v_harmonics=tuple(tuple(float(x) for x in row) for row in v_mags),
@@ -232,7 +236,6 @@ def compute_power(
     i_window: np.ndarray,
     fundamental: float,
     timestamp: float,
-    sample_rate: int = SAMPLE_RATE,
 ) -> PowerRecord:
     """Per-phase P, Q, S and power factor over one 1 s window.
 
@@ -245,8 +248,8 @@ def compute_power(
         raise ValueError(f"power window must hold exactly {POWER_WINDOW} samples")
     active = np.mean(v_window * i_window, axis=-1)
     apparent = rms(v_window) * rms(i_window)
-    zv = fundamental_phasor(v_window, fundamental, sample_rate)
-    zi = fundamental_phasor(i_window, fundamental, sample_rate)
+    zv = fundamental_phasor(v_window, fundamental)
+    zi = fundamental_phasor(i_window, fundamental)
     p_out, q_out, s_out, pf_out = [], [], [], []
     for p in range(3):
         P = float(active[p])
@@ -273,29 +276,25 @@ def compute_power(
 
 
 def estimate_frequency(
-    samples: np.ndarray,
-    previous: float,
-    timestamp: float,
-    sample_rate: int = SAMPLE_RATE,
-    band: tuple[float, float] = (40.0, 70.0),
+    samples: np.ndarray, previous: float, timestamp: float
 ) -> FrequencyRecord:
     """Fundamental frequency from interpolated positive-going zero crossings.
 
     With k crossings at interpolated times t_1..t_k the estimate is
     (k - 1) / (t_k - t_1).  Fewer than two crossings, or an estimate
-    outside ``band``, holds ``previous`` and flags the record.
+    outside ``FREQUENCY_BAND``, holds ``previous`` and flags the record.
     """
     x = np.asarray(samples, dtype=np.float64)
     idx = np.nonzero((x[:-1] < 0.0) & (x[1:] >= 0.0))[0]
     if len(idx) < 2:
         return FrequencyRecord(timestamp=timestamp, frequency=previous, held=True)
     frac = x[idx] / (x[idx] - x[idx + 1])
-    crossings = (idx + frac) / sample_rate
+    crossings = (idx + frac) / SAMPLE_RATE
     span = crossings[-1] - crossings[0]
     if span <= 0.0:
         return FrequencyRecord(timestamp=timestamp, frequency=previous, held=True)
     freq = (len(crossings) - 1) / span
-    if not band[0] <= freq <= band[1]:
+    if not FREQUENCY_BAND[0] <= freq <= FREQUENCY_BAND[1]:
         return FrequencyRecord(timestamp=timestamp, frequency=previous, held=True)
     return FrequencyRecord(timestamp=timestamp, frequency=float(freq), held=False)
 
@@ -315,13 +314,11 @@ def compute_demand(series: np.ndarray, timestamp: float) -> DemandRecord:
     )
 
 
-def compute_pst(
-    series: np.ndarray, timestamp: float, calibration: float = 1.0
-) -> FlickerPstRecord:
+def compute_pst(series: np.ndarray, timestamp: float) -> FlickerPstRecord:
     """Short-term flicker severity estimate from half-cycle RMS values.
 
     Per phase, with r the half-cycle RMS series and m its mean, the
-    estimator is ``calibration`` times the 95th percentile of
+    estimator is ``PST_CALIBRATION`` times the 95th percentile of
     ``|r - m| / m``.  It is zero for an unmodulated waveform, scales
     linearly with modulation depth and is None (undefined) for a dead
     phase where m = 0.
@@ -336,7 +333,7 @@ def compute_pst(
             values.append(None)
             continue
         deviation = np.abs(row - m) / m
-        values.append(calibration * float(np.percentile(deviation, 95.0)))
+        values.append(PST_CALIBRATION * float(np.percentile(deviation, 95.0)))
     return FlickerPstRecord(timestamp=timestamp, pst=tuple(values))
 
 
@@ -401,14 +398,13 @@ class StreamPipeline:
         self._next_sample = 0
         self._prev_frequency = config.nominal_frequency
         self._half_block = config.half_cycle_samples
-        pst_len = round(PST_INTERVAL_S / 0.2) * (RMS_WINDOW // self._half_block)
+        pst_len = round(PST_INTERVAL_S * SAMPLE_RATE / RMS_WINDOW) * (RMS_WINDOW // self._half_block)
         self._pst_series = np.empty((3, pst_len))
         self._pst_fill = 0
         self._pst_deadline = PST_INTERVAL_S
         self._pst_window: list[FlickerPstRecord] = []
         self._fundamentals: list[tuple[float, Triple]] = []
         self._demand_deadline = DEMAND_INTERVAL_S
-        self._basis_cache: tuple[float, np.ndarray] | None = None
         self._finished = False
 
     # -- frame intake ---------------------------------------------------
@@ -439,11 +435,10 @@ class StreamPipeline:
             self._drain_windows()
 
     def _drain_windows(self) -> None:
-        fs = self.config.sampling_rate
         while self._done + RMS_WINDOW <= self._fill:
             end_local = self._done + RMS_WINDOW
             end_abs = self._buf_base + end_local
-            ts = end_abs / fs
+            ts = end_abs / SAMPLE_RATE
             v_win = self._buf_v[:, self._done : end_local]
             i_win = self._buf_i[:, self._done : end_local]
             rec = compute_rms(v_win, i_win, ts)
@@ -464,46 +459,19 @@ class StreamPipeline:
     def _emit_second(self, end_local: int, ts: float) -> None:
         v_win = self._buf_v[:, end_local - POWER_WINDOW : end_local]
         i_win = self._buf_i[:, end_local - POWER_WINDOW : end_local]
-        freq = estimate_frequency(
-            v_win[0],
-            previous=self._prev_frequency,
-            timestamp=ts,
-            sample_rate=self.config.sampling_rate,
-            band=self.config.frequency_band,
-        )
+        freq = estimate_frequency(v_win[0], previous=self._prev_frequency, timestamp=ts)
         self._prev_frequency = freq.frequency
         self.result.frequency.append(freq)
-        self.result.power.append(
-            compute_power(v_win, i_win, freq.frequency, ts, self.config.sampling_rate)
-        )
-
-    def _harmonic_basis(self, fundamental: float) -> np.ndarray:
-        if self._basis_cache is not None and self._basis_cache[0] == fundamental:
-            return self._basis_cache[1]
-        base = np.exp(
-            -2j * np.pi * fundamental / self.config.sampling_rate * np.arange(HARMONIC_WINDOW)
-        )
-        basis = np.empty((HARMONIC_ORDERS, HARMONIC_WINDOW), dtype=np.complex128)
-        basis[0] = base
-        for h in range(1, HARMONIC_ORDERS):
-            basis[h] = basis[h - 1] * base
-        self._basis_cache = (fundamental, basis)
-        return basis
+        self.result.power.append(compute_power(v_win, i_win, freq.frequency, ts))
 
     def _emit_harmonics(self, ts: float) -> None:
-        fundamental = self._prev_frequency
-        basis = self._harmonic_basis(fundamental)
-        scale = 2.0 / HARMONIC_WINDOW
-        v_mags = scale * np.abs(basis @ self._buf_v.T).T
-        i_mags = scale * np.abs(basis @ self._buf_i.T).T
-        v_floor = self.config.thd_floor_factor * self.config.nominal_voltage_rms
-        i_floor = self.config.thd_floor_factor * self.config.nominal_current_rms
-        rec = HarmonicsRecord(
-            timestamp=ts,
-            v_harmonics=tuple(tuple(float(x) for x in row) for row in v_mags),
-            i_harmonics=tuple(tuple(float(x) for x in row) for row in i_mags),
-            thd_v=tuple(compute_thd(row, v_floor) for row in v_mags),
-            thd_i=tuple(compute_thd(row, i_floor) for row in i_mags),
+        rec = compute_harmonics(
+            self._buf_v,
+            self._buf_i,
+            self._prev_frequency,
+            ts,
+            v_floor=THD_FLOOR_FACTOR * self.config.nominal_voltage_rms,
+            i_floor=THD_FLOOR_FACTOR * self.config.nominal_current_rms,
         )
         self.result.harmonics.append(rec)
         self._fundamentals.append((ts, tuple(row[0] for row in rec.i_harmonics)))
@@ -526,11 +494,7 @@ class StreamPipeline:
         self._pst_series[:, self._pst_fill : self._pst_fill + k] = hc
         self._pst_fill += k
         if ts >= self._pst_deadline:
-            rec = compute_pst(
-                self._pst_series[:, : self._pst_fill],
-                self._pst_deadline,
-                self.config.pst_calibration,
-            )
+            rec = compute_pst(self._pst_series[:, : self._pst_fill], self._pst_deadline)
             self.result.flicker_pst.append(rec)
             self._pst_fill = 0
             self._pst_deadline += PST_INTERVAL_S
@@ -559,7 +523,6 @@ class StreamPipeline:
         leftover = self._fill - self._done
         if leftover:
             diag.bump("rms_samples_discarded", leftover)
-        fs = self.config.sampling_rate
         end_abs = self._buf_base + self._fill
         if end_abs % POWER_WINDOW:
             diag.bump("power_samples_discarded", end_abs % POWER_WINDOW)
@@ -574,7 +537,7 @@ class StreamPipeline:
             if last_ts > self._demand_deadline - DEMAND_INTERVAL_S:
                 diag.bump("demand_windows_discarded")
         if self.detector is not None:
-            self.detector.close(end_abs / fs)
+            self.detector.close(end_abs / SAMPLE_RATE)
             self.result.events = list(self.detector.records)
         return self.result
 

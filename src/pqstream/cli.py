@@ -40,7 +40,7 @@ from .siggen import (
     parse_script,
 )
 from .store import (
-    BudgetConfig,
+    PARAMETERS,
     MeasurementPoint,
     StoreError,
     StreamDatabase,
@@ -72,19 +72,6 @@ def _signal_config(meta: dict) -> SignalConfig:
         current_lag_deg=float(meta.get("current_lag_deg", 0.0)),
         jitter_pu=float(meta.get("jitter_pu", 0.0)),
         seed=int(meta.get("seed", 0)),
-    )
-
-
-def _measurement_point(meta: dict) -> MeasurementPoint:
-    point = meta.get("point", {})
-    return MeasurementPoint(
-        id=point.get("id", "MP1"),
-        name=point.get("name", point.get("id", "MP1")),
-        point_kind=point.get("point_kind", "busbar"),
-        load_type=point.get("load_type", "Urban Only"),
-        city_name=point.get("city_name", ""),
-        region_name=point.get("region_name", ""),
-        voltage_level=float(point.get("voltage_level", 0.0)),
     )
 
 
@@ -131,7 +118,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         nominal_voltage_rms=nominal_v,
         nominal_current_rms=nominal_i,
     )
-    point = _measurement_point(meta)
+    point = MeasurementPoint.from_dict({"id": "MP1", **meta.get("point", {})})
     base_time = datetime.fromisoformat(meta.get("base_time", DEFAULT_BASE_TIME))
     writer = TransferFileWriter(args.out, point, base_time)
     detector = EventDetector(
@@ -149,15 +136,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     result = run_pipeline(frames(), config, detector=detector)
     written = writer.write_results(result)
     print(f"analyzed {voltage.shape[1]} samples from {in_dir}")
-    print(
-        "records: "
-        f"rms={len(result.rms)} power={len(result.power)} "
-        f"harmonics={len(result.harmonics)} frequency={len(result.frequency)} "
-        f"demand={len(result.demand)} pst={len(result.flicker_pst)} "
-        f"plt={len(result.flicker_plt)} events={len(result.events)}"
-    )
-    if args.lag_deg is not None:
-        print(f"assumed current lag: {args.lag_deg} degrees")
+    counts = " ".join(f"{name}={len(getattr(result, name))}" for name in PARAMETERS)
+    print(f"records: {counts} events={len(result.events)}")
     for path in written:
         print(f"wrote {path}")
     return 0
@@ -171,7 +151,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_budget(args: argparse.Namespace) -> int:
-    budget = compute_traffic_budget(BudgetConfig())
+    budget = compute_traffic_budget()
     if args.with_events:
         print(f"{budget.total_with_events:.3f}")
     elif args.without_events:
@@ -252,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_dir", required=True, help="directory from gen")
     p.add_argument("--out", required=True, help="transfer tree output root")
     p.add_argument("--nominal-v", type=float, help="override the nominal voltage (V)")
-    p.add_argument("--lag-deg", type=float, help="note the assumed current lag (degrees)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("ingest", help="load a transfer tree into the database")

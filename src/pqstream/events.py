@@ -11,7 +11,11 @@ while any amplitude event is active so a one-phase dip is not double
 reported as unbalance.
 
 Each finalized event yields a record plus a compressed raw capture of all
-six channels spanning the event with a pre and post trigger margin.
+six channels spanning the event with a pre and post trigger margin.  The
+sampling rate (``SAMPLE_RATE``), the RMS interval the machines step by
+(``RMS_INTERVAL_S``, one analyzer RMS window) and the trigger margins
+(``PRE_TRIGGER_SAMPLES``, ``POST_TRIGGER_SAMPLES``) are fixed module constants, not
+detector options.
 """
 
 from __future__ import annotations
@@ -23,9 +27,14 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .siggen import SAMPLE_RATE, WaveformFrame
+from .analyzer import RMS_WINDOW
+from .siggen import SAMPLE_RATE
 
 EVENT_TYPES = ("sag", "swell", "interruption", "unbalance")
+
+RMS_INTERVAL_S = RMS_WINDOW / SAMPLE_RATE
+PRE_TRIGGER_SAMPLES = round(0.2 * SAMPLE_RATE)   # captured before an event's start
+POST_TRIGGER_SAMPLES = round(0.2 * SAMPLE_RATE)  # captured after its end
 
 RAW_MAGIC = b"PQZ1"
 RAW_VERSION = 1
@@ -238,20 +247,10 @@ class EventDetector:
         self,
         thresholds: EventThresholds,
         measurement_point_id: str = "MP1",
-        sample_rate: int = SAMPLE_RATE,
-        rms_interval: float = 0.2,
-        pre_trigger: float = 0.2,
-        post_trigger: float = 0.2,
         raw_sink: RawSink | None = None,
     ) -> None:
-        if pre_trigger < 0 or post_trigger < 0:
-            raise ValueError("trigger margins must be >= 0")
         self.thresholds = thresholds
         self.measurement_point_id = measurement_point_id
-        self.sample_rate = sample_rate
-        self.rms_interval = rms_interval
-        self.pre_trigger = pre_trigger
-        self.post_trigger = post_trigger
         self.raw_sink = raw_sink
         self.records: list[EventRecord] = []
         self.capture = CaptureBuffer()
@@ -265,9 +264,6 @@ class EventDetector:
         self, start_index: int, voltage: np.ndarray, current: np.ndarray
     ) -> None:
         self.capture.feed(start_index, voltage, current)
-
-    def feed_frame(self, frame: WaveformFrame) -> None:
-        self.feed_samples(frame.start_sample_index, frame.voltage_samples, frame.current_samples)
 
     # -- state machine ------------------------------------------------------
 
@@ -333,11 +329,11 @@ class EventDetector:
         return transitions
 
     def _enter(self, event_type: str, timestamp: float) -> Transition:
-        start_time = timestamp - self.rms_interval
+        start_time = timestamp - RMS_INTERVAL_S
         self._active[event_type] = _ActiveEvent(
             event_type=event_type,
             start_time=start_time,
-            start_sample=round(start_time * self.sample_rate),
+            start_sample=round(start_time * SAMPLE_RATE),
         )
         return Transition(event_type, "start", start_time)
 
@@ -345,32 +341,29 @@ class EventDetector:
         active = self._active[event_type]
         assert active is not None
         self._active[event_type] = None
-        end_time = timestamp - self.rms_interval
+        end_time = timestamp - RMS_INTERVAL_S
         self._finalize(active, end_time)
         return Transition(event_type, "end", end_time)
 
     def _trim_capture(self) -> None:
-        pre = round(self.pre_trigger * self.sample_rate)
-        keep_from = self.capture.next_sample - pre
+        keep_from = self.capture.next_sample - PRE_TRIGGER_SAMPLES
         for active in self._active.values():
             if active is not None:
-                keep_from = min(keep_from, active.start_sample - pre)
+                keep_from = min(keep_from, active.start_sample - PRE_TRIGGER_SAMPLES)
         self.capture.trim(max(keep_from, 0))
 
     def _finalize(self, active: _ActiveEvent, end_time: float) -> None:
-        end_sample = round(end_time * self.sample_rate)
+        end_sample = round(end_time * SAMPLE_RATE)
         size = end_sample - active.start_sample
         event_id = self._next_event_id
         self._next_event_id += 1
         path: str | None = None
         failed = False
         if self.raw_sink is not None:
-            pre = round(self.pre_trigger * self.sample_rate)
-            post = round(self.post_trigger * self.sample_rate)
             first, samples = self.capture.extract(
-                active.start_sample - pre, end_sample + post
+                active.start_sample - PRE_TRIGGER_SAMPLES, end_sample + POST_TRIGGER_SAMPLES
             )
-            blob = encode_raw_capture(event_id, first, samples, self.sample_rate)
+            blob = encode_raw_capture(event_id, first, samples)
             try:
                 path = self.raw_sink(active.event_type, event_id, blob)
             except OSError:

@@ -8,38 +8,25 @@ ordered) so rendered output is reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime
 from pathlib import Path
 
 from .events import decode_raw_capture
 from .store import (
-    PARAMETER_COLUMNS,
-    PARAMETER_TYPES,
+    PARAMETERS,
+    EventStat,
+    MeasurementPoint,
     StreamDatabase,
     TransferFile,
     derive_timestamps,
 )
 
 #: MeasurementPoint attributes usable as filters and group keys.
-POINT_ATTRIBUTES = (
-    "id",
-    "name",
-    "point_kind",
-    "load_type",
-    "city_name",
-    "region_name",
-    "voltage_level",
-)
+POINT_ATTRIBUTES = tuple(f.name for f in fields(MeasurementPoint))
 
 #: EventStat counters usable in aggregations.
-STAT_COLUMNS = (
-    "event_count",
-    "sag_count",
-    "swell_count",
-    "interruption_count",
-    "unbalance_count",
-)
+STAT_COLUMNS = tuple(f.name for f in fields(EventStat) if f.name != "measurement_point_id")
 
 AGGREGATE_FUNCTIONS = ("sum", "count", "mean", "max", "min")
 _SQL_FUNC = {"sum": "SUM", "count": "COUNT", "mean": "AVG", "max": "MAX", "min": "MIN"}
@@ -125,27 +112,18 @@ def timeseries(
     ``start`` and ``end`` bound the derived timestamps inclusively; an
     interval with no rows yields an empty table with the usual columns.
     """
-    if parameter_type not in PARAMETER_TYPES or parameter_type == "event":
-        raise QueryError(f"parameter type must be one of {PARAMETER_TYPES[:-1]}")
+    if parameter_type not in PARAMETERS:
+        raise QueryError(f"parameter type must be one of {tuple(PARAMETERS)}")
     if db.get_point(point_id) is None:
         raise NotFoundError(f"measurement point {point_id!r} not in the database")
-    columns = PARAMETER_COLUMNS[parameter_type]
+    columns = PARAMETERS[parameter_type].column_names
     files: dict[int, TransferFile] = {}
     for row in db.conn.execute(
         "SELECT * FROM transfer_file WHERE measurement_point_id = ?"
         " AND parameter_type = ?",
         (point_id, parameter_type),
     ):
-        files[row["id"]] = TransferFile(
-            id=row["id"],
-            measurement_point_id=row["measurement_point_id"],
-            parameter_type=row["parameter_type"],
-            measurement_date=datetime.fromisoformat(row["measurement_date"]),
-            transfer_time=datetime.fromisoformat(row["transfer_time"]),
-            path=row["path"],
-            row_count=row["row_count"],
-            content_hash=row["content_hash"],
-        )
+        files[row["id"]] = TransferFile.from_row(row)
     col_sql = ", ".join(f'"{c}"' for c in columns)
     out: list[tuple] = []
     for data in db.conn.execute(

@@ -9,6 +9,11 @@ timestamp is derived by stepping the parameter interval backwards.  Floats
 are serialized with 17 significant digits so a write / ingest / query round
 trip is bit exact.
 
+:data:`PARAMETERS` is the one registry of the interval-typed parameters:
+each entry's name is its ``PipelineResult`` attribute, transfer directory
+and table, and the entry holds the row interval and the stored columns.
+Writing, the schema, ingestion, queries and the traffic budget read it.
+
 Ingestion walks such trees into an embedded SQLite database, skipping
 files whose content hash is already present, and keeps per-point event
 counters in step with the event table.  Raw capture files are never loaded
@@ -20,46 +25,29 @@ from __future__ import annotations
 import hashlib
 import json
 import sqlite3
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timedelta, timezone
+from functools import cache
 from pathlib import Path
-from typing import Sequence
 
-from .analyzer import HARMONIC_ORDERS, PipelineResult
-from .events import EventRecord
+from .analyzer import (
+    DEMAND_INTERVAL_S,
+    HARMONIC_ORDERS,
+    HARMONIC_WINDOW,
+    PLT_PST_COUNT,
+    POWER_WINDOW,
+    PST_INTERVAL_S,
+    RMS_WINDOW,
+    PipelineResult,
+)
+from .events import EVENT_TYPES, EventRecord
+from .siggen import SAMPLE_RATE
 
 POINT_KINDS = ("busbar", "feeder")
 LOAD_TYPES = ("Heavy Industry", "Industry+Urban", "Urban Only")
+PHASES = ("a", "b", "c")
 
-PARAMETER_TYPES = (
-    "power",
-    "rms",
-    "harmonics",
-    "frequency",
-    "demand",
-    "flicker_pst",
-    "flicker_plt",
-    "event",
-)
-
-#: Row spacing per parameter type in milliseconds; the event log has no
-#: fixed interval and is deliberately absent.
-PARAMETER_INTERVAL_MS = {
-    "power": 1_000,
-    "rms": 200,
-    "harmonics": 3_000,
-    "frequency": 1_000,
-    "demand": 900_000,
-    "flicker_pst": 600_000,
-    "flicker_plt": 7_200_000,
-}
-
-RAW_DIR_NAMES = {
-    "sag": "Sag",
-    "swell": "Swell",
-    "interruption": "Interruption",
-    "unbalance": "Unbalance",
-}
+RAW_DIR_NAMES = {t: t.capitalize() for t in EVENT_TYPES}
 
 POINT_METADATA_FILE = "point.json"
 ISO_TIMESPEC = "microseconds"
@@ -69,41 +57,82 @@ class StoreError(RuntimeError):
     """Raised for unusable trees, rows or store configurations."""
 
 
-def _phase_columns(prefix: str) -> list[str]:
-    return [f"{prefix}_{p}" for p in ("a", "b", "c")]
+@dataclass(frozen=True)
+class Parameter:
+    """One interval-typed parameter as written, stored and budgeted.
+
+    ``name`` is the ``PipelineResult`` attribute holding its records, its
+    transfer directory and its table.  ``columns`` pairs each stored column
+    with its SQL type, in the order :func:`_record_row` lays values out.
+    """
+
+    name: str
+    interval: timedelta
+    columns: tuple[tuple[str, str], ...]
+
+    @property
+    def column_names(self) -> tuple[str, ...]:
+        return tuple(name for name, _ in self.columns)
 
 
-def _harmonic_phase_columns(prefix: str) -> list[str]:
-    return [
-        f"{prefix}_{p}_h{h}"
-        for p in ("a", "b", "c")
+def _phase_columns(*prefixes: str) -> tuple[tuple[str, str], ...]:
+    return tuple((f"{prefix}_{p}", "REAL") for prefix in prefixes for p in PHASES)
+
+
+def _harmonic_columns(*prefixes: str) -> tuple[tuple[str, str], ...]:
+    return tuple(
+        (f"{prefix}_{p}_h{h}", "REAL")
+        for prefix in prefixes
+        for p in PHASES
         for h in range(1, HARMONIC_ORDERS + 1)
-    ]
+    )
 
 
-PARAMETER_COLUMNS: dict[str, tuple[str, ...]] = {
-    "power": tuple(
-        _phase_columns("p") + _phase_columns("q") + _phase_columns("s") + _phase_columns("pf")
-    ),
-    "rms": tuple(_phase_columns("v") + _phase_columns("i")),
-    "harmonics": tuple(
-        _harmonic_phase_columns("v")
-        + _harmonic_phase_columns("i")
-        + _phase_columns("thd_v")
-        + _phase_columns("thd_i")
-    ),
-    "frequency": ("frequency", "held"),
-    "demand": tuple(_phase_columns("d")),
-    "flicker_pst": tuple(_phase_columns("pst")),
-    "flicker_plt": tuple(_phase_columns("plt")),
-    "event": (
-        "event_id",
-        "event_type",
-        "start_time",
-        "end_time",
-        "size_in_samples",
-        "raw_path",
-    ),
+#: Every interval-typed parameter, in the order files are written and ingested.
+PARAMETERS: dict[str, Parameter] = {
+    p.name: p
+    for p in (
+        Parameter(
+            "power",
+            timedelta(seconds=POWER_WINDOW / SAMPLE_RATE),
+            _phase_columns("p", "q", "s", "pf"),
+        ),
+        Parameter("rms", timedelta(seconds=RMS_WINDOW / SAMPLE_RATE), _phase_columns("v", "i")),
+        Parameter(
+            "harmonics",
+            timedelta(seconds=HARMONIC_WINDOW / SAMPLE_RATE),
+            _harmonic_columns("v", "i") + _phase_columns("thd_v", "thd_i"),
+        ),
+        Parameter(
+            "frequency",
+            timedelta(seconds=POWER_WINDOW / SAMPLE_RATE),
+            (("frequency", "REAL"), ("held", "INTEGER")),
+        ),
+        Parameter("demand", timedelta(seconds=DEMAND_INTERVAL_S), _phase_columns("d")),
+        Parameter("flicker_pst", timedelta(seconds=PST_INTERVAL_S), _phase_columns("pst")),
+        Parameter(
+            "flicker_plt",
+            timedelta(seconds=PLT_PST_COUNT * PST_INTERVAL_S),
+            _phase_columns("plt"),
+        ),
+    )
+}
+
+#: The event log is a transfer file without a fixed row interval.
+EVENT_LOG = "event"
+EVENT_COLUMNS = (
+    "event_id",
+    "event_type",
+    "start_time",
+    "end_time",
+    "size_in_samples",
+    "raw_path",
+)
+
+#: Columns of every transfer-file type, in ingestion order.
+FILE_COLUMNS: dict[str, tuple[str, ...]] = {
+    **{name: p.column_names for name, p in PARAMETERS.items()},
+    EVENT_LOG: EVENT_COLUMNS,
 }
 
 
@@ -129,6 +158,21 @@ class MeasurementPoint:
         if self.voltage_level < 0:
             raise ValueError("voltage_level must be >= 0")
 
+    @classmethod
+    def from_dict(cls, meta: dict) -> "MeasurementPoint":
+        """Point from JSON metadata such as ``point.json``.
+
+        ``id`` is required (KeyError without it); ``name`` defaults to the
+        id, the point to an "Urban Only" busbar; keys that are not fields,
+        such as ``base_time``, are ignored.
+        """
+        values = {f.name: meta[f.name] for f in fields(cls) if f.name in meta}
+        values.setdefault("name", meta["id"])
+        values.setdefault("point_kind", "busbar")
+        values.setdefault("load_type", "Urban Only")
+        values["voltage_level"] = float(values.get("voltage_level", 0.0))
+        return cls(**values)
+
 
 @dataclass(frozen=True)
 class TransferFile:
@@ -149,12 +193,20 @@ class TransferFile:
     content_hash: str
 
     def __post_init__(self) -> None:
-        if self.parameter_type not in PARAMETER_TYPES:
+        if self.parameter_type not in FILE_COLUMNS:
             raise ValueError(f"unknown parameter_type {self.parameter_type!r}")
         if self.measurement_date > self.transfer_time:
             raise ValueError("measurement_date must not be after transfer_time")
         if self.row_count < 0:
             raise ValueError("row_count must be >= 0")
+
+    @classmethod
+    def from_row(cls, row: sqlite3.Row) -> "TransferFile":
+        """Rebuild a ``transfer_file`` table row, parsing its two dates."""
+        values = dict(row)
+        for key in ("measurement_date", "transfer_time"):
+            values[key] = datetime.fromisoformat(values[key])
+        return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -182,7 +234,7 @@ class EventStat:
 def parameter_interval(parameter_type: str) -> timedelta:
     """Row spacing for an interval-typed parameter; the event log has none."""
     try:
-        return timedelta(milliseconds=PARAMETER_INTERVAL_MS[parameter_type])
+        return PARAMETERS[parameter_type].interval
     except KeyError:
         raise StoreError(
             f"parameter type {parameter_type!r} has no fixed row interval"
@@ -211,28 +263,25 @@ def format_value(value) -> str:
     return str(value)
 
 
-def _record_rows(parameter_type: str, records: Sequence) -> list[list]:
-    if parameter_type == "power":
-        return [list(r.active + r.reactive + r.apparent + r.power_factor) for r in records]
-    if parameter_type == "rms":
-        return [list(r.v_rms + r.i_rms) for r in records]
-    if parameter_type == "harmonics":
-        return [
-            [x for row in r.v_harmonics for x in row]
-            + [x for row in r.i_harmonics for x in row]
-            + list(r.thd_v)
-            + list(r.thd_i)
-            for r in records
-        ]
-    if parameter_type == "frequency":
-        return [[r.frequency, r.held] for r in records]
-    if parameter_type == "demand":
-        return [list(r.demand) for r in records]
-    if parameter_type == "flicker_pst":
-        return [list(r.pst) for r in records]
-    if parameter_type == "flicker_plt":
-        return [list(r.plt) for r in records]
-    raise StoreError(f"no row conversion for parameter type {parameter_type!r}")
+@cache
+def _value_fields(record_type: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(record_type) if f.name != "timestamp")
+
+
+def _flatten_into(row: list, values) -> None:
+    for value in values:
+        if isinstance(value, tuple):
+            _flatten_into(row, value)
+        else:
+            row.append(value)
+
+
+def _record_row(record) -> list:
+    """CSV row of one analyzer record: its fields after ``timestamp`` in
+    declaration order, nested tuples flattened."""
+    row: list = []
+    _flatten_into(row, [getattr(record, name) for name in _value_fields(type(record))])
+    return row
 
 
 class TransferFileWriter:
@@ -256,13 +305,7 @@ class TransferFileWriter:
 
     def _write_metadata(self) -> None:
         meta = {
-            "id": self.point.id,
-            "name": self.point.name,
-            "point_kind": self.point.point_kind,
-            "load_type": self.point.load_type,
-            "city_name": self.point.city_name,
-            "region_name": self.point.region_name,
-            "voltage_level": self.point.voltage_level,
+            **asdict(self.point),
             "base_time": self.base_time.isoformat(timespec=ISO_TIMESPEC),
         }
         path = self.point_dir / POINT_METADATA_FILE
@@ -285,7 +328,7 @@ class TransferFileWriter:
         directory = self.point_dir / parameter_type
         directory.mkdir(exist_ok=True)
         path = directory / f"{parameter_type}_{file_seq:03d}.csv"
-        lines = [f"# columns: {','.join(PARAMETER_COLUMNS[parameter_type])}"]
+        lines = [f"# columns: {','.join(FILE_COLUMNS[parameter_type])}"]
         lines.extend(",".join(format_value(v) for v in row) for row in rows)
         lines.append(f"#last_sample={last_sample.isoformat(timespec=ISO_TIMESPEC)}")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -294,25 +337,17 @@ class TransferFileWriter:
     def write_results(self, result: PipelineResult, file_seq: int = 0) -> list[Path]:
         """Write every non-empty record series plus the event log; returns paths."""
         written: list[Path] = []
-        series = [
-            ("power", result.power),
-            ("rms", result.rms),
-            ("harmonics", result.harmonics),
-            ("frequency", result.frequency),
-            ("demand", result.demand),
-            ("flicker_pst", result.flicker_pst),
-            ("flicker_plt", result.flicker_plt),
-        ]
-        for parameter_type, records in series:
+        for name in PARAMETERS:
+            records = getattr(result, name)
             if not records:
                 continue
-            rows = _record_rows(parameter_type, records)
+            rows = [_record_row(r) for r in records]
             last = self.timestamp(records[-1].timestamp)
-            written.append(self._write_csv(parameter_type, rows, last, file_seq))
+            written.append(self._write_csv(name, rows, last, file_seq))
         if result.events:
             rows = [self._event_row(e) for e in result.events]
             last = self.timestamp(max(e.end_time for e in result.events))
-            written.append(self._write_csv("event", rows, last, file_seq))
+            written.append(self._write_csv(EVENT_LOG, rows, last, file_seq))
         return written
 
     def _event_row(self, event: EventRecord) -> list:
@@ -331,17 +366,6 @@ class TransferFileWriter:
             event.size_in_samples,
             raw,
         ]
-
-
-def write_transfer_files(
-    out_root: Path | str,
-    point: MeasurementPoint,
-    base_time: datetime,
-    result: PipelineResult,
-    file_seq: int = 0,
-) -> list[Path]:
-    """One-shot convenience wrapper around :class:`TransferFileWriter`."""
-    return TransferFileWriter(out_root, point, base_time).write_results(result, file_seq)
 
 
 # -- database ---------------------------------------------------------------
@@ -389,12 +413,10 @@ CREATE TABLE IF NOT EXISTS event_stat (
 """
 
 
-def _series_table_sql(parameter_type: str) -> str:
-    cols = ",\n    ".join(f'"{c}" REAL' for c in PARAMETER_COLUMNS[parameter_type])
-    if parameter_type == "frequency":
-        cols = '"frequency" REAL,\n    "held" INTEGER'
+def _series_table_sql(parameter: Parameter) -> str:
+    cols = ",\n    ".join(f'"{name}" {sql_type}' for name, sql_type in parameter.columns)
     return (
-        f"CREATE TABLE IF NOT EXISTS {parameter_type} (\n"
+        f"CREATE TABLE IF NOT EXISTS {parameter.name} (\n"
         "    measurement_point_id TEXT NOT NULL REFERENCES measurement_point(id),\n"
         "    transfer_file_id INTEGER NOT NULL REFERENCES transfer_file(id),\n"
         "    row_index INTEGER NOT NULL,\n"
@@ -420,10 +442,8 @@ class StreamDatabase:
 
     def _create_schema(self) -> None:
         self.conn.executescript(_SCHEMA_FIXED)
-        for parameter_type in PARAMETER_TYPES:
-            if parameter_type == "event":
-                continue
-            self.conn.execute(_series_table_sql(parameter_type))
+        for parameter in PARAMETERS.values():
+            self.conn.execute(_series_table_sql(parameter))
         self.conn.commit()
 
     def close(self) -> None:
@@ -438,59 +458,30 @@ class StreamDatabase:
     # -- points and stats --------------------------------------------------
 
     def upsert_point(self, point: MeasurementPoint) -> None:
+        names = [f.name for f in fields(MeasurementPoint)]
+        updates = ", ".join(f"{n}=excluded.{n}" for n in names if n != "id")
         self.conn.execute(
-            "INSERT INTO measurement_point"
-            " (id, name, point_kind, load_type, city_name, region_name, voltage_level)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?)"
-            " ON CONFLICT(id) DO UPDATE SET name=excluded.name,"
-            " point_kind=excluded.point_kind, load_type=excluded.load_type,"
-            " city_name=excluded.city_name, region_name=excluded.region_name,"
-            " voltage_level=excluded.voltage_level",
-            (
-                point.id,
-                point.name,
-                point.point_kind,
-                point.load_type,
-                point.city_name,
-                point.region_name,
-                point.voltage_level,
-            ),
+            f"INSERT INTO measurement_point ({', '.join(names)})"
+            f" VALUES ({', '.join('?' for _ in names)})"
+            f" ON CONFLICT(id) DO UPDATE SET {updates}",
+            tuple(getattr(point, n) for n in names),
         )
 
     def get_point(self, point_id: str) -> MeasurementPoint | None:
         row = self.conn.execute(
             "SELECT * FROM measurement_point WHERE id = ?", (point_id,)
         ).fetchone()
-        if row is None:
-            return None
-        return MeasurementPoint(
-            id=row["id"],
-            name=row["name"],
-            point_kind=row["point_kind"],
-            load_type=row["load_type"],
-            city_name=row["city_name"],
-            region_name=row["region_name"],
-            voltage_level=row["voltage_level"],
-        )
+        return None if row is None else MeasurementPoint(**row)
 
     def event_stat(self, point_id: str) -> EventStat | None:
         row = self.conn.execute(
             "SELECT * FROM event_stat WHERE measurement_point_id = ?", (point_id,)
         ).fetchone()
-        if row is None:
-            return None
-        return EventStat(
-            measurement_point_id=row["measurement_point_id"],
-            event_count=row["event_count"],
-            sag_count=row["sag_count"],
-            swell_count=row["swell_count"],
-            interruption_count=row["interruption_count"],
-            unbalance_count=row["unbalance_count"],
-        )
+        return None if row is None else EventStat(**row)
 
     def update_event_stat(self, point_id: str, event_type: str, amount: int = 1) -> None:
         """Bump the per-type and total counters, creating the row on first use."""
-        if event_type not in RAW_DIR_NAMES:
+        if event_type not in EVENT_TYPES:
             raise StoreError(f"unknown event type {event_type!r}")
         self.conn.execute(
             "INSERT INTO event_stat (measurement_point_id) VALUES (?)"
@@ -506,7 +497,7 @@ class StreamDatabase:
 
     def recompute_event_stat(self, point_id: str) -> EventStat:
         """Full scan of the event table; the incremental counters must agree."""
-        counts = {t: 0 for t in RAW_DIR_NAMES}
+        counts = {t: 0 for t in EVENT_TYPES}
         for row in self.conn.execute(
             "SELECT event_type, COUNT(*) AS n FROM event"
             " WHERE measurement_point_id = ? GROUP BY event_type",
@@ -516,28 +507,14 @@ class StreamDatabase:
         return EventStat(
             measurement_point_id=point_id,
             event_count=sum(counts.values()),
-            sag_count=counts["sag"],
-            swell_count=counts["swell"],
-            interruption_count=counts["interruption"],
-            unbalance_count=counts["unbalance"],
+            **{f"{t}_count": n for t, n in counts.items()},
         )
 
     def get_transfer_file(self, transfer_file_id: int) -> TransferFile | None:
         row = self.conn.execute(
             "SELECT * FROM transfer_file WHERE id = ?", (transfer_file_id,)
         ).fetchone()
-        if row is None:
-            return None
-        return TransferFile(
-            id=row["id"],
-            measurement_point_id=row["measurement_point_id"],
-            parameter_type=row["parameter_type"],
-            measurement_date=datetime.fromisoformat(row["measurement_date"]),
-            transfer_time=datetime.fromisoformat(row["transfer_time"]),
-            path=row["path"],
-            row_count=row["row_count"],
-            content_hash=row["content_hash"],
-        )
+        return None if row is None else TransferFile.from_row(row)
 
 
 # -- ingestion ---------------------------------------------------------------
@@ -608,15 +585,7 @@ def _parse_transfer_csv(path: Path, expected_columns: int) -> _ParsedFile:
 
 def _load_point_metadata(path: Path) -> tuple[MeasurementPoint, datetime]:
     meta = json.loads(path.read_text(encoding="utf-8"))
-    point = MeasurementPoint(
-        id=meta["id"],
-        name=meta.get("name", meta["id"]),
-        point_kind=meta.get("point_kind", "busbar"),
-        load_type=meta.get("load_type", LOAD_TYPES[0]),
-        city_name=meta.get("city_name", ""),
-        region_name=meta.get("region_name", ""),
-        voltage_level=float(meta.get("voltage_level", 0.0)),
-    )
+    point = MeasurementPoint.from_dict(meta)
     base_time = datetime.fromisoformat(meta.get("base_time", "2000-01-01T00:00:00"))
     return point, base_time
 
@@ -636,7 +605,7 @@ def _ingest_series_file(
     parsed: _ParsedFile,
     transfer_file_id: int,
 ) -> None:
-    columns = PARAMETER_COLUMNS[parameter_type]
+    columns = PARAMETERS[parameter_type].column_names
     col_sql = ", ".join(f'"{c}"' for c in columns)
     placeholders = ", ".join("?" for _ in range(len(columns) + 3))
     sql = (
@@ -663,7 +632,7 @@ def _ingest_event_file(
     for cells in parsed.rows:
         event_id = int(cells[0])
         event_type = cells[1]
-        if event_type not in RAW_DIR_NAMES:
+        if event_type not in EVENT_TYPES:
             raise StoreError(f"unknown event type {event_type!r}")
         raw_path: str | None = None
         if cells[5]:
@@ -717,7 +686,7 @@ def ingest_directory(root: Path | str, db: StreamDatabase) -> IngestReport:
             continue
         db.upsert_point(point)
         report.points_seen += 1
-        for parameter_type in PARAMETER_TYPES:
+        for parameter_type in FILE_COLUMNS:
             directory = point_dir / parameter_type
             if not directory.is_dir():
                 continue
@@ -744,7 +713,7 @@ def _ingest_one_file(
         report.files_skipped_duplicate += 1
         return
     try:
-        parsed = _parse_transfer_csv(path, len(PARAMETER_COLUMNS[parameter_type]))
+        parsed = _parse_transfer_csv(path, len(FILE_COLUMNS[parameter_type]))
     except StoreError as exc:
         report.files_malformed.append((str(path), str(exc)))
         return
@@ -765,7 +734,7 @@ def _ingest_one_file(
     )
     transfer_file_id = cursor.lastrowid
     try:
-        if parameter_type == "event":
+        if parameter_type == EVENT_LOG:
             _ingest_event_file(db, report, point, point_dir, parsed, transfer_file_id)
         else:
             _ingest_series_file(
@@ -800,8 +769,6 @@ class BudgetConfig:
     """
 
     sample_bits: int = 64
-    phase_count: int = 3
-    sampling_rate: int = 3200
     event_length_bps: float = 4.0
     event_type_bps: float = 10.0
 
@@ -826,24 +793,28 @@ def compute_traffic_budget(config: BudgetConfig = BudgetConfig()) -> TrafficBudg
     the event length and type bookkeeping rates stay in both totals.
     """
     bits = float(config.sample_bits)
-    phases = float(config.phase_count)
-    per_phase_each_second = bits * phases  # one value per phase per second
-    raw_stream = bits * phases * config.sampling_rate
+    phases = float(len(PHASES))
+
+    def rate(values: float, parameter: str) -> float:
+        """Bits per second of ``values`` numbers sent once per row interval."""
+        return bits * values / PARAMETERS[parameter].interval.total_seconds()
+
+    raw_stream = bits * phases * SAMPLE_RATE
     rows = (
-        BudgetRow("Active Power", per_phase_each_second / 1.0),
-        BudgetRow("Reactive Power", per_phase_each_second / 1.0),
-        BudgetRow("Apparent Power", per_phase_each_second / 1.0),
-        BudgetRow("Power Factor", per_phase_each_second / 1.0),
-        BudgetRow("33 Voltage Harmonics", bits * phases * HARMONIC_ORDERS / 3.0),
-        BudgetRow("33 Current Harmonics", bits * phases * HARMONIC_ORDERS / 3.0),
-        BudgetRow("RMS Voltage and Current", bits * phases * 2.0 / 0.2),
+        BudgetRow("Active Power", rate(phases, "power")),
+        BudgetRow("Reactive Power", rate(phases, "power")),
+        BudgetRow("Apparent Power", rate(phases, "power")),
+        BudgetRow("Power Factor", rate(phases, "power")),
+        BudgetRow("33 Voltage Harmonics", rate(phases * HARMONIC_ORDERS, "harmonics")),
+        BudgetRow("33 Current Harmonics", rate(phases * HARMONIC_ORDERS, "harmonics")),
+        BudgetRow("RMS Voltage and Current", rate(phases * 2.0, "rms")),
         BudgetRow("Event Length", config.event_length_bps),
         BudgetRow("Event Type", config.event_type_bps),
         BudgetRow("Event Raw Data (Current)", raw_stream, raw_event_stream=True),
         BudgetRow("Event Raw Data (Voltage)", raw_stream, raw_event_stream=True),
-        BudgetRow("Short Term Flicker", per_phase_each_second / 600.0),
-        BudgetRow("Demand", per_phase_each_second / 900.0),
-        BudgetRow("Frequency", bits / 1.0),
+        BudgetRow("Short Term Flicker", rate(phases, "flicker_pst")),
+        BudgetRow("Demand", rate(phases, "demand")),
+        BudgetRow("Frequency", rate(1.0, "frequency")),
     )
     return TrafficBudget(rows=rows)
 

@@ -52,7 +52,6 @@ def analyze_to_tree(out_root, point, duration, script_text=None):
     detector = EventDetector(
         EventThresholds(nominal_voltage_rms=1.0),
         measurement_point_id=point.id,
-        sample_rate=SAMPLE_RATE,
         raw_sink=writer.raw_sink,
     )
     script = parse_script(script_text) if script_text else None
@@ -267,14 +266,14 @@ def test_criterion_8_property_suites(tmp_path):
         (1.2, 1.09, "swell"),
         (0.0, 0.06, "interruption"),
     ):
-        detector = EventDetector(EventThresholds(nominal_voltage_rms=1.0), sample_rate=SAMPLE_RATE)
+        detector = EventDetector(EventThresholds(nominal_voltage_rms=1.0))
         ts = 0.2
         for level in [1.0, entry] + [inside, entry] * 8 + [1.0, 1.0]:
             detector.update(ts, (level,) * 3)
             ts += 0.2
         detector.close(ts - 0.2)
         assert [e.event_type for e in detector.records] == [expected]
-    detector = EventDetector(EventThresholds(nominal_voltage_rms=1.0), sample_rate=SAMPLE_RATE)
+    detector = EventDetector(EventThresholds(nominal_voltage_rms=1.0))
     ts = 0.2
     for level in [(1.0,) * 3] + [(1.0, 1.0, 0.9), (1.0, 1.0, 0.947)] * 8 + [(1.0,) * 3] * 2:
         detector.update(ts, level)

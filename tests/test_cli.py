@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pqstream
 from pqstream.cli import main
 
 
@@ -183,9 +184,11 @@ def test_missing_input_exits_4(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
+    # from the directory holding the package under test, installed or not
     proc = subprocess.run(
         [sys.executable, "-m", "pqstream", "budget", "--without-events"],
         capture_output=True, text=True, timeout=60,
+        cwd=Path(pqstream.__file__).resolve().parents[1],
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "6990.533"

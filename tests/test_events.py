@@ -29,7 +29,7 @@ NOMINAL = 1.0  # the generator scales amplitude so nominal rms is 1.0
 
 def make_detector(**kwargs):
     thresholds = EventThresholds(nominal_voltage_rms=1.0)
-    return EventDetector(thresholds, sample_rate=SAMPLE_RATE, **kwargs)
+    return EventDetector(thresholds, **kwargs)
 
 
 def drive(detector, levels, start=0.2, step=0.2):
@@ -47,7 +47,7 @@ def run_script(script_text, duration, raw_sink=None, **det_kwargs):
     pipeline_config = unit_pipeline_config()
     thresholds = EventThresholds(nominal_voltage_rms=1.0)
     detector = EventDetector(
-        thresholds, sample_rate=SAMPLE_RATE, raw_sink=raw_sink, **det_kwargs
+        thresholds, raw_sink=raw_sink, **det_kwargs
     )
     result = run_pipeline(
         generate_stream(config, parse_script(script_text)),

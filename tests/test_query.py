@@ -49,7 +49,6 @@ def run_point(out_root, point):
     detector = EventDetector(
         EventThresholds(nominal_voltage_rms=1.0),
         measurement_point_id=point.id,
-        sample_rate=SAMPLE_RATE,
         raw_sink=writer.raw_sink,
     )
     result = run_pipeline(

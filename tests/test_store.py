@@ -10,10 +10,23 @@ from pathlib import Path
 
 import pytest
 
-from pqstream.analyzer import run_pipeline
+from pqstream.analyzer import (
+    HARMONIC_ORDERS,
+    DemandRecord,
+    FlickerPltRecord,
+    FlickerPstRecord,
+    FrequencyRecord,
+    HarmonicsRecord,
+    PipelineResult,
+    PowerRecord,
+    RmsRecord,
+    run_pipeline,
+)
 from pqstream.events import EventDetector, EventThresholds
 from pqstream.siggen import SAMPLE_RATE, generate_stream, parse_script
+from pqstream.query import timeseries
 from pqstream.store import (
+    PARAMETERS,
     BudgetConfig,
     EventStat,
     IngestReport,
@@ -28,7 +41,6 @@ from pqstream.store import (
     format_value,
     ingest_directory,
     parameter_interval,
-    write_transfer_files,
 )
 
 from conftest import BASE_TIME, unit_config, unit_pipeline_config
@@ -50,7 +62,6 @@ def analyze_script(script_text, duration, writer):
     detector = EventDetector(
         EventThresholds(nominal_voltage_rms=1.0),
         measurement_point_id=writer.point.id,
-        sample_rate=SAMPLE_RATE,
         raw_sink=writer.raw_sink,
     )
     script = parse_script(script_text) if script_text else None
@@ -359,6 +370,75 @@ def test_ingest_malformed_file_reported_and_skipped(written_sag_run, tmp_path):
         assert report.rows_inserted["rms"] == 60
 
 
+def test_ingest_point_metadata_defaults(tmp_path):
+    # a hand-written point.json may omit everything but the id
+    root = tmp_path / "tree"
+    (root / "HW1").mkdir(parents=True)
+    (root / "HW1" / "point.json").write_text(json.dumps({"id": "HW1"}))
+    (root / "NOID").mkdir()
+    (root / "NOID" / "point.json").write_text(json.dumps({"name": "no id"}))
+    with StreamDatabase(tmp_path / "pq.db") as db:
+        report = ingest_directory(root, db)
+        assert db.get_point("HW1") == MeasurementPoint("HW1", "HW1", "busbar", "Urban Only")
+    assert report.points_seen == 1
+    assert [path for path, _ in report.files_malformed] == [str(root / "NOID" / "point.json")]
+
+
+def hand_built_result() -> PipelineResult:
+    """Two records of every parameter, one interval apart, with undefined cells."""
+    third = 1.0 / 3.0
+    triple = (third, math.pi, 1e-300)
+    orders = tuple(
+        tuple(third * (p + 1) / (h + 1) for h in range(HARMONIC_ORDERS)) for p in range(3)
+    )
+    return PipelineResult(
+        rms=[RmsRecord(0.2, triple, (2.0, 0.1, 7.0)), RmsRecord(0.4, (0.1, 0.2, 0.3), triple)],
+        power=[
+            PowerRecord(1.0, triple, (-0.5, 0.0, 0.5), (1.0, 2.0, 3.0), (0.9, 0.8, 0.7)),
+            PowerRecord(2.0, (1.5, 2.5, 3.5), triple, triple, (1.0, -1.0, 0.0)),
+        ],
+        harmonics=[
+            HarmonicsRecord(3.0, orders, orders[::-1], (None, 1.5, third), (None, None, 0.25)),
+            HarmonicsRecord(6.0, orders[::-1], orders, triple, (0.0, None, 2.0)),
+        ],
+        frequency=[FrequencyRecord(1.0, 50.01, False), FrequencyRecord(2.0, 49.99, True)],
+        demand=[DemandRecord(900.0, triple), DemandRecord(1800.0, (4.0, 5.0, 6.0))],
+        flicker_pst=[
+            FlickerPstRecord(600.0, (None, 0.5, third)),
+            FlickerPstRecord(1200.0, (0.25, None, None)),
+        ],
+        flicker_plt=[FlickerPltRecord(7200.0, triple), FlickerPltRecord(14400.0, (0.1, 0.2, 0.3))],
+    )
+
+
+def test_round_trip_every_parameter_bit_exact(tmp_path):
+    flatten = {
+        "rms": lambda r: r.v_rms + r.i_rms,
+        "power": lambda r: r.active + r.reactive + r.apparent + r.power_factor,
+        "harmonics": lambda r: (
+            sum(r.v_harmonics, ()) + sum(r.i_harmonics, ()) + r.thd_v + r.thd_i
+        ),
+        "frequency": lambda r: (r.frequency, float(r.held)),
+        "demand": lambda r: r.demand,
+        "flicker_pst": lambda r: r.pst,
+        "flicker_plt": lambda r: r.plt,
+    }
+    assert set(flatten) == set(PARAMETERS)
+    result = hand_built_result()
+    TransferFileWriter(tmp_path / "out", make_point(), BASE_TIME).write_results(result)
+    with StreamDatabase(tmp_path / "pq.db") as db:
+        report = ingest_directory(tmp_path / "out", db)
+        assert report.files_malformed == []
+        assert report.files_ingested == len(PARAMETERS)
+        for parameter, flat in flatten.items():
+            records = getattr(result, parameter)
+            table = timeseries(db, "MP1", parameter)
+            assert len(table.rows) == len(records) == 2
+            for row, record in zip(table.rows, records):
+                assert row[1:] == flat(record)  # bit-exact payload, None stays None
+                assert row[0] == BASE_TIME + timedelta(seconds=record.timestamp)
+
+
 def test_ingest_records_transfer_file_metadata(written_sag_run, tmp_path):
     out_root, result, _ = written_sag_run
     with StreamDatabase(tmp_path / "pq.db") as db:
@@ -390,11 +470,3 @@ def test_readonly_database_rejects_writes(written_sag_run, tmp_path):
         assert db.get_point("MP1") is not None
         with pytest.raises(Exception):
             db.upsert_point(make_point("MP2"))
-
-
-def test_write_transfer_files_wrapper(tmp_path):
-    result = analyze_script(None, 1.0, TransferFileWriter(tmp_path / "x", make_point(), BASE_TIME))
-    paths = write_transfer_files(tmp_path / "out", make_point(), BASE_TIME, result)
-    assert len(paths) == 3
-    for p in paths:
-        assert p.exists()
