@@ -8,6 +8,12 @@ timestamps are seconds since stream start and mark the end of the window
 that produced them.  Incomplete windows at stream end are discarded and
 tallied, never emitted.
 
+Voltage and current are stacked into one six-channel block, so one
+reduction or projection per window serves both.  Harmonics and the power
+phasors are projected at the exact frequency estimate on 640-sample
+sub-blocks (:func:`_project`); that basis is rebuilt for every window, not
+cached, because it is cheap and the estimate changes in its last bits.
+
 The sampling rate (``SAMPLE_RATE``), the band a frequency estimate must
 fall in (``FREQUENCY_BAND``), the THD floor factor (``THD_FLOOR_FACTOR``)
 and the Pst calibration (``PST_CALIBRATION``) are fixed module constants,
@@ -18,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -132,11 +137,8 @@ def compute_rms(
     """RMS of one 0.2 s window (shape (3, 640)) per voltage and current phase."""
     if v_window.shape[-1] != RMS_WINDOW:
         raise ValueError(f"RMS window must hold exactly {RMS_WINDOW} samples")
-    return RmsRecord(
-        timestamp=timestamp,
-        v_rms=tuple(float(x) for x in rms(v_window)),
-        i_rms=tuple(float(x) for x in rms(i_window)),
-    )
+    values = rms(np.concatenate((v_window, i_window))).tolist()
+    return RmsRecord(timestamp=timestamp, v_rms=tuple(values[:3]), i_rms=tuple(values[3:]))
 
 
 def half_cycle_rms(window: np.ndarray, block: int) -> np.ndarray:
@@ -146,49 +148,43 @@ def half_cycle_rms(window: np.ndarray, block: int) -> np.ndarray:
     return np.sqrt(np.mean(np.square(grouped), axis=-1))
 
 
-def fundamental_phasor(samples: np.ndarray, frequency: float) -> np.ndarray:
-    """Complex single-frequency projection scaled to peak amplitude.
+def _project(x: np.ndarray, fundamental: float, orders: int) -> np.ndarray:
+    """Complex (channels, orders) projections of (channels, n) samples.
 
-    ``samples`` may be (n,) or (k, n); the magnitude of the result equals
-    the peak amplitude of a pure sinusoid at ``frequency``.
+    Entry (c, h-1) projects channel c onto order h of ``fundamental``,
+    scaled so a sinusoid of amplitude A has magnitude A.  ``n`` must be a
+    multiple of ``RMS_WINDOW``: all sub-blocks of that length go through
+    one matrix product, and the twiddle exp(-2j*pi*h*f*RMS_WINDOW*k/fs)
+    moves sub-block k to the window start.
     """
-    x = np.atleast_2d(samples)
-    n = x.shape[-1]
-    k = np.arange(n)
-    basis = np.exp(-2j * np.pi * frequency / SAMPLE_RATE * k)
-    proj = (2.0 / n) * (x @ basis)
-    return proj if samples.ndim > 1 else proj[0]
-
-
-@lru_cache(maxsize=1)
-def harmonic_basis(fundamental: float, n: int) -> np.ndarray:
-    """Read-only (orders, n) projection basis for orders 1..33 of ``fundamental``.
-
-    The order-h row is the elementwise h-th power of the order-1 row, built
-    by a running product.  The last basis is cached, so the voltage and
-    current of one window, and windows with an equal frequency estimate,
-    share it.
-    """
-    base = np.exp(-2j * np.pi * fundamental / SAMPLE_RATE * np.arange(n))
-    basis = np.empty((HARMONIC_ORDERS, n), dtype=np.complex128)
-    basis[0] = base
-    for h in range(1, HARMONIC_ORDERS):
-        basis[h] = basis[h - 1] * base
-    basis.flags.writeable = False
-    return basis
+    channels, n = x.shape
+    blocks, rest = divmod(n, RMS_WINDOW)
+    if rest or not blocks:
+        raise ValueError(f"projection length must be a positive multiple of {RMS_WINDOW}")
+    step = -2j * np.pi * fundamental / SAMPLE_RATE
+    base = np.exp(step * np.arange(RMS_WINDOW))
+    sub = np.empty((orders, RMS_WINDOW), dtype=np.complex128)
+    sub[0] = base
+    for h in range(1, orders):
+        np.multiply(sub[h - 1], base, out=sub[h])
+    # the samples are real: one real product on the basis's real and imaginary rows
+    parts = x.reshape(channels * blocks, RMS_WINDOW) @ np.concatenate((sub.real, sub.imag)).T
+    sums = (parts[:, :orders] + 1j * parts[:, orders:]).reshape(channels, blocks, orders)
+    twiddle = np.exp(step * RMS_WINDOW * np.outer(np.arange(blocks), np.arange(1, orders + 1)))
+    return (2.0 / n) * np.einsum("cbh,bh->ch", sums, twiddle)
 
 
 def harmonic_magnitudes(samples: np.ndarray, fundamental: float) -> np.ndarray:
     """Peak amplitudes at orders 1..33 times ``fundamental``.
 
-    Single-frequency projections on :func:`harmonic_basis`, scaled so a pure
-    sinusoid of amplitude A reports A.
+    ``samples`` is (n,) or (channels, n) with n a multiple of ``RMS_WINDOW``;
+    each order is projected per sub-block and rotated into place by block
+    twiddles (:func:`_project`).  Nothing is cached: that basis is cheap, and
+    the frequency estimate changes from window to window.
     """
-    x = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    n = x.shape[-1]
-    proj = harmonic_basis(fundamental, n) @ x.T  # (orders, channels)
-    mags = (2.0 / n) * np.abs(proj).T
-    return mags if samples.ndim > 1 else mags[0]
+    x = np.asarray(samples, dtype=np.float64)
+    mags = np.abs(_project(np.atleast_2d(x), fundamental, HARMONIC_ORDERS))
+    return mags if x.ndim > 1 else mags[0]
 
 
 def compute_thd(magnitudes: Sequence[float], floor: float = 0.0) -> float | None:
@@ -216,14 +212,14 @@ def compute_harmonics(
     """Harmonic magnitudes for orders 1..33 of one 3 s window plus THD."""
     if v_window.shape[-1] != HARMONIC_WINDOW:
         raise ValueError(f"harmonics window must hold exactly {HARMONIC_WINDOW} samples")
-    v_mags = harmonic_magnitudes(v_window, fundamental)
-    i_mags = harmonic_magnitudes(i_window, fundamental)
+    mags = harmonic_magnitudes(np.concatenate((v_window, i_window)), fundamental)
+    thd = [compute_thd(row, floor) for row, floor in zip(mags, (v_floor,) * 3 + (i_floor,) * 3)]
     return HarmonicsRecord(
         timestamp=timestamp,
-        v_harmonics=tuple(tuple(float(x) for x in row) for row in v_mags),
-        i_harmonics=tuple(tuple(float(x) for x in row) for row in i_mags),
-        thd_v=tuple(compute_thd(row, v_floor) for row in v_mags),
-        thd_i=tuple(compute_thd(row, i_floor) for row in i_mags),
+        v_harmonics=tuple(map(tuple, mags[:3].tolist())),
+        i_harmonics=tuple(map(tuple, mags[3:].tolist())),
+        thd_v=tuple(thd[:3]),
+        thd_i=tuple(thd[3:]),
     )
 
 
@@ -246,16 +242,17 @@ def compute_power(
     """
     if v_window.shape[-1] != POWER_WINDOW:
         raise ValueError(f"power window must hold exactly {POWER_WINDOW} samples")
-    active = np.mean(v_window * i_window, axis=-1)
-    apparent = rms(v_window) * rms(i_window)
-    zv = fundamental_phasor(v_window, fundamental)
-    zi = fundamental_phasor(i_window, fundamental)
+    x = np.concatenate((v_window, i_window))
+    levels = rms(x)
+    active = np.mean(v_window * i_window, axis=-1).tolist()
+    apparent = (levels[:3] * levels[3:]).tolist()
+    phasor = _project(x, fundamental, 1)[:, 0]
+    magnitude, angle = np.abs(phasor).tolist(), np.angle(phasor).tolist()
     p_out, q_out, s_out, pf_out = [], [], [], []
     for p in range(3):
-        P = float(active[p])
-        S = float(apparent[p])
-        if S > 0.0 and abs(zv[p]) > 0.0 and abs(zi[p]) > 0.0:
-            phi = _wrap_angle(float(np.angle(zv[p])) - float(np.angle(zi[p])))
+        P, S = active[p], apparent[p]
+        if S > 0.0 and magnitude[p] > 0.0 and magnitude[p + 3] > 0.0:
+            phi = _wrap_angle(angle[p] - angle[p + 3])
             sign = math.copysign(1.0, phi) if phi != 0.0 else 0.0
         else:
             sign = 0.0
@@ -390,8 +387,7 @@ class StreamPipeline:
         self.config = config
         self.detector = detector
         self.result = PipelineResult()
-        self._buf_v = np.empty((3, HARMONIC_WINDOW))
-        self._buf_i = np.empty((3, HARMONIC_WINDOW))
+        self._buf = np.empty((6, HARMONIC_WINDOW))  # voltage phases, then current phases
         self._fill = 0               # samples currently in the buffer
         self._done = 0               # samples already cut into RMS windows
         self._buf_base = 0           # absolute index of buffer start
@@ -421,8 +417,8 @@ class StreamPipeline:
         n = frame.frame_length
         while pos < n:
             take = min(HARMONIC_WINDOW - self._fill, n - pos)
-            self._buf_v[:, self._fill : self._fill + take] = frame.voltage_samples[:, pos : pos + take]
-            self._buf_i[:, self._fill : self._fill + take] = frame.current_samples[:, pos : pos + take]
+            self._buf[:3, self._fill : self._fill + take] = frame.voltage_samples[:, pos : pos + take]
+            self._buf[3:, self._fill : self._fill + take] = frame.current_samples[:, pos : pos + take]
             self._fill += take
             pos += take
             self._next_sample += take
@@ -439,13 +435,12 @@ class StreamPipeline:
             end_local = self._done + RMS_WINDOW
             end_abs = self._buf_base + end_local
             ts = end_abs / SAMPLE_RATE
-            v_win = self._buf_v[:, self._done : end_local]
-            i_win = self._buf_i[:, self._done : end_local]
-            rec = compute_rms(v_win, i_win, ts)
+            win = self._buf[:, self._done : end_local]
+            rec = compute_rms(win[:3], win[3:], ts)
             self.result.rms.append(rec)
-            self._append_half_cycles(v_win, ts)
+            self._append_half_cycles(win[:3], ts)
             if self.detector is not None:
-                self.detector.update(ts, np.asarray(rec.v_rms))
+                self.detector.update(ts, rec.v_rms)
             if end_abs % POWER_WINDOW == 0:
                 self._emit_second(end_local, ts)
             if end_abs % HARMONIC_WINDOW == 0:
@@ -457,17 +452,16 @@ class StreamPipeline:
             self._done = end_local
 
     def _emit_second(self, end_local: int, ts: float) -> None:
-        v_win = self._buf_v[:, end_local - POWER_WINDOW : end_local]
-        i_win = self._buf_i[:, end_local - POWER_WINDOW : end_local]
-        freq = estimate_frequency(v_win[0], previous=self._prev_frequency, timestamp=ts)
+        win = self._buf[:, end_local - POWER_WINDOW : end_local]
+        freq = estimate_frequency(win[0], previous=self._prev_frequency, timestamp=ts)
         self._prev_frequency = freq.frequency
         self.result.frequency.append(freq)
-        self.result.power.append(compute_power(v_win, i_win, freq.frequency, ts))
+        self.result.power.append(compute_power(win[:3], win[3:], freq.frequency, ts))
 
     def _emit_harmonics(self, ts: float) -> None:
         rec = compute_harmonics(
-            self._buf_v,
-            self._buf_i,
+            self._buf[:3],
+            self._buf[3:],
             self._prev_frequency,
             ts,
             v_floor=THD_FLOOR_FACTOR * self.config.nominal_voltage_rms,

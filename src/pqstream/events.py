@@ -79,11 +79,11 @@ def compute_unbalance(v_rms) -> float | None:
     Returns None when the mean is zero (a dead bus has no meaningful
     unbalance; the interruption machine governs that state).
     """
-    v = np.asarray(v_rms, dtype=np.float64)
-    mean = float(np.mean(v))
+    a, b, c = (float(x) for x in v_rms)
+    mean = (a + b + c) / 3
     if mean == 0.0:
         return None
-    return float(np.max(np.abs(v - mean)) / mean)
+    return max(abs(a - mean), abs(b - mean), abs(c - mean)) / mean
 
 
 @dataclass(frozen=True)
@@ -268,7 +268,7 @@ class EventDetector:
     # -- state machine ------------------------------------------------------
 
     def update(self, timestamp: float, v_rms) -> list[Transition]:
-        """Advance every machine with one RMS point; returns the transitions."""
+        """Advance every machine with one RMS triple (tuple or array); returns the transitions."""
         if self._last_timestamp is not None and timestamp <= self._last_timestamp:
             raise ValueError(
                 f"RMS timestamps must increase strictly: {timestamp} after "
@@ -276,7 +276,7 @@ class EventDetector:
             )
         self._last_timestamp = timestamp
         thr = self.thresholds
-        pu = np.asarray(v_rms, dtype=np.float64) / thr.nominal_voltage_rms
+        a, b, c = (float(x) / thr.nominal_voltage_rms for x in v_rms)
         transitions: list[Transition] = []
 
         # Interruption first: it governs sag behaviour at this point.  Sag
@@ -285,34 +285,39 @@ class EventDetector:
         # point does not spawn a spurious sag on the way back up.
         inter_was_active = self._active["interruption"] is not None
         if not inter_was_active:
-            if bool(np.all(pu < thr.interruption_threshold)):
+            low = thr.interruption_threshold
+            if a < low and b < low and c < low:
                 if self._active["sag"] is not None:
                     # The collapse already tripped the sag machine on the way
                     # down; the interruption absorbs it without a record.
                     self._active["sag"] = None
                 transitions.append(self._enter("interruption", timestamp))
         else:
-            if bool(np.any(pu >= thr.interruption_threshold + thr.hysteresis)):
+            clear = thr.interruption_threshold + thr.hysteresis
+            if a >= clear or b >= clear or c >= clear:
                 transitions.append(self._exit("interruption", timestamp))
 
         if self._active["interruption"] is None and not inter_was_active:
-            sag = self._active["sag"]
-            if sag is None:
-                if bool(np.any(pu < thr.sag_threshold)):
+            if self._active["sag"] is None:
+                low = thr.sag_threshold
+                if a < low or b < low or c < low:
                     transitions.append(self._enter("sag", timestamp))
-            elif bool(np.all(pu >= thr.sag_threshold + thr.hysteresis)):
-                transitions.append(self._exit("sag", timestamp))
+            else:
+                clear = thr.sag_threshold + thr.hysteresis
+                if a >= clear and b >= clear and c >= clear:
+                    transitions.append(self._exit("sag", timestamp))
 
-        swell = self._active["swell"]
-        if swell is None:
-            if bool(np.any(pu > thr.swell_threshold)):
+        if self._active["swell"] is None:
+            high = thr.swell_threshold
+            if a > high or b > high or c > high:
                 transitions.append(self._enter("swell", timestamp))
-        elif bool(np.all(pu <= thr.swell_threshold - thr.hysteresis)):
-            transitions.append(self._exit("swell", timestamp))
+        else:
+            clear = thr.swell_threshold - thr.hysteresis
+            if a <= clear and b <= clear and c <= clear:
+                transitions.append(self._exit("swell", timestamp))
 
         factor = compute_unbalance(v_rms)
-        unb = self._active["unbalance"]
-        if unb is None:
+        if self._active["unbalance"] is None:
             amplitude_event_active = any(
                 self._active[t] is not None for t in ("sag", "swell", "interruption")
             )

@@ -681,7 +681,7 @@ def ingest_directory(root: Path | str, db: StreamDatabase) -> IngestReport:
             continue
         try:
             point, _ = _load_point_metadata(meta_path)
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             report.files_malformed.append((str(meta_path), f"bad metadata: {exc}"))
             continue
         db.upsert_point(point)

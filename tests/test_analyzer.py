@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqstream.analyzer import (
+    HARMONIC_ORDERS,
     HARMONIC_WINDOW,
     PLT_PST_COUNT,
     POWER_WINDOW,
@@ -16,6 +17,7 @@ from pqstream.analyzer import (
     PipelineConfig,
     StreamGapError,
     StreamPipeline,
+    _project,
     compute_demand,
     compute_harmonics,
     compute_plt,
@@ -107,6 +109,60 @@ def test_harmonic_magnitudes_pure_tone():
     mags = harmonic_magnitudes(window[0], 50.0)
     assert mags[0] == pytest.approx(3.0, rel=1e-9)
     assert np.all(mags[1:] < 1e-9)
+
+
+def unsplit_projection(x: np.ndarray, fundamental: float, order: int) -> np.ndarray:
+    """Reference: one full-length exp(-2j*pi*h*f*k/fs) basis, no sub-blocks."""
+    k = np.arange(x.shape[-1])
+    return (2.0 / x.shape[-1]) * (x @ np.exp(-2j * np.pi * order * fundamental * k / SAMPLE_RATE))
+
+
+def six_channel_block(fundamental: float, n: int):
+    """Voltages and currents with their own amplitude and phase, plus orders 3, 5 and 7."""
+    t = np.arange(n) / SAMPLE_RATE
+    amplitudes = np.array([325.0, 320.0, 330.0, 14.1, 12.0, 15.5])
+    x = np.empty((6, n))
+    for c, amp in enumerate(amplitudes):
+        phase = 0.7 * c
+        x[c] = amp * (
+            np.sin(2 * np.pi * fundamental * t + phase)
+            + 0.05 * np.sin(2 * np.pi * 3 * fundamental * t + 2 * phase)
+            + 0.03 * np.sin(2 * np.pi * 5 * fundamental * t - phase)
+            + 0.02 * np.sin(2 * np.pi * 7 * fundamental * t + 1.0)
+        )
+    return x, amplitudes
+
+
+@pytest.mark.parametrize("fundamental", [49.5, 50.5])
+def test_projector_matches_unsplit_reference(fundamental):
+    x, amplitudes = six_channel_block(fundamental, HARMONIC_WINDOW)
+    projected = _project(x, fundamental, HARMONIC_ORDERS)
+    assert projected.shape == (6, HARMONIC_ORDERS)
+    for h in range(1, HARMONIC_ORDERS + 1):
+        reference = unsplit_projection(x, fundamental, h)
+        assert np.all(np.abs(projected[:, h - 1] - reference) <= 1e-9 * amplitudes)
+    mags = harmonic_magnitudes(x, fundamental)
+    for h, level in ((1, 1.0), (3, 0.05), (5, 0.03), (7, 0.02)):
+        # off-grid leakage of the other orders stays well below a percent
+        assert np.allclose(mags[:, h - 1], level * amplitudes, rtol=1e-2)
+
+
+@pytest.mark.parametrize("fundamental", [49.5, 50.5])
+def test_projector_one_order_power_phasor(fundamental):
+    x, _ = six_channel_block(fundamental, POWER_WINDOW)
+    phasor = _project(x, fundamental, 1)[:, 0]
+    reference = unsplit_projection(x, fundamental, 1)
+    assert np.allclose(np.abs(phasor), np.abs(reference), rtol=1e-12, atol=0.0)
+    angle_error = np.angle(phasor * np.conj(reference))
+    assert np.all(np.abs(angle_error) <= 1e-9)
+
+
+@pytest.mark.parametrize("n", [0, 639, 1000, HARMONIC_WINDOW + 1])
+def test_projector_rejects_length_off_the_rms_grid(n):
+    with pytest.raises(ValueError):
+        _project(np.ones((6, n)), 50.0, 1)
+    with pytest.raises(ValueError):
+        harmonic_magnitudes(np.ones(n), 50.0)
 
 
 def test_harmonics_third_order_ratio_with_fft_oracle():

@@ -79,6 +79,54 @@ def test_unbalance_factor_scale_invariant(scale):
     assert compute_unbalance(scaled) == pytest.approx(compute_unbalance(base), rel=1e-9)
 
 
+def numpy_unbalance(v_rms):
+    """The array formula the scalar factor must reproduce bit for bit."""
+    v = np.asarray(v_rms, dtype=np.float64)
+    mean = float(np.mean(v))
+    if mean == 0.0:
+        return None
+    return float(np.max(np.abs(v - mean)) / mean)
+
+
+_level = st.floats(min_value=0.0, max_value=1e6)
+_triples = (
+    st.tuples(_level, _level, _level)
+    | st.just((0.0, 0.0, 0.0))
+    | st.tuples(_level, _level, _level, st.integers(0, 2)).map(  # one dead phase
+        lambda t: tuple(0.0 if p == t[3] else t[p] for p in range(3))
+    )
+)
+
+
+@given(_triples)
+def test_unbalance_scalar_matches_numpy_formula_bit_for_bit(triple):
+    expected = numpy_unbalance(triple)
+    for given_as in (triple, np.asarray(triple)):
+        value = compute_unbalance(given_as)
+        if expected is None:
+            assert value is None
+        else:
+            assert type(value) is float
+            assert value.hex() == expected.hex()
+
+
+_pu_levels = st.sampled_from(
+    [0.0, 0.03, 0.06, 0.08, 0.5, 0.84, 0.86, 0.88, 0.95, 0.97, 1.0, 1.03, 1.07, 1.09, 1.11, 1.2]
+)
+
+
+@given(st.lists(st.tuples(_pu_levels, _pu_levels, _pu_levels), min_size=1, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_detector_same_for_tuples_and_arrays(levels):
+    as_tuples, as_arrays = make_detector(), make_detector()
+    for k, triple in enumerate(levels):
+        ts = 0.2 * (k + 1)
+        assert as_tuples.update(ts, triple) == as_arrays.update(ts, np.asarray(triple))
+    as_tuples.close()
+    as_arrays.close()
+    assert as_tuples.records == as_arrays.records
+
+
 # -- thresholds ---------------------------------------------------------------
 
 

@@ -384,6 +384,22 @@ def test_ingest_point_metadata_defaults(tmp_path):
     assert [path for path, _ in report.files_malformed] == [str(root / "NOID" / "point.json")]
 
 
+@pytest.mark.parametrize(
+    "bad_meta", [[1, 2], "A", {"id": "A", "base_time": 5}, {"id": "A", "voltage_level": None}]
+)
+def test_ingest_malformed_point_json_skips_only_that_point(tmp_path, bad_meta):
+    root = tmp_path / "tree"
+    (root / "A").mkdir(parents=True)
+    (root / "A" / "point.json").write_text(json.dumps(bad_meta))
+    (root / "B").mkdir()
+    (root / "B" / "point.json").write_text(json.dumps({"id": "B"}))
+    with StreamDatabase(tmp_path / "pq.db") as db:
+        report = ingest_directory(root, db)
+        assert db.get_point("B") == MeasurementPoint("B", "B", "busbar", "Urban Only")
+    assert report.points_seen == 1
+    assert [path for path, _ in report.files_malformed] == [str(root / "A" / "point.json")]
+
+
 def hand_built_result() -> PipelineResult:
     """Two records of every parameter, one interval apart, with undefined cells."""
     third = 1.0 / 3.0
