@@ -8,11 +8,13 @@ timestamps are seconds since stream start and mark the end of the window
 that produced them.  Incomplete windows at stream end are discarded and
 tallied, never emitted.
 
-Voltage and current are stacked into one six-channel block, so one
-reduction or projection per window serves both.  Harmonics and the power
-phasors are projected at the exact frequency estimate on 640-sample
-sub-blocks (:func:`_project`); that basis is rebuilt for every window, not
-cached, because it is cheap and the estimate changes in its last bits.
+The RMS, power and harmonics kernels take one six-channel block, voltage
+phases first and current phases after; the pipeline passes views of its
+own buffer, so one reduction or projection per window serves both and
+nothing is copied.  Harmonics and the power phasors are projected at the
+exact frequency estimate on 640-sample sub-blocks (:func:`_project`); that
+basis is rebuilt for every window, not cached, because it is cheap and the
+estimate changes in its last bits.
 
 The sampling rate (``SAMPLE_RATE``), the band a frequency estimate must
 fall in (``FREQUENCY_BAND``), the THD floor factor (``THD_FLOOR_FACTOR``)
@@ -131,13 +133,11 @@ def rms(samples: np.ndarray) -> np.ndarray | float:
     return np.sqrt(np.mean(np.square(samples), axis=-1))
 
 
-def compute_rms(
-    v_window: np.ndarray, i_window: np.ndarray, timestamp: float
-) -> RmsRecord:
-    """RMS of one 0.2 s window (shape (3, 640)) per voltage and current phase."""
-    if v_window.shape[-1] != RMS_WINDOW:
+def compute_rms(window: np.ndarray, timestamp: float) -> RmsRecord:
+    """RMS of one 0.2 s window (shape (6, 640), voltage rows first) per phase."""
+    if window.shape[-1] != RMS_WINDOW:
         raise ValueError(f"RMS window must hold exactly {RMS_WINDOW} samples")
-    values = rms(np.concatenate((v_window, i_window))).tolist()
+    values = rms(window).tolist()
     return RmsRecord(timestamp=timestamp, v_rms=tuple(values[:3]), i_rms=tuple(values[3:]))
 
 
@@ -202,17 +202,16 @@ def compute_thd(magnitudes: Sequence[float], floor: float = 0.0) -> float | None
 
 
 def compute_harmonics(
-    v_window: np.ndarray,
-    i_window: np.ndarray,
+    window: np.ndarray,
     fundamental: float,
     timestamp: float,
     v_floor: float = 0.0,
     i_floor: float = 0.0,
 ) -> HarmonicsRecord:
-    """Harmonic magnitudes for orders 1..33 of one 3 s window plus THD."""
-    if v_window.shape[-1] != HARMONIC_WINDOW:
+    """Harmonic magnitudes for orders 1..33 plus THD of one 3 s window (6, 9600)."""
+    if window.shape[-1] != HARMONIC_WINDOW:
         raise ValueError(f"harmonics window must hold exactly {HARMONIC_WINDOW} samples")
-    mags = harmonic_magnitudes(np.concatenate((v_window, i_window)), fundamental)
+    mags = harmonic_magnitudes(window, fundamental)
     thd = [compute_thd(row, floor) for row, floor in zip(mags, (v_floor,) * 3 + (i_floor,) * 3)]
     return HarmonicsRecord(
         timestamp=timestamp,
@@ -227,26 +226,21 @@ def _wrap_angle(angle: float) -> float:
     return (angle + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def compute_power(
-    v_window: np.ndarray,
-    i_window: np.ndarray,
-    fundamental: float,
-    timestamp: float,
-) -> PowerRecord:
-    """Per-phase P, Q, S and power factor over one 1 s window.
+def compute_power(window: np.ndarray, fundamental: float, timestamp: float) -> PowerRecord:
+    """Per-phase P, Q, S and power factor over one 1 s window (6, 3200).
 
     P is the sample mean of v*i, S the product of the RMS values, and
     Q = sign(phi) * sqrt(max(S^2 - P^2, 0)) where phi is the fundamental
-    lag of current behind voltage, making Q positive for inductive load.
+    lag of current behind voltage, making Q positive for inductive load; a
+    zero Q is always +0, whatever the sign of the rounding noise in phi.
     The power factor is P/S, defined as 0 for a dead window.
     """
-    if v_window.shape[-1] != POWER_WINDOW:
+    if window.shape[-1] != POWER_WINDOW:
         raise ValueError(f"power window must hold exactly {POWER_WINDOW} samples")
-    x = np.concatenate((v_window, i_window))
-    levels = rms(x)
-    active = np.mean(v_window * i_window, axis=-1).tolist()
+    levels = rms(window)
+    active = np.mean(window[:3] * window[3:], axis=-1).tolist()
     apparent = (levels[:3] * levels[3:]).tolist()
-    phasor = _project(x, fundamental, 1)[:, 0]
+    phasor = _project(window, fundamental, 1)[:, 0]
     magnitude, angle = np.abs(phasor).tolist(), np.angle(phasor).tolist()
     p_out, q_out, s_out, pf_out = [], [], [], []
     for p in range(3):
@@ -256,7 +250,7 @@ def compute_power(
             sign = math.copysign(1.0, phi) if phi != 0.0 else 0.0
         else:
             sign = 0.0
-        Q = sign * math.sqrt(max(S * S - P * P, 0.0))
+        Q = sign * math.sqrt(max(S * S - P * P, 0.0)) + 0.0
         # P <= S holds mathematically (Cauchy-Schwarz); clamp float rounding.
         pf = min(1.0, max(-1.0, P / S)) if S > 0.0 else 0.0
         p_out.append(P)
@@ -436,7 +430,7 @@ class StreamPipeline:
             end_abs = self._buf_base + end_local
             ts = end_abs / SAMPLE_RATE
             win = self._buf[:, self._done : end_local]
-            rec = compute_rms(win[:3], win[3:], ts)
+            rec = compute_rms(win, ts)
             self.result.rms.append(rec)
             self._append_half_cycles(win[:3], ts)
             if self.detector is not None:
@@ -456,12 +450,11 @@ class StreamPipeline:
         freq = estimate_frequency(win[0], previous=self._prev_frequency, timestamp=ts)
         self._prev_frequency = freq.frequency
         self.result.frequency.append(freq)
-        self.result.power.append(compute_power(win[:3], win[3:], freq.frequency, ts))
+        self.result.power.append(compute_power(win, freq.frequency, ts))
 
     def _emit_harmonics(self, ts: float) -> None:
         rec = compute_harmonics(
-            self._buf[:3],
-            self._buf[3:],
+            self._buf,
             self._prev_frequency,
             ts,
             v_floor=THD_FLOOR_FACTOR * self.config.nominal_voltage_rms,

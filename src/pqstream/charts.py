@@ -35,12 +35,10 @@ class ChartError(ValueError):
 
 @dataclass(frozen=True)
 class ChartSpec:
-    """What to draw: the kind plus optional labeling."""
+    """What to draw: the kind plus an optional title."""
 
     kind: str
     title: str = ""
-    x_label: str = ""
-    y_label: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in CHART_KINDS:
@@ -106,23 +104,12 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _axis_frame(parts: list[str], spec: ChartSpec) -> None:
+def _axis_frame(parts: list[str]) -> None:
     x0, y0 = MARGIN_LEFT, HEIGHT - MARGIN_BOTTOM
     x1, y1 = WIDTH - MARGIN_RIGHT, MARGIN_TOP
     parts.append(
         f'<path d="M {x0} {y1} L {x0} {y0} L {x1} {y0}" fill="none" stroke="#000000"/>'
     )
-    if spec.x_label:
-        parts.append(
-            f'<text x="{(x0 + x1) // 2}" y="{HEIGHT - 10}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{_escape(spec.x_label)}</text>'
-        )
-    if spec.y_label:
-        parts.append(
-            f'<text x="16" y="{(y0 + y1) // 2}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 16 {(y0 + y1) // 2})">{_escape(spec.y_label)}</text>'
-        )
 
 
 def _value_span(values: list[float]) -> tuple[float, float]:
@@ -170,7 +157,7 @@ def _render_time_series(table: ResultTable, spec: ChartSpec) -> str:
     x0, y0 = MARGIN_LEFT, HEIGHT - MARGIN_BOTTOM
     x1, y1 = WIDTH - MARGIN_RIGHT, MARGIN_TOP
     parts = _svg_header(spec)
-    _axis_frame(parts, spec)
+    _axis_frame(parts)
     _y_ticks(parts, lo, hi)
 
     def sx(x: float) -> float:
@@ -235,7 +222,7 @@ def _render_bar(table: ResultTable, spec: ChartSpec) -> str:
     x0, y0 = MARGIN_LEFT, HEIGHT - MARGIN_BOTTOM
     x1, y1 = WIDTH - MARGIN_RIGHT, MARGIN_TOP
     parts = _svg_header(spec)
-    _axis_frame(parts, spec)
+    _axis_frame(parts)
     _y_ticks(parts, lo, hi)
     slot = (x1 - x0) / len(items)
     width = 0.6 * slot

@@ -2,28 +2,29 @@
 
 Four per-type state machines run over the 0.2 s RMS cadence: sag (any
 phase below 0.85 pu), swell (any phase above 1.10 pu), interruption (all
-phases below 0.05 pu) and amplitude unbalance.  Exits require clearing the
-threshold by a hysteresis margin on every phase, so a trace chattering
-inside the band produces exactly one event.  While an interruption is
-active, sag transitions are suppressed (an interruption entry absorbs an
-already-open sag without emitting it), and unbalance entries are deferred
-while any amplitude event is active so a one-phase dip is not double
-reported as unbalance.
+phases below 0.05 pu) and amplitude unbalance (above 0.02).  Exits require
+clearing the threshold by a hysteresis margin on every phase (0.02 pu, or
+0.005 for unbalance), so a trace chattering inside the band produces
+exactly one event.  While an interruption is active, sag transitions are
+suppressed (an interruption entry absorbs an already-open sag without
+emitting it), and unbalance entries are deferred while any amplitude event
+is active so a one-phase dip is not double reported as unbalance.
 
 Each finalized event yields a record plus a compressed raw capture of all
 six channels spanning the event with a pre and post trigger margin.  The
-sampling rate (``SAMPLE_RATE``), the RMS interval the machines step by
-(``RMS_INTERVAL_S``, one analyzer RMS window) and the trigger margins
-(``PRE_TRIGGER_SAMPLES``, ``POST_TRIGGER_SAMPLES``) are fixed module constants, not
-detector options.
+thresholds and hysteresis margins, the sampling rate (``SAMPLE_RATE``), the
+RMS interval the machines step by (``RMS_INTERVAL_S``, one analyzer RMS
+window) and the trigger margins (``PRE_TRIGGER_SAMPLES``,
+``POST_TRIGGER_SAMPLES``) are fixed module constants; only the nominal
+voltage they are relative to is set per measurement point.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -35,6 +36,14 @@ EVENT_TYPES = ("sag", "swell", "interruption", "unbalance")
 RMS_INTERVAL_S = RMS_WINDOW / SAMPLE_RATE
 PRE_TRIGGER_SAMPLES = round(0.2 * SAMPLE_RATE)   # captured before an event's start
 POST_TRIGGER_SAMPLES = round(0.2 * SAMPLE_RATE)  # captured after its end
+
+# per unit of the nominal voltage, except the unbalance factor's
+SAG_THRESHOLD = 0.85
+SWELL_THRESHOLD = 1.10
+INTERRUPTION_THRESHOLD = 0.05
+HYSTERESIS = 0.02
+UNBALANCE_THRESHOLD = 0.02
+UNBALANCE_HYSTERESIS = 0.005
 
 RAW_MAGIC = b"PQZ1"
 RAW_VERSION = 1
@@ -48,29 +57,13 @@ class RawCaptureError(RuntimeError):
 
 @dataclass(frozen=True)
 class EventThresholds:
-    """Per-unit thresholds and hysteresis margins for event detection."""
+    """The nominal voltage the per-unit thresholds are relative to."""
 
     nominal_voltage_rms: float
-    sag_threshold: float = 0.85
-    swell_threshold: float = 1.10
-    interruption_threshold: float = 0.05
-    hysteresis: float = 0.02
-    unbalance_threshold: float = 0.02
-    unbalance_hysteresis: float = 0.005
 
     def __post_init__(self) -> None:
         if self.nominal_voltage_rms <= 0:
             raise ValueError("nominal_voltage_rms must be positive")
-        if not 0 < self.interruption_threshold < self.sag_threshold < 1 < self.swell_threshold:
-            raise ValueError(
-                "need 0 < interruption < sag < 1 < swell threshold ordering"
-            )
-        if self.hysteresis < 0 or self.unbalance_hysteresis < 0:
-            raise ValueError("hysteresis margins must be >= 0")
-        if self.sag_threshold + self.hysteresis >= self.swell_threshold - self.hysteresis:
-            raise ValueError("hysteresis margin overlaps sag and swell bands")
-        if self.unbalance_hysteresis >= self.unbalance_threshold:
-            raise ValueError("unbalance hysteresis must stay below its threshold")
 
 
 def compute_unbalance(v_rms) -> float | None:
@@ -105,18 +98,7 @@ class EventRecord:
     raw_write_error: bool = False
 
 
-class Transition(NamedTuple):
-    event_type: str
-    change: str  # "start" or "end"
-    timestamp: float
-
-
-def encode_raw_capture(
-    event_id: int,
-    start_sample: int,
-    samples: np.ndarray,
-    sample_rate: int = SAMPLE_RATE,
-) -> bytes:
+def encode_raw_capture(event_id: int, start_sample: int, samples: np.ndarray) -> bytes:
     """Serialize a (6, n) channel block to the compressed capture format.
 
     Layout before compression: a fixed header (magic, version, event id,
@@ -132,8 +114,8 @@ def encode_raw_capture(
         RAW_VERSION,
         event_id,
         RAW_CHANNELS,
-        sample_rate,
-        start_sample / sample_rate,
+        SAMPLE_RATE,
+        start_sample / SAMPLE_RATE,
         data.shape[1],
     )
     return zlib.compress(header + data.tobytes(), 6)
@@ -267,17 +249,16 @@ class EventDetector:
 
     # -- state machine ------------------------------------------------------
 
-    def update(self, timestamp: float, v_rms) -> list[Transition]:
-        """Advance every machine with one RMS triple (tuple or array); returns the transitions."""
+    def update(self, timestamp: float, v_rms) -> None:
+        """Advance every machine with one RMS triple (tuple or array)."""
         if self._last_timestamp is not None and timestamp <= self._last_timestamp:
             raise ValueError(
                 f"RMS timestamps must increase strictly: {timestamp} after "
                 f"{self._last_timestamp}"
             )
         self._last_timestamp = timestamp
-        thr = self.thresholds
-        a, b, c = (float(x) / thr.nominal_voltage_rms for x in v_rms)
-        transitions: list[Transition] = []
+        nominal = self.thresholds.nominal_voltage_rms
+        a, b, c = (float(x) / nominal for x in v_rms)
 
         # Interruption first: it governs sag behaviour at this point.  Sag
         # transitions stay suppressed through the interruption's exit window
@@ -285,36 +266,36 @@ class EventDetector:
         # point does not spawn a spurious sag on the way back up.
         inter_was_active = self._active["interruption"] is not None
         if not inter_was_active:
-            low = thr.interruption_threshold
+            low = INTERRUPTION_THRESHOLD
             if a < low and b < low and c < low:
                 if self._active["sag"] is not None:
                     # The collapse already tripped the sag machine on the way
                     # down; the interruption absorbs it without a record.
                     self._active["sag"] = None
-                transitions.append(self._enter("interruption", timestamp))
+                self._enter("interruption", timestamp)
         else:
-            clear = thr.interruption_threshold + thr.hysteresis
+            clear = INTERRUPTION_THRESHOLD + HYSTERESIS
             if a >= clear or b >= clear or c >= clear:
-                transitions.append(self._exit("interruption", timestamp))
+                self._exit("interruption", timestamp)
 
         if self._active["interruption"] is None and not inter_was_active:
             if self._active["sag"] is None:
-                low = thr.sag_threshold
+                low = SAG_THRESHOLD
                 if a < low or b < low or c < low:
-                    transitions.append(self._enter("sag", timestamp))
+                    self._enter("sag", timestamp)
             else:
-                clear = thr.sag_threshold + thr.hysteresis
+                clear = SAG_THRESHOLD + HYSTERESIS
                 if a >= clear and b >= clear and c >= clear:
-                    transitions.append(self._exit("sag", timestamp))
+                    self._exit("sag", timestamp)
 
         if self._active["swell"] is None:
-            high = thr.swell_threshold
+            high = SWELL_THRESHOLD
             if a > high or b > high or c > high:
-                transitions.append(self._enter("swell", timestamp))
+                self._enter("swell", timestamp)
         else:
-            clear = thr.swell_threshold - thr.hysteresis
+            clear = SWELL_THRESHOLD - HYSTERESIS
             if a <= clear and b <= clear and c <= clear:
-                transitions.append(self._exit("swell", timestamp))
+                self._exit("swell", timestamp)
 
         factor = compute_unbalance(v_rms)
         if self._active["unbalance"] is None:
@@ -323,32 +304,28 @@ class EventDetector:
             )
             if (
                 factor is not None
-                and factor > thr.unbalance_threshold
+                and factor > UNBALANCE_THRESHOLD
                 and not amplitude_event_active
             ):
-                transitions.append(self._enter("unbalance", timestamp))
-        elif factor is not None and factor <= thr.unbalance_threshold - thr.unbalance_hysteresis:
-            transitions.append(self._exit("unbalance", timestamp))
+                self._enter("unbalance", timestamp)
+        elif factor is not None and factor <= UNBALANCE_THRESHOLD - UNBALANCE_HYSTERESIS:
+            self._exit("unbalance", timestamp)
 
         self._trim_capture()
-        return transitions
 
-    def _enter(self, event_type: str, timestamp: float) -> Transition:
+    def _enter(self, event_type: str, timestamp: float) -> None:
         start_time = timestamp - RMS_INTERVAL_S
         self._active[event_type] = _ActiveEvent(
             event_type=event_type,
             start_time=start_time,
             start_sample=round(start_time * SAMPLE_RATE),
         )
-        return Transition(event_type, "start", start_time)
 
-    def _exit(self, event_type: str, timestamp: float) -> Transition:
+    def _exit(self, event_type: str, timestamp: float) -> None:
         active = self._active[event_type]
         assert active is not None
         self._active[event_type] = None
-        end_time = timestamp - RMS_INTERVAL_S
-        self._finalize(active, end_time)
-        return Transition(event_type, "end", end_time)
+        self._finalize(active, timestamp - RMS_INTERVAL_S)
 
     def _trim_capture(self) -> None:
         keep_from = self.capture.next_sample - PRE_TRIGGER_SAMPLES

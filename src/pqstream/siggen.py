@@ -1,11 +1,12 @@
 """Deterministic three-phase waveform synthesis with scripted disturbances.
 
 Frames of voltage and current samples are produced at a fixed 3200 Hz rate
-with phase offsets of 0, -120 and -240 degrees.  Disturbances are described
-by a small line-oriented script and applied with instantaneous envelope
-switching (no ramps), so expected RMS values and event extents are exactly
-computable from the script.  Identical config, script and seed always yield
-bit-identical samples.
+(``SAMPLE_RATE``) for three phases (``PHASES``) with offsets of 0, -120 and
+-240 degrees; neither rate nor phase count is a :class:`SignalConfig`
+option.  Disturbances are described by a small line-oriented script and
+applied with instantaneous envelope switching (no ramps), so expected RMS
+values and event extents are exactly computable from the script.
+Identical config, script and seed always yield bit-identical samples.
 """
 
 from __future__ import annotations
@@ -43,25 +44,19 @@ class SignalConfig:
     """Static description of one synthetic measurement run.
 
     ``duration`` is in seconds; the stream holds exactly
-    ``round(duration * sampling_rate)`` samples per channel.  ``seed`` only
+    ``round(duration * SAMPLE_RATE)`` samples per channel.  ``seed`` only
     matters when ``jitter_pu`` is non-zero.
     """
 
     nominal_frequency: float = 50.0
-    sampling_rate: int = SAMPLE_RATE
     nominal_voltage_rms: float = 230.0
     nominal_current_rms: float = 10.0
-    phase_count: int = 3
     duration: float = 1.0
     current_lag_deg: float = 0.0
     jitter_pu: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sampling_rate != SAMPLE_RATE:
-            raise ValueError(f"sampling_rate is fixed at {SAMPLE_RATE} Hz")
-        if self.phase_count != 3:
-            raise ValueError("phase_count is fixed at 3")
         if self.nominal_frequency <= 0:
             raise ValueError("nominal_frequency must be positive")
         if self.nominal_voltage_rms <= 0 or self.nominal_current_rms <= 0:
@@ -72,8 +67,13 @@ class SignalConfig:
             raise ValueError("jitter_pu must be >= 0")
 
     @property
+    def sampling_rate(self) -> int:
+        """Always ``SAMPLE_RATE``; read-only, for callers that ask the config."""
+        return SAMPLE_RATE
+
+    @property
     def total_samples(self) -> int:
-        return round(self.duration * self.sampling_rate)
+        return round(self.duration * SAMPLE_RATE)
 
 
 @dataclass(frozen=True)
@@ -320,7 +320,6 @@ def generate_stream(
     script.validate(duration=config.duration)
 
     total = config.total_samples
-    fs = config.sampling_rate
     v_amp = config.nominal_voltage_rms * math.sqrt(2.0)
     i_amp = config.nominal_current_rms * math.sqrt(2.0)
     lag = math.radians(config.current_lag_deg)
@@ -334,7 +333,7 @@ def generate_stream(
     start = 0
     while start < total:
         n = min(frame_length, total - start)
-        t = (start + np.arange(n)) / fs
+        t = (start + np.arange(n)) / SAMPLE_RATE
         cycles = config.nominal_frequency * t
         for sp in drift:
             span = sp.end_time - sp.start_time

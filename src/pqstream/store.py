@@ -569,6 +569,8 @@ def _parse_transfer_csv(path: Path, expected_columns: int) -> _ParsedFile:
                 measurement_date = datetime.fromisoformat(line.split("=", 1)[1])
             except ValueError as exc:
                 raise StoreError(f"bad footer timestamp: {exc}") from None
+            if measurement_date.tzinfo is not None:
+                raise StoreError("bad footer timestamp: it carries a UTC offset")
             continue
         if line.startswith("#"):
             continue
@@ -601,7 +603,6 @@ def _ingest_series_file(
     report: IngestReport,
     point: MeasurementPoint,
     parameter_type: str,
-    path: Path,
     parsed: _ParsedFile,
     transfer_file_id: int,
 ) -> None:
@@ -718,6 +719,12 @@ def _ingest_one_file(
         report.files_malformed.append((str(path), str(exc)))
         return
     transfer_time = datetime.now(timezone.utc).replace(tzinfo=None)
+    if parsed.measurement_date > transfer_time:
+        # TransferFile would refuse the stored row on every later read
+        report.files_malformed.append(
+            (str(path), f"last sample {parsed.measurement_date} is after the transfer time")
+        )
+        return
     cursor = db.conn.execute(
         "INSERT INTO transfer_file (measurement_point_id, parameter_type,"
         " measurement_date, transfer_time, path, row_count, content_hash)"
@@ -737,9 +744,7 @@ def _ingest_one_file(
         if parameter_type == EVENT_LOG:
             _ingest_event_file(db, report, point, point_dir, parsed, transfer_file_id)
         else:
-            _ingest_series_file(
-                db, report, point, parameter_type, path, parsed, transfer_file_id
-            )
+            _ingest_series_file(db, report, point, parameter_type, parsed, transfer_file_id)
     except (StoreError, ValueError) as exc:
         db.conn.rollback()
         report.files_malformed.append((str(path), str(exc)))
@@ -749,6 +754,10 @@ def _ingest_one_file(
 
 # -- traffic budget -----------------------------------------------------------
 
+SAMPLE_BITS = 64
+EVENT_LENGTH_BPS = 4.0
+EVENT_TYPE_BPS = 10.0
+
 
 @dataclass(frozen=True)
 class BudgetRow:
@@ -757,20 +766,6 @@ class BudgetRow:
     parameter: str
     bits_per_second: float
     raw_event_stream: bool = False
-
-
-@dataclass(frozen=True)
-class BudgetConfig:
-    """Inputs of the traffic budget.
-
-    Every value travels as a 64-bit float; the event length and type rows
-    are campaign-average constants rather than cadence-derived rates, and
-    the raw event rows assume continuous streaming of all samples.
-    """
-
-    sample_bits: int = 64
-    event_length_bps: float = 4.0
-    event_type_bps: float = 10.0
 
 
 @dataclass(frozen=True)
@@ -786,13 +781,16 @@ class TrafficBudget:
         return sum(r.bits_per_second for r in self.rows if not r.raw_event_stream)
 
 
-def compute_traffic_budget(config: BudgetConfig = BudgetConfig()) -> TrafficBudget:
+def compute_traffic_budget() -> TrafficBudget:
     """Per-parameter outgoing bit rates and the two campaign totals.
 
-    The "without events" total leaves out only the two raw-sample streams;
-    the event length and type bookkeeping rates stay in both totals.
+    Every value travels as a ``SAMPLE_BITS`` float; the event length and
+    type rows are campaign-average constants rather than cadence-derived
+    rates, and the raw event rows assume continuous streaming of all
+    samples.  The "without events" total leaves out only the two raw-sample
+    streams; the event length and type bookkeeping rates stay in both totals.
     """
-    bits = float(config.sample_bits)
+    bits = float(SAMPLE_BITS)
     phases = float(len(PHASES))
 
     def rate(values: float, parameter: str) -> float:
@@ -808,8 +806,8 @@ def compute_traffic_budget(config: BudgetConfig = BudgetConfig()) -> TrafficBudg
         BudgetRow("33 Voltage Harmonics", rate(phases * HARMONIC_ORDERS, "harmonics")),
         BudgetRow("33 Current Harmonics", rate(phases * HARMONIC_ORDERS, "harmonics")),
         BudgetRow("RMS Voltage and Current", rate(phases * 2.0, "rms")),
-        BudgetRow("Event Length", config.event_length_bps),
-        BudgetRow("Event Type", config.event_type_bps),
+        BudgetRow("Event Length", EVENT_LENGTH_BPS),
+        BudgetRow("Event Type", EVENT_TYPE_BPS),
         BudgetRow("Event Raw Data (Current)", raw_stream, raw_event_stream=True),
         BudgetRow("Event Raw Data (Voltage)", raw_stream, raw_event_stream=True),
         BudgetRow("Short Term Flicker", rate(phases, "flicker_pst")),

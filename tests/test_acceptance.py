@@ -137,11 +137,11 @@ def test_criterion_4_signal_math_identities():
     t0 = time.perf_counter()
     t = np.arange(RMS_WINDOW) / SAMPLE_RATE
     unit = np.vstack([np.sin(2 * np.pi * 50 * t)] * 3)
-    record = compute_rms(unit, unit, 0.2)
+    record = compute_rms(np.vstack((unit, unit)), 0.2)
     assert record.v_rms[0] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-9)
 
     voltage, _ = gather(unit_config(3.0), parse_script("harmonic 0 3 ABC 0.1 3\n"))
-    harmonic = compute_harmonics(voltage, voltage, 50.0, 3.0)
+    harmonic = compute_harmonics(np.vstack((voltage, voltage)), 50.0, 3.0)
     for p in range(3):
         assert harmonic.thd_v[p] == pytest.approx(10.0, abs=1e-3)
 

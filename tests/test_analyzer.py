@@ -51,27 +51,27 @@ def sine_window(n: int, freq: float = 50.0, amplitude: float = 1.0, phase: float
 
 def test_rms_of_unit_sine_is_inverse_sqrt2():
     window = sine_window(RMS_WINDOW)
-    record = compute_rms(window, window, timestamp=0.2)
+    record = compute_rms(np.vstack((window, window)), timestamp=0.2)
     for value in record.v_rms:
         assert value == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-9)
 
 
 def test_rms_of_zero_window_is_zero():
     window = np.zeros((3, RMS_WINDOW))
-    record = compute_rms(window, window, timestamp=0.2)
+    record = compute_rms(np.vstack((window, window)), timestamp=0.2)
     assert record.v_rms == (0.0, 0.0, 0.0)
 
 
 def test_rms_offgrid_frequency_matches_summation_oracle():
     window = sine_window(RMS_WINDOW, freq=49.5)
-    record = compute_rms(window, window, timestamp=0.2)
+    record = compute_rms(np.vstack((window, window)), timestamp=0.2)
     oracle = math.sqrt(sum(x * x for x in window[0].tolist()) / RMS_WINDOW)
     assert record.v_rms[0] == pytest.approx(oracle, rel=1e-12)
 
 
 def test_rms_rejects_wrong_window_length():
     with pytest.raises(ValueError):
-        compute_rms(np.zeros((3, 100)), np.zeros((3, 100)), 0.2)
+        compute_rms(np.zeros((6, 100)), 0.2)
 
 
 # -- THD and harmonics --------------------------------------------------------
@@ -168,7 +168,7 @@ def test_projector_rejects_length_off_the_rms_grid(n):
 def test_harmonics_third_order_ratio_with_fft_oracle():
     script = parse_script("harmonic 0 3 ABC 0.1 3\n")
     voltage, current = gather(unit_config(3.0), script)
-    record = compute_harmonics(voltage, current, 50.0, timestamp=3.0)
+    record = compute_harmonics(np.vstack((voltage, current)), 50.0, timestamp=3.0)
     ratio = record.v_harmonics[0][2] / record.v_harmonics[0][0]
     assert ratio == pytest.approx(0.1, abs=1e-9)
     assert record.thd_v[0] == pytest.approx(10.0, abs=1e-3)
@@ -180,14 +180,14 @@ def test_harmonics_third_order_ratio_with_fft_oracle():
 def test_harmonics_two_component_thd():
     script = parse_script("harmonic 0 3 A 0.03 5\nharmonic 0 3 A 0.04 7\n")
     voltage, current = gather(unit_config(3.0), script)
-    record = compute_harmonics(voltage, current, 50.0, timestamp=3.0)
+    record = compute_harmonics(np.vstack((voltage, current)), 50.0, timestamp=3.0)
     assert record.thd_v[0] == pytest.approx(100.0 * math.sqrt(0.03**2 + 0.04**2), abs=1e-3)
     assert record.thd_v[1] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_harmonics_dead_channel_thd_is_undefined():
     voltage = np.zeros((3, HARMONIC_WINDOW))
-    record = compute_harmonics(voltage, voltage, 50.0, timestamp=3.0, v_floor=1e-9, i_floor=1e-9)
+    record = compute_harmonics(np.vstack((voltage, voltage)), 50.0, timestamp=3.0, v_floor=1e-9, i_floor=1e-9)
     assert record.thd_v == (None, None, None)
     assert record.thd_i == (None, None, None)
 
@@ -197,7 +197,7 @@ def test_harmonics_dead_channel_thd_is_undefined():
 
 def test_power_in_phase_unit_signals():
     v = sine_window(POWER_WINDOW)
-    record = compute_power(v, v, 50.0, timestamp=1.0)
+    record = compute_power(np.vstack((v, v)), 50.0, timestamp=1.0)
     for p in range(3):
         assert record.active[p] == pytest.approx(0.5, rel=1e-9)
         assert record.apparent[p] == pytest.approx(0.5, rel=1e-9)
@@ -209,7 +209,7 @@ def test_power_quarter_cycle_lag_all_reactive():
     t = np.arange(POWER_WINDOW) / SAMPLE_RATE
     v = np.vstack([np.sin(2 * np.pi * 50 * t)] * 3)
     i = np.vstack([np.sin(2 * np.pi * 50 * t - np.pi / 2)] * 3)
-    record = compute_power(v, i, 50.0, timestamp=1.0)
+    record = compute_power(np.vstack((v, i)), 50.0, timestamp=1.0)
     for p in range(3):
         assert abs(record.active[p]) < 1e-9
         assert record.reactive[p] == pytest.approx(record.apparent[p], rel=1e-9)
@@ -222,7 +222,7 @@ def test_power_sixty_degree_lag_power_factor_half():
     t = np.arange(POWER_WINDOW) / SAMPLE_RATE
     v = np.vstack([np.sin(2 * np.pi * 50 * t)] * 3)
     i = np.vstack([np.sin(2 * np.pi * 50 * t - phi)] * 3)
-    record = compute_power(v, i, 50.0, timestamp=1.0)
+    record = compute_power(np.vstack((v, i)), 50.0, timestamp=1.0)
     assert record.power_factor[0] == pytest.approx(0.5, abs=1e-6)
     assert record.reactive[0] > 0
 
@@ -231,7 +231,7 @@ def test_power_leading_current_negative_reactive():
     t = np.arange(POWER_WINDOW) / SAMPLE_RATE
     v = np.vstack([np.sin(2 * np.pi * 50 * t)] * 3)
     i = np.vstack([np.sin(2 * np.pi * 50 * t + np.pi / 3)] * 3)
-    record = compute_power(v, i, 50.0, timestamp=1.0)
+    record = compute_power(np.vstack((v, i)), 50.0, timestamp=1.0)
     assert record.reactive[0] < 0
 
 
@@ -240,7 +240,7 @@ def test_power_triangle_identity_and_quadrature_oracle():
     t = np.arange(POWER_WINDOW) / SAMPLE_RATE
     v = np.vstack([2.0 * np.sin(2 * np.pi * 50 * t)] * 3)
     i = np.vstack([0.7 * np.sin(2 * np.pi * 50 * t - phi)] * 3)
-    record = compute_power(v, i, 50.0, timestamp=1.0)
+    record = compute_power(np.vstack((v, i)), 50.0, timestamp=1.0)
     for p in range(3):
         S, P, Q = record.apparent[p], record.active[p], record.reactive[p]
         assert S * S == pytest.approx(P * P + Q * Q, rel=1e-9)
@@ -250,9 +250,19 @@ def test_power_triangle_identity_and_quadrature_oracle():
 
 def test_power_dead_window_power_factor_zero():
     z = np.zeros((3, POWER_WINDOW))
-    record = compute_power(z, z, 50.0, timestamp=1.0)
+    record = compute_power(np.vstack((z, z)), 50.0, timestamp=1.0)
     assert record.power_factor == (0.0, 0.0, 0.0)
     assert record.reactive == (0.0, 0.0, 0.0)
+
+
+def test_power_in_phase_zero_reactive_is_never_negative_zero():
+    # In phase, the sign of phi is rounding noise; a zero Q used to print as -0
+    # (here at t = 10 s on phase C, among others).
+    config = SignalConfig(nominal_frequency=49.5, duration=10.0)
+    result = run_pipeline(generate_stream(config), PipelineConfig(nominal_frequency=49.5))
+    zeros = [q for rec in result.power for q in rec.reactive if q == 0.0]
+    assert zeros
+    assert all(math.copysign(1.0, q) > 0 for q in zeros)
 
 
 # -- frequency ----------------------------------------------------------------
@@ -430,28 +440,23 @@ def test_pipeline_gap_detection():
 
 def test_pipeline_online_equals_batch():
     config = unit_config(6.0)
-    voltage, current = gather(config)
+    block = np.vstack(gather(config))  # voltage rows, then current rows
     streamed = run_pipeline(generate_stream(config), unit_pipeline_config())
     # batch recomputation straight from the concatenated arrays
     for k, record in enumerate(streamed.rms):
         window = slice(k * RMS_WINDOW, (k + 1) * RMS_WINDOW)
-        batch = compute_rms(voltage[:, window], current[:, window], record.timestamp)
+        batch = compute_rms(block[:, window], record.timestamp)
         assert batch.v_rms == record.v_rms
         assert batch.i_rms == record.i_rms
     for k, record in enumerate(streamed.power):
         window = slice(k * POWER_WINDOW, (k + 1) * POWER_WINDOW)
-        batch = compute_power(
-            voltage[:, window], current[:, window],
-            streamed.frequency[k].frequency, record.timestamp,
-        )
+        batch = compute_power(block[:, window], streamed.frequency[k].frequency, record.timestamp)
         assert batch.active == record.active
         assert batch.apparent == record.apparent
     for k, record in enumerate(streamed.harmonics):
         window = slice(k * HARMONIC_WINDOW, (k + 1) * HARMONIC_WINDOW)
         fundamental = streamed.frequency[3 * k + 2].frequency
-        batch = compute_harmonics(
-            voltage[:, window], current[:, window], fundamental, record.timestamp
-        )
+        batch = compute_harmonics(block[:, window], fundamental, record.timestamp)
         for p in range(3):
             assert np.allclose(batch.v_harmonics[p], record.v_harmonics[p], rtol=1e-9, atol=1e-12)
 

@@ -338,7 +338,7 @@ def test_time_series_chart_requires_time_column(tmp_path):
 
 def test_chart_rendering_is_deterministic(db, tmp_path):
     table = timeseries(db, "MP2", "power")
-    spec = ChartSpec(kind="time_series", title="power", y_label="W")
+    spec = ChartSpec(kind="time_series", title="power")
     a = render_chart(table, spec, tmp_path / "a.svg").read_bytes()
     b = render_chart(table, spec, tmp_path / "b.svg").read_bytes()
     assert a == b

@@ -236,6 +236,4 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SignalConfig(duration=0.0)
     with pytest.raises(ValueError):
-        SignalConfig(sampling_rate=8000)
-    with pytest.raises(ValueError):
         SignalConfig(nominal_voltage_rms=-1.0)

@@ -27,7 +27,6 @@ from pqstream.siggen import SAMPLE_RATE, generate_stream, parse_script
 from pqstream.query import timeseries
 from pqstream.store import (
     PARAMETERS,
-    BudgetConfig,
     EventStat,
     IngestReport,
     MeasurementPoint,
@@ -131,12 +130,6 @@ def test_budget_table_rendering():
     assert "0.213" in text
     lines = text.splitlines()
     assert lines[0].startswith("Parameter")
-
-
-def test_budget_scales_with_sample_width():
-    narrow = compute_traffic_budget(BudgetConfig(sample_bits=32))
-    wide = compute_traffic_budget()
-    assert narrow.rows[0].bits_per_second == wide.rows[0].bits_per_second / 2
 
 
 # -- point, transfer file, derived timestamps ---------------------------------
@@ -398,6 +391,41 @@ def test_ingest_malformed_point_json_skips_only_that_point(tmp_path, bad_meta):
         assert db.get_point("B") == MeasurementPoint("B", "B", "busbar", "Urban Only")
     assert report.points_seen == 1
     assert [path for path, _ in report.files_malformed] == [str(root / "A" / "point.json")]
+
+
+def test_ingest_future_dated_files_are_malformed_and_store_nothing(tmp_path):
+    # a stored file dated after its transfer time could never be read back
+    root = tmp_path / "out"
+    for point_id, base_time in (("OLD", BASE_TIME), ("NEW", datetime.now() + timedelta(days=365))):
+        writer = TransferFileWriter(root, make_point(point_id), base_time)
+        writer.write_results(analyze_script("sag 4.0 5.0 B 0.7\n", 12.0, writer))
+    with StreamDatabase(tmp_path / "pq.db") as db:
+        report = ingest_directory(root, db)
+        assert report.files_ingested == 5
+        assert len(report.files_malformed) == 5
+        for path, reason in report.files_malformed:
+            assert Path(path).is_relative_to(root / "NEW")
+            assert "after the transfer time" in reason
+        stored = db.conn.execute(
+            "SELECT DISTINCT measurement_point_id FROM transfer_file"
+        ).fetchall()
+        assert [row[0] for row in stored] == ["OLD"]
+        assert len(timeseries(db, "OLD", "rms").rows) == 60
+        assert timeseries(db, "NEW", "rms").rows == ()
+        assert db.event_stat("NEW") is None
+
+
+def test_ingest_footer_with_utc_offset_is_malformed(written_sag_run, tmp_path):
+    # an aware date cannot be ordered against the naive transfer time
+    out_root, _, _ = written_sag_run
+    path = out_root / "MP1" / "rms" / "rms_000.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1] + [lines[-1] + "+00:00"]) + "\n")
+    with StreamDatabase(tmp_path / "pq.db") as db:
+        report = ingest_directory(out_root, db)
+        assert report.files_ingested == 4
+        assert [p for p, _ in report.files_malformed] == [str(path)]
+        assert timeseries(db, "MP1", "rms").rows == ()
 
 
 def hand_built_result() -> PipelineResult:
