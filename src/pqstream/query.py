@@ -12,6 +12,8 @@ from dataclasses import dataclass, fields
 from datetime import datetime
 from pathlib import Path
 
+import numpy as np
+
 from .events import decode_raw_capture
 from .store import (
     PARAMETERS,
@@ -149,8 +151,8 @@ def timeseries(
 def aggregate_events(db: StreamDatabase, spec: QuerySpec = QuerySpec()) -> ResultTable:
     """Sum event counters over points, optionally filtered and grouped.
 
-    Reads only the incrementally maintained counters joined with the point
-    attributes.  Groups come back ordered ascending by the group key tuple.
+    Reads only the ``event_stat`` view joined with the point attributes.
+    Groups come back ordered ascending by the group key tuple.
     """
     select: list[str] = [f"mp.{k}" for k in spec.group_by]
     headers: list[str] = list(spec.group_by)
@@ -235,15 +237,16 @@ def extract_raw_capture(event: StoredEvent, out_dir: Path | str) -> Path:
         raise NotFoundError(
             f"event {event.event_id} has no raw capture stored (write failed or skipped)"
         )
-    blob = Path(event.raw_path).read_bytes()
-    header, samples = decode_raw_capture(blob)
+    header, samples = decode_raw_capture(Path(event.raw_path).read_bytes())
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"raw_{event.measurement_point_id}_{event.event_id}.csv"
-    lines = ["sample_index,v_a,v_b,v_c,i_a,i_b,i_c"]
-    first = round(header["start_time"] * header["sample_rate"])
-    for k in range(header["sample_count"]):
-        cells = ",".join(format(samples[c, k], ".17g") for c in range(samples.shape[0]))
-        lines.append(f"{first + k},{cells}")
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    index = round(header["start_time"] * header["sample_rate"]) + np.arange(samples.shape[1])
+    np.savetxt(
+        out_path,
+        np.column_stack((index, samples.T)),
+        fmt="%d" + ",%.17g" * samples.shape[0],
+        header="sample_index,v_a,v_b,v_c,i_a,i_b,i_c",
+        comments="",
+    )
     return out_path

@@ -15,9 +15,11 @@ and table, and the entry holds the row interval and the stored columns.
 Writing, the schema, ingestion, queries and the traffic budget read it.
 
 Ingestion walks such trees into an embedded SQLite database, skipping
-files whose content hash is already present, and keeps per-point event
-counters in step with the event table.  Raw capture files are never loaded
-into the database; only their absolute paths are stored.
+files whose content hash is already present.  The per-point event counters
+are the ``event_stat`` view over the event table, so nothing keeps them in
+step.  Raw capture files are never loaded into the database; only their
+absolute paths are stored.  The schema carries :data:`SCHEMA_VERSION` in
+``PRAGMA user_version``, and a database with another version is refused.
 """
 
 from __future__ import annotations
@@ -211,7 +213,7 @@ class TransferFile:
 
 @dataclass(frozen=True)
 class EventStat:
-    """Incrementally maintained per-point event counters."""
+    """Per-point event counters, as the ``event_stat`` view derives them."""
 
     measurement_point_id: str
     event_count: int = 0
@@ -221,12 +223,7 @@ class EventStat:
     unbalance_count: int = 0
 
     def __post_init__(self) -> None:
-        parts = (
-            self.sag_count,
-            self.swell_count,
-            self.interruption_count,
-            self.unbalance_count,
-        )
+        parts = [getattr(self, f"{t}_count") for t in EVENT_TYPES]
         if any(c < 0 for c in parts) or self.event_count != sum(parts):
             raise ValueError("event_count must equal the sum of the per-type counts")
 
@@ -371,7 +368,12 @@ class TransferFileWriter:
 # -- database ---------------------------------------------------------------
 
 
-_SCHEMA_FIXED = """
+#: Bumped whenever a table, view or key changes; files of another version are refused.
+SCHEMA_VERSION = 1
+
+_TYPE_COUNTS = "".join(f",\n    SUM(event_type = '{t}') AS {t}_count" for t in EVENT_TYPES)
+
+_SCHEMA_FIXED = f"""
 CREATE TABLE IF NOT EXISTS measurement_point (
     id TEXT PRIMARY KEY,
     name TEXT NOT NULL,
@@ -402,14 +404,9 @@ CREATE TABLE IF NOT EXISTS event (
     transfer_file_id INTEGER NOT NULL REFERENCES transfer_file(id),
     PRIMARY KEY (measurement_point_id, event_id)
 );
-CREATE TABLE IF NOT EXISTS event_stat (
-    measurement_point_id TEXT PRIMARY KEY REFERENCES measurement_point(id),
-    event_count INTEGER NOT NULL DEFAULT 0,
-    sag_count INTEGER NOT NULL DEFAULT 0,
-    swell_count INTEGER NOT NULL DEFAULT 0,
-    interruption_count INTEGER NOT NULL DEFAULT 0,
-    unbalance_count INTEGER NOT NULL DEFAULT 0
-);
+CREATE VIEW IF NOT EXISTS event_stat AS
+SELECT measurement_point_id, COUNT(*) AS event_count{_TYPE_COUNTS}
+FROM event GROUP BY measurement_point_id;
 """
 
 
@@ -432,19 +429,34 @@ class StreamDatabase:
     def __init__(self, path: Path | str, readonly: bool = False) -> None:
         self.path = Path(path)
         self.readonly = readonly
-        if readonly:
-            uri = f"file:{self.path}?mode=ro"
-            self.conn = sqlite3.connect(uri, uri=True)
-        else:
-            self.conn = sqlite3.connect(self.path)
-            self._create_schema()
+        try:
+            if readonly:
+                self.conn = sqlite3.connect(f"file:{self.path}?mode=ro", uri=True)
+            else:
+                self.conn = sqlite3.connect(self.path)
+            try:
+                self._check_schema()
+            except BaseException:
+                self.conn.close()
+                raise
+        except sqlite3.DatabaseError as exc:
+            raise StoreError(f"cannot use database {self.path}: {exc}") from exc
         self.conn.row_factory = sqlite3.Row
 
-    def _create_schema(self) -> None:
-        self.conn.executescript(_SCHEMA_FIXED)
-        for parameter in PARAMETERS.values():
-            self.conn.execute(_series_table_sql(parameter))
-        self.conn.commit()
+    def _check_schema(self) -> None:
+        """Create the schema in an empty file; refuse a file of another version."""
+        version = self.conn.execute("PRAGMA user_version").fetchone()[0]
+        if version == SCHEMA_VERSION:
+            return
+        if self.readonly or self.conn.execute("SELECT 1 FROM sqlite_master").fetchone():
+            raise StoreError(
+                f"database {self.path} has schema version {version}, this pqstream"
+                f" uses version {SCHEMA_VERSION}; ingest into a new database file"
+            )
+        series = "".join(f"{_series_table_sql(p)};\n" for p in PARAMETERS.values())
+        self.conn.executescript(
+            f"BEGIN;\n{_SCHEMA_FIXED}{series}PRAGMA user_version = {SCHEMA_VERSION};\nCOMMIT;"
+        )
 
     def close(self) -> None:
         self.conn.close()
@@ -479,24 +491,8 @@ class StreamDatabase:
         ).fetchone()
         return None if row is None else EventStat(**row)
 
-    def update_event_stat(self, point_id: str, event_type: str, amount: int = 1) -> None:
-        """Bump the per-type and total counters, creating the row on first use."""
-        if event_type not in EVENT_TYPES:
-            raise StoreError(f"unknown event type {event_type!r}")
-        self.conn.execute(
-            "INSERT INTO event_stat (measurement_point_id) VALUES (?)"
-            " ON CONFLICT(measurement_point_id) DO NOTHING",
-            (point_id,),
-        )
-        column = f"{event_type}_count"
-        self.conn.execute(
-            f"UPDATE event_stat SET {column} = {column} + ?,"
-            " event_count = event_count + ? WHERE measurement_point_id = ?",
-            (amount, amount, point_id),
-        )
-
     def recompute_event_stat(self, point_id: str) -> EventStat:
-        """Full scan of the event table; the incremental counters must agree."""
+        """Python reference count of the event table; the view must agree."""
         counts = {t: 0 for t in EVENT_TYPES}
         for row in self.conn.execute(
             "SELECT event_type, COUNT(*) AS n FROM event"
@@ -629,37 +625,23 @@ def _ingest_event_file(
     parsed: _ParsedFile,
     transfer_file_id: int,
 ) -> None:
-    inserted = 0
-    for cells in parsed.rows:
-        event_id = int(cells[0])
-        event_type = cells[1]
+    payload = []
+    for event_id, event_type, start, end, size, raw in parsed.rows:
+        event_id = int(event_id)
         if event_type not in EVENT_TYPES:
             raise StoreError(f"unknown event type {event_type!r}")
-        raw_path: str | None = None
-        if cells[5]:
-            candidate = Path(cells[5])
-            if not candidate.is_absolute():
-                candidate = point_dir / candidate
-            raw_path = str(candidate.resolve())
-        cursor = db.conn.execute(
-            "INSERT OR IGNORE INTO event (measurement_point_id, event_id, event_type,"
-            " start_time, end_time, size_in_samples, raw_path, transfer_file_id)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                point.id,
-                event_id,
-                event_type,
-                cells[2],
-                cells[3],
-                int(cells[4]),
-                raw_path,
-                transfer_file_id,
-            ),
+        raw_path = str((point_dir / raw).resolve()) if raw else None
+        payload.append(
+            (point.id, event_id, event_type, start, end, int(size), raw_path, transfer_file_id)
         )
-        if cursor.rowcount == 1:
-            db.update_event_stat(point.id, event_type)
-            inserted += 1
-    report.bump_rows("event", inserted)
+    before = db.conn.total_changes
+    db.conn.executemany(
+        "INSERT OR IGNORE INTO event (measurement_point_id, event_id, event_type,"
+        " start_time, end_time, size_in_samples, raw_path, transfer_file_id)"
+        " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+        payload,
+    )
+    report.bump_rows("event", db.conn.total_changes - before)
 
 
 def ingest_directory(root: Path | str, db: StreamDatabase) -> IngestReport:
@@ -667,7 +649,7 @@ def ingest_directory(root: Path | str, db: StreamDatabase) -> IngestReport:
 
     A file whose content hash is already present is skipped; malformed
     files are reported by path and skipped without aborting the rest of
-    the run.  Event rows update the per-point counters as they land.
+    the run.
     """
     root = Path(root)
     if not root.is_dir():

@@ -164,6 +164,22 @@ def test_bad_filter_exits_2(workspace, capsys):
     assert "attribute=value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["query", "events"], ["event", "1"]])
+def test_missing_database_exits_2(tmp_path, capsys, command):
+    missing = tmp_path / "missing.db"
+    assert main([*command, "--db", str(missing)]) == 2
+    assert "unable to open database file" in capsys.readouterr().err
+    assert not missing.exists()
+
+
+def test_ingest_into_non_database_file_exits_2(tmp_path, capsys):
+    junk = tmp_path / "junk.db"
+    junk.write_text("not a database\n" * 100)
+    (tmp_path / "tree").mkdir()
+    assert main(["ingest", "--root", str(tmp_path / "tree"), "--db", str(junk)]) == 2
+    assert "file is not a database" in capsys.readouterr().err
+
+
 def test_bad_script_exits_2(tmp_path, capsys):
     (tmp_path / "c.json").write_text("{\"duration\": 1.0}")
     (tmp_path / "bad.txt").write_text("sag 0 1 A\n")

@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 from datetime import datetime, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pqstream.analyzer import run_pipeline
 from pqstream.charts import ChartError, ChartSpec, format_text_table, render_chart
-from pqstream.events import EventDetector, EventThresholds
+from pqstream.events import (
+    EventDetector,
+    EventThresholds,
+    decode_raw_capture,
+    encode_raw_capture,
+)
 from pqstream.query import (
     NotFoundError,
     QueryError,
@@ -269,6 +276,18 @@ def test_extract_raw_capture_row_count(db, tmp_path):
     assert len(lines) - 1 == int(1.4 * SAMPLE_RATE)
     first_index = int(lines[1].split(",")[0])
     assert first_index == int(3.8 * SAMPLE_RATE)
+    _, samples = decode_raw_capture(Path(event.raw_path).read_bytes())
+    cells = np.array([[float(c) for c in line.split(",")[1:]] for line in lines[1:]])
+    assert cells.T.tobytes() == samples.tobytes()  # bit-equal, signs of zero included
+    # every cell prints as format(x, ".17g"), extremes included
+    block = np.array([[-0.0, 5e-324, 1e300, 1 / 3, -2.5, 0.1]] * 3).T * [1.0, -1.0, 3.0]
+    blob_path = tmp_path / "hand.pqz"
+    blob_path.write_bytes(encode_raw_capture(7, 100, block))
+    out = extract_raw_capture(replace(event, event_id=7, raw_path=str(blob_path)), tmp_path)
+    assert out.read_text().splitlines()[1:] == [
+        f"{100 + k}," + ",".join(format(x, ".17g") for x in column)
+        for k, column in enumerate(block.T)
+    ]
 
 
 def test_extract_raw_capture_missing_blob(tmp_path, db):

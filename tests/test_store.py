@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sqlite3
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -304,17 +305,54 @@ def test_point_upsert_round_trip(tmp_path):
         assert db.get_point("nope") is None
 
 
-def test_update_event_stat_increments(tmp_path):
+def test_event_stat_view_counts_the_event_table(tmp_path):
+    scripts = {
+        "MP1": "sag 2.0 3.0 A 0.8\nswell 5.0 5.6 B 1.2\nsag 8.0 8.4 C 0.75\n",
+        "MP2": "interruption 4.0 5.0 ABC 0.0\n",
+        "MP3": "unbalance 2.0 4.0 C 0.93\nsag 7.0 7.6 A 0.8\n",
+        "QUIET": "",
+    }
+    out_root = tmp_path / "out"
+    for point_id, script in scripts.items():
+        writer = TransferFileWriter(out_root, make_point(point_id), BASE_TIME)
+        writer.write_results(analyze_script(script, 12.0, writer))
+    expected = {
+        "MP1": EventStat("MP1", 3, 2, 1, 0, 0),
+        "MP2": EventStat("MP2", 1, 0, 0, 1, 0),
+        "MP3": EventStat("MP3", 2, 1, 0, 0, 1),
+    }
     with StreamDatabase(tmp_path / "pq.db") as db:
-        db.upsert_point(make_point())
-        db.update_event_stat("MP1", "sag")
-        db.update_event_stat("MP1", "sag")
-        db.update_event_stat("MP1", "swell")
-        stat = db.event_stat("MP1")
-        assert stat.event_count == 3
-        assert stat.sag_count == 2
-        assert stat.swell_count == 1
-        assert db.event_stat("unknown") is None
+        for _ in range(2):  # the second pass skips every file
+            ingest_directory(out_root, db)
+            for point_id, stat in expected.items():
+                assert db.event_stat(point_id) == stat
+                assert db.recompute_event_stat(point_id) == stat
+            assert db.event_stat("QUIET") is None
+            assert db.event_stat("unknown") is None
+        kind = db.conn.execute(
+            "SELECT type FROM sqlite_master WHERE name = 'event_stat'"
+        ).fetchone()
+        assert tuple(kind) == ("view",)
+
+
+def test_database_of_another_schema_version_is_refused(tmp_path):
+    # the counters were a table before they became a view
+    path = tmp_path / "old.db"
+    conn = sqlite3.connect(path)
+    conn.executescript(
+        "CREATE TABLE event (measurement_point_id TEXT, event_id INTEGER, event_type TEXT);"
+        "CREATE TABLE event_stat (measurement_point_id TEXT PRIMARY KEY,"
+        " event_count INTEGER NOT NULL DEFAULT 0);"
+    )
+    schema = conn.execute("SELECT * FROM sqlite_master").fetchall()
+    conn.close()
+    for readonly in (False, True):
+        with pytest.raises(StoreError, match="version 0.*version 1.*new database file"):
+            StreamDatabase(path, readonly=readonly)
+    conn = sqlite3.connect(path)
+    assert conn.execute("SELECT * FROM sqlite_master").fetchall() == schema
+    assert conn.execute("PRAGMA user_version").fetchone() == (0,)
+    conn.close()
 
 
 def test_ingest_full_chain(written_sag_run, tmp_path):
