@@ -3,11 +3,13 @@
 Every function returns a :class:`ResultTable`, a plain column/row container
 that the chart renderer and the CLI share.  Queries never write to the
 database; identical inputs yield identical tables (rows are explicitly
-ordered) so rendered output is reproducible byte for byte.
+ordered) so rendered output is reproducible byte for byte.  Series reads date
+each transfer file once and select rows on ``(transfer_file_id, row_index)``.
 """
 
 from __future__ import annotations
 
+import sqlite3
 from dataclasses import dataclass, fields
 from datetime import datetime
 from pathlib import Path
@@ -111,35 +113,33 @@ def timeseries(
 ) -> ResultTable:
     """Derived-timestamped rows of one parameter for one point, time ascending.
 
-    ``start`` and ``end`` bound the derived timestamps inclusively; an
-    interval with no rows yields an empty table with the usual columns.
+    ``start`` and ``end``, without UTC offset, bound the derived timestamps
+    inclusively; an interval with no rows yields an empty table with the usual columns.
     """
     if parameter_type not in PARAMETERS:
         raise QueryError(f"parameter type must be one of {tuple(PARAMETERS)}")
+    if any(b is not None and b.utcoffset() is not None for b in (start, end)):
+        raise QueryError("time bounds must not carry a UTC offset; stored times have none")
     if db.get_point(point_id) is None:
         raise NotFoundError(f"measurement point {point_id!r} not in the database")
     columns = PARAMETERS[parameter_type].column_names
-    files: dict[int, TransferFile] = {}
-    for row in db.conn.execute(
-        "SELECT * FROM transfer_file WHERE measurement_point_id = ?"
-        " AND parameter_type = ?",
-        (point_id, parameter_type),
-    ):
-        files[row["id"]] = TransferFile.from_row(row)
+    step = PARAMETERS[parameter_type].interval
     col_sql = ", ".join(f'"{c}"' for c in columns)
     out: list[tuple] = []
-    for data in db.conn.execute(
-        f"SELECT transfer_file_id, row_index, {col_sql} FROM {parameter_type}"
-        " WHERE measurement_point_id = ? ORDER BY transfer_file_id, row_index",
-        (point_id,),
-    ):
-        tf = files[data["transfer_file_id"]]
-        ts = derive_timestamps(tf, data["row_index"])
-        if start is not None and ts < start:
-            continue
-        if end is not None and ts > end:
-            continue
-        out.append((ts, *[data[c] for c in columns]))
+    for row in db.conn.execute(
+        "SELECT * FROM transfer_file WHERE measurement_point_id = ?"
+        " AND parameter_type = ? AND row_count > 0 ORDER BY id",
+        (point_id, parameter_type),
+    ).fetchall():
+        first = derive_timestamps(TransferFile.from_row(row), 0)
+        lo = 0 if start is None else -((first - start) // step)
+        hi = row["row_count"] - 1 if end is None else (end - first) // step
+        for data in db.conn.execute(
+            f"SELECT row_index, {col_sql} FROM {parameter_type} WHERE transfer_file_id = ?"
+            " AND row_index BETWEEN ? AND ? ORDER BY row_index",
+            (row["id"], lo, hi),
+        ):
+            out.append((first + data[0] * step, *data[1:]))
     out.sort(key=lambda r: r[0])
     return ResultTable(
         columns=("timestamp", *columns),
@@ -196,6 +196,14 @@ class StoredEvent:
     size_in_samples: int
     raw_path: str | None
 
+    @classmethod
+    def from_row(cls, row: sqlite3.Row) -> "StoredEvent":
+        """Rebuild an ``event`` table row, parsing its two dates."""
+        values = {f.name: row[f.name] for f in fields(cls)}
+        for key in ("start_time", "end_time"):
+            values[key] = datetime.fromisoformat(values[key])
+        return cls(**values)
+
 
 def event_detail(
     db: StreamDatabase, event_id: int, point_id: str | None = None
@@ -208,22 +216,14 @@ def event_detail(
         params.append(point_id)
     rows = db.conn.execute(sql, params).fetchall()
     if not rows:
-        raise NotFoundError(f"no event with id {event_id}")
+        at = f" at point {point_id!r}" if point_id is not None else ""
+        raise NotFoundError(f"no event with id {event_id}{at}")
     if len(rows) > 1:
         points = ", ".join(sorted(r["measurement_point_id"] for r in rows))
         raise QueryError(
             f"event id {event_id} exists at several points ({points}); pass point_id"
         )
-    row = rows[0]
-    return StoredEvent(
-        measurement_point_id=row["measurement_point_id"],
-        event_id=row["event_id"],
-        event_type=row["event_type"],
-        start_time=datetime.fromisoformat(row["start_time"]),
-        end_time=datetime.fromisoformat(row["end_time"]),
-        size_in_samples=row["size_in_samples"],
-        raw_path=row["raw_path"],
-    )
+    return StoredEvent.from_row(rows[0])
 
 
 def extract_raw_capture(event: StoredEvent, out_dir: Path | str) -> Path:

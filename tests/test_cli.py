@@ -122,6 +122,16 @@ def test_query_series_with_range(workspace, capsys):
     assert "2000-01-01T00:00:01.000000" in out
 
 
+def test_query_series_bound_with_utc_offset_exits_2(workspace, capsys):
+    code = main([
+        "query", "series", "--db", str(workspace / "pq.db"),
+        "--point", "CLI1", "--param", "rms",
+        "--from", "2000-01-01T00:00:01+00:00",
+    ])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_query_series_chart(workspace, tmp_path, capsys):
     chart = tmp_path / "series.svg"
     assert main([

@@ -30,9 +30,12 @@ from pqstream.query import (
 )
 from pqstream.siggen import SAMPLE_RATE, generate_stream, parse_script
 from pqstream.store import (
+    PARAMETERS,
     MeasurementPoint,
     StreamDatabase,
+    TransferFile,
     TransferFileWriter,
+    derive_timestamps,
     ingest_directory,
 )
 
@@ -145,6 +148,131 @@ def test_timeseries_harmonics_column_count(db):
     assert len(table.columns) == 1 + 33 * 6 + 6
     assert "v_a_h1" in table.columns and "i_c_h33" in table.columns
     assert "thd_v_a" in table.columns
+
+
+def test_timeseries_rejects_bounds_with_utc_offset(db):
+    aware = datetime.fromisoformat("2000-01-01T00:00:01+00:00")
+    with pytest.raises(QueryError, match="UTC offset"):
+        timeseries(db, "MP1", "rms", start=aware)
+    with pytest.raises(QueryError, match="UTC offset"):
+        timeseries(db, "MP1", "rms", end=aware)
+
+
+def write_series_file(point_dir: Path, parameter: str, seq: int, rows, last_sample) -> None:
+    """Lay down one transfer CSV by hand, as the writer formats it."""
+    directory = point_dir / parameter
+    directory.mkdir(exist_ok=True)
+    lines = [f"# columns: {','.join(PARAMETERS[parameter].column_names)}"]
+    lines += [",".join(repr(float(v)) for v in row) for row in rows]
+    lines.append(f"#last_sample={last_sample.isoformat(timespec='microseconds')}")
+    (directory / f"{parameter}_{seq:03d}.csv").write_text("\n".join(lines) + "\n")
+
+
+@pytest.fixture(scope="module")
+def overlap_db(tmp_path_factory):
+    """Point MP9 measured twice, the second run 5 s after the first.
+
+    The analyzer fills the fast parameters; the slow ones, which a 12 s
+    run never reaches, get two overlapping hand-written files each.
+    """
+    root = tmp_path_factory.mktemp("overlap")
+    point = MeasurementPoint("MP9", "Twice", "busbar", "Urban Only")
+    for seq, offset in enumerate((0, 5)):
+        start = BASE_TIME + timedelta(seconds=offset)
+        writer = TransferFileWriter(root / "transfer", point, start)
+        script = parse_script(f"sag {offset + 1}.0 {offset + 2}.0 A 0.8\n")
+        result = run_pipeline(generate_stream(unit_config(12.0), script), unit_pipeline_config())
+        writer.write_results(result, file_seq=seq)
+    for name in ("demand", "flicker_pst", "flicker_plt"):
+        step = PARAMETERS[name].interval
+        width = len(PARAMETERS[name].columns)
+        ends = ((7, BASE_TIME + 7 * step), (5, BASE_TIME + 3.5 * step))  # the second is off-grid
+        for seq, (count, last) in enumerate(ends):
+            rows = [[seq + 0.25 * i + 0.001 * c for c in range(width)] for i in range(count)]
+            write_series_file(writer.point_dir, name, seq, rows, last)
+    with StreamDatabase(root / "pq.db") as handle:
+        assert not ingest_directory(root / "transfer", handle).files_malformed
+    with StreamDatabase(root / "pq.db", readonly=True) as handle:
+        yield handle
+
+
+def reference_timeseries(db, point_id, parameter, start, end):
+    """Date every stored row on its own, filter, then stable-sort by time."""
+    columns = PARAMETERS[parameter].column_names
+    rows = []
+    for data in db.conn.execute(
+        f"SELECT * FROM {parameter} WHERE measurement_point_id = ?"
+        " ORDER BY transfer_file_id, row_index",
+        (point_id,),
+    ):
+        ts = derive_timestamps(db.get_transfer_file(data["transfer_file_id"]), data["row_index"])
+        if (start is None or ts >= start) and (end is None or ts <= end):
+            rows.append((ts, *(data[c] for c in columns)))
+    return sorted(rows, key=lambda r: r[0])
+
+
+def bound_cases(db, point_id, parameter):
+    """No bounds, bounds on a row, 1 us off it, outside the data, reversed."""
+    step = PARAMETERS[parameter].interval
+    us = timedelta(microseconds=1)
+    files = [
+        TransferFile.from_row(r)
+        for r in db.conn.execute(
+            "SELECT * FROM transfer_file WHERE measurement_point_id = ? AND parameter_type = ?",
+            (point_id, parameter),
+        )
+    ]
+    assert len(files) == 2
+    first = min(derive_timestamps(f, 0) for f in files)
+    last = max(f.measurement_date for f in files)
+    on_grid = derive_timestamps(files[0], 2)
+    return [
+        (None, None),
+        (on_grid, None),
+        (None, on_grid),
+        (on_grid, on_grid + 3 * step),
+        (on_grid + us, on_grid + 3 * step - us),
+        (on_grid - us, on_grid + 3 * step + us),
+        (first - 10 * step, first - step),
+        (last + us, last + 10 * step),
+        (on_grid + step, on_grid),
+    ]
+
+
+@pytest.mark.parametrize("parameter", list(PARAMETERS))
+def test_timeseries_matches_row_by_row_reference(overlap_db, parameter):
+    for start, end in bound_cases(overlap_db, "MP9", parameter):
+        table = timeseries(overlap_db, "MP9", parameter, start=start, end=end)
+        expected = reference_timeseries(overlap_db, "MP9", parameter, start, end)
+        assert list(table.rows) == expected, (start, end)
+    assert timeseries(overlap_db, "MP9", parameter).rows  # both runs stored rows
+
+
+def test_ranged_read_cost_does_not_grow_with_history(tmp_path):
+    """SQLite VM steps for a 10 s window stay flat from 60 s to 600 s of rms."""
+    steps_taken = []
+    for seconds in (60, 600):
+        root = tmp_path / f"s{seconds}"
+        point = MeasurementPoint(f"H{seconds}", "History", "busbar", "Urban Only")
+        writer = TransferFileWriter(root / "transfer", point, BASE_TIME)
+        count = seconds * 5
+        rows = [[1.0 + i * 1e-6] * 6 for i in range(count)]
+        write_series_file(writer.point_dir, "rms", 0, rows, BASE_TIME + timedelta(seconds=seconds))
+        with StreamDatabase(root / "pq.db") as handle:
+            ingest_directory(root / "transfer", handle)
+            end = BASE_TIME + timedelta(seconds=seconds // 2)
+            ticks = [0]
+
+            def tick():
+                ticks[0] += 1
+                return 0
+
+            handle.conn.set_progress_handler(tick, 100)
+            table = timeseries(handle, point.id, "rms", end - timedelta(seconds=10), end)
+            handle.conn.set_progress_handler(None, 100)
+        assert len(table.rows) == 51
+        steps_taken.append(ticks[0])
+    assert max(steps_taken) <= 2 * min(steps_taken), steps_taken
 
 
 # -- event aggregation --------------------------------------------------------
@@ -264,6 +392,11 @@ def test_event_detail_requires_disambiguation(db):
 def test_event_detail_not_found(db):
     with pytest.raises(NotFoundError):
         event_detail(db, 999)
+
+
+def test_event_detail_not_found_names_the_point(db):
+    with pytest.raises(NotFoundError, match="'MP3'"):
+        event_detail(db, 3, point_id="MP3")
 
 
 def test_extract_raw_capture_row_count(db, tmp_path):
