@@ -6,6 +6,12 @@ query layer promises for reproducible reporting.  Supported kinds are
 ``time_series`` (one polyline per numeric column), ``bar`` (one bar per
 numeric cell), ``pie`` (one slice per row of a single non-negative measure)
 and ``table`` (aligned plain text).
+
+A time series is drawn column by column: each x coordinate is formatted once
+and shared by every polyline, and each column's y coordinates are mapped as
+one float64 array.  Every non-None cell gets one vertex, with no decimation,
+and the same table always gives the same bytes.  A numeric cell that is NaN
+or infinite has no coordinate, so every SVG kind refuses it.
 """
 
 from __future__ import annotations
@@ -13,7 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import compress
 from pathlib import Path
+from types import NoneType
+
+import numpy as np
 
 from .query import ResultTable
 
@@ -49,18 +59,34 @@ def _fmt(value: float) -> str:
     return format(value, ".2f")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _numeric_columns(names: tuple[str, ...], columns: list[tuple]) -> dict[int, np.ndarray]:
+    """Float64 cells, None dropped, of each column whose non-None cells are
+    all numbers; keyed by column index.
 
-
-def _numeric_columns(table: ResultTable) -> list[int]:
-    """Indexes of columns whose non-None cells are all numeric."""
-    out = []
-    for idx in range(len(table.columns)):
-        cells = [row[idx] for row in table.rows]
-        present = [c for c in cells if c is not None]
-        if present and all(_is_number(c) for c in present):
-            out.append(idx)
+    A column counts as numeric when the set of its cell types, less
+    ``NoneType``, is non-empty and every type is an ``int`` or ``float``
+    subclass that is not a ``bool`` subclass.  A numeric column holding NaN
+    or an infinity raises :class:`ChartError` naming it, because no
+    coordinate can be drawn for it.
+    """
+    out = {}
+    for idx, cells in enumerate(columns):
+        kinds = set(map(type, cells))
+        has_none = NoneType in kinds
+        kinds.discard(NoneType)
+        if not kinds or not all(
+            issubclass(k, (int, float)) and not issubclass(k, bool) for k in kinds
+        ):
+            continue
+        if has_none:
+            cells = [c for c in cells if c is not None]
+        values = np.array(cells, dtype=np.float64)
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ChartError(
+                f"column {names[idx]!r} holds {values[~finite][0]}, which cannot be drawn"
+            )
+        out[idx] = values
     return out
 
 
@@ -112,8 +138,7 @@ def _axis_frame(parts: list[str]) -> None:
     )
 
 
-def _value_span(values: list[float]) -> tuple[float, float]:
-    lo, hi = min(values), max(values)
+def _value_span(lo: float, hi: float) -> tuple[float, float]:
     if lo == hi:
         pad = abs(lo) if lo != 0 else 1.0
         return lo - 0.05 * pad, hi + 0.05 * pad
@@ -139,40 +164,34 @@ def _y_ticks(parts: list[str], lo: float, hi: float) -> None:
 def _render_time_series(table: ResultTable, spec: ChartSpec) -> str:
     if not table.rows:
         raise ChartError("time_series needs at least one row")
-    if not all(isinstance(row[0], datetime) for row in table.rows):
+    columns = list(zip(*table.rows))
+    times = columns[0]
+    if not all(issubclass(k, datetime) for k in set(map(type, times))):
         raise ChartError("time_series needs timestamps in the first column")
-    numeric = [i for i in _numeric_columns(table) if i != 0]
+    numeric = _numeric_columns(table.columns, columns)
     if not numeric:
         raise ChartError("time_series needs at least one numeric column")
-    times = [row[0] for row in table.rows]
-    t0 = times[0]
-    xs = [(t - t0).total_seconds() for t in times]
-    span_x = xs[-1] - xs[0] or 1.0
-    values = [
-        float(row[i]) for row in table.rows for i in numeric if row[i] is not None
-    ]
-    if not values:
-        raise ChartError("time_series has no numeric cells to draw")
-    lo, hi = _value_span(values)
+    lo, hi = _value_span(
+        float(min(v.min() for v in numeric.values())),
+        float(max(v.max() for v in numeric.values())),
+    )
     x0, y0 = MARGIN_LEFT, HEIGHT - MARGIN_BOTTOM
     x1, y1 = WIDTH - MARGIN_RIGHT, MARGIN_TOP
     parts = _svg_header(spec)
     _axis_frame(parts)
     _y_ticks(parts, lo, hi)
-
-    def sx(x: float) -> float:
-        return x0 + (x - xs[0]) / span_x * (x1 - x0)
-
-    def sy(v: float) -> float:
-        return y0 - (v - lo) / (hi - lo) * (y0 - y1)
-
-    for n, col in enumerate(numeric):
+    t0 = times[0]
+    xs = np.array([(t - t0).total_seconds() for t in times])
+    span_x = xs[-1] - xs[0] or 1.0
+    # each x is formatted once and shared by every polyline
+    xstr = list(map("%.2f,".__mod__, (x0 + (xs - xs[0]) / span_x * (x1 - x0)).tolist()))
+    for n, (col, values) in enumerate(numeric.items()):
         color = PALETTE[n % len(PALETTE)]
-        points = " ".join(
-            f"{_fmt(sx(x))},{_fmt(sy(float(row[col])))}"
-            for x, row in zip(xs, table.rows)
-            if row[col] is not None
-        )
+        ys = y0 - (values - lo) / (hi - lo) * (y0 - y1)
+        present = xstr
+        if len(values) < len(times):
+            present = compress(xstr, [c is not None for c in columns[col]])
+        points = " ".join(map("%s%.2f".__mod__, zip(present, ys.tolist())))
         parts.append(
             f'<polyline class="series" fill="none" stroke="{color}" '
             f'stroke-width="1.5" points="{points}"/>'
@@ -194,7 +213,7 @@ def _render_time_series(table: ResultTable, spec: ChartSpec) -> str:
 
 
 def _bar_items(table: ResultTable) -> list[tuple[str, float]]:
-    numeric = _numeric_columns(table)
+    numeric = list(_numeric_columns(table.columns, list(zip(*table.rows))))
     if not numeric:
         raise ChartError("bar chart needs at least one numeric column")
     label_cols = [i for i in range(len(table.columns)) if i not in numeric]
@@ -208,8 +227,6 @@ def _bar_items(table: ResultTable) -> list[tuple[str, float]]:
             if len(numeric) == 1 and prefix:
                 name = prefix
             items.append((name, float(row[col])))
-    if not items:
-        raise ChartError("bar chart has no numeric cells to draw")
     return items
 
 
@@ -252,7 +269,7 @@ def _render_bar(table: ResultTable, spec: ChartSpec) -> str:
 
 
 def _render_pie(table: ResultTable, spec: ChartSpec) -> str:
-    numeric = _numeric_columns(table)
+    numeric = list(_numeric_columns(table.columns, list(zip(*table.rows))))
     if len(numeric) != 1:
         raise ChartError(
             f"pie needs exactly one numeric measure column, table has {len(numeric)}"

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sqlite3
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timedelta, timezone
@@ -588,10 +589,21 @@ def _load_point_metadata(path: Path) -> tuple[MeasurementPoint, datetime]:
     return point, base_time
 
 
-def _cell_to_sql(cell: str) -> float | None:
-    if cell == "":
-        return None
-    return float(cell)
+def _row_to_sql(cells: list[str]) -> list[float | None]:
+    """Values of one series row; an empty cell is None (undefined).
+
+    A cell that is not a finite number raises ValueError: SQLite would
+    store NaN as NULL, which reads back as undefined, and an infinity is no
+    measurement.  Any such cell, an overflowing one too, makes the row's
+    sum non-finite; only then are the cells tested one by one, so a finite
+    row costs one sum.
+    """
+    values = [float(c) if c else None for c in cells]
+    if not math.isfinite(sum(filter(None, values))):
+        for cell, value in zip(cells, values):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"cell {cell!r} is not a finite number")
+    return values
 
 
 def _ingest_series_file(
@@ -611,8 +623,7 @@ def _ingest_series_file(
     )
     payload = []
     for index, cells in enumerate(parsed.rows):
-        values = [_cell_to_sql(c) for c in cells]
-        payload.append([point.id, transfer_file_id, index, *values])
+        payload.append([point.id, transfer_file_id, index, *_row_to_sql(cells)])
     db.conn.executemany(sql, payload)
     report.bump_rows(parameter_type, len(payload))
 

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import hashlib
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from pqstream import charts
 from pqstream.analyzer import run_pipeline
 from pqstream.charts import ChartError, ChartSpec, format_text_table, render_chart
 from pqstream.events import (
@@ -441,12 +444,156 @@ def test_extract_raw_capture_missing_blob(tmp_path, db):
 # -- charts -------------------------------------------------------------------
 
 
+def polyline_vertex_counts(path: Path) -> list[int]:
+    """Vertices per polyline, counted the way the benchmark's SVG check does."""
+    root = ET.parse(path).getroot()
+    lines = [el for el in root.iter() if el.tag.rsplit("}", 1)[-1] == "polyline"]
+    return [len(el.get("points", "").split()) for el in lines]
+
+
 def test_time_series_chart_polyline_per_column(db, tmp_path):
     table = timeseries(db, "MP1", "rms")
     out = render_chart(table, ChartSpec(kind="time_series", title="rms"), tmp_path / "c.svg")
     svg = out.read_text()
     assert svg.count('class="series"') == 6
     assert svg.startswith("<svg") or svg.startswith("<?xml")
+    assert polyline_vertex_counts(out) == [len(table.rows)] * 6
+    # a None cell gets no vertex, and a column of None cells no polyline
+    rows = tuple(
+        (row[0], None if n % 3 == 0 else row[1], None, *row[3:])
+        for n, row in enumerate(table.rows)
+    )
+    table = ResultTable(columns=table.columns, rows=rows)
+    out = render_chart(table, ChartSpec(kind="time_series"), tmp_path / "n.svg")
+    assert polyline_vertex_counts(out) == [40, 60, 60, 60, 60]
+
+
+def _reference_numeric_columns(table: ResultTable) -> list[int]:
+    def is_number(value) -> bool:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+    out = []
+    for idx in range(len(table.columns)):
+        present = [row[idx] for row in table.rows if row[idx] is not None]
+        if present and all(is_number(c) for c in present):
+            out.append(idx)
+    return out
+
+
+def reference_time_series(table: ResultTable, spec: ChartSpec) -> str:
+    """The per-vertex renderer the column-wise one replaced: it maps and
+    formats every vertex on its own, which defines the expected bytes."""
+    if not table.rows:
+        raise ChartError("time_series needs at least one row")
+    if not all(isinstance(row[0], datetime) for row in table.rows):
+        raise ChartError("time_series needs timestamps in the first column")
+    numeric = [i for i in _reference_numeric_columns(table) if i != 0]
+    if not numeric:
+        raise ChartError("time_series needs at least one numeric column")
+    times = [row[0] for row in table.rows]
+    t0 = times[0]
+    xs = [(t - t0).total_seconds() for t in times]
+    span_x = xs[-1] - xs[0] or 1.0
+    values = [float(row[i]) for row in table.rows for i in numeric if row[i] is not None]
+    lo, hi = min(values), max(values)
+    pad = 0.05 * ((abs(lo) if lo != 0 else 1.0) if lo == hi else hi - lo)
+    lo, hi = lo - pad, hi + pad
+    x0, y0 = charts.MARGIN_LEFT, charts.HEIGHT - charts.MARGIN_BOTTOM
+    x1, y1 = charts.WIDTH - charts.MARGIN_RIGHT, charts.MARGIN_TOP
+    parts = charts._svg_header(spec)
+    charts._axis_frame(parts)
+    charts._y_ticks(parts, lo, hi)
+
+    def sx(x: float) -> float:
+        return x0 + (x - xs[0]) / span_x * (x1 - x0)
+
+    def sy(v: float) -> float:
+        return y0 - (v - lo) / (hi - lo) * (y0 - y1)
+
+    for n, col in enumerate(numeric):
+        color = charts.PALETTE[n % len(charts.PALETTE)]
+        points = " ".join(
+            f"{charts._fmt(sx(x))},{charts._fmt(sy(float(row[col])))}"
+            for x, row in zip(xs, table.rows)
+            if row[col] is not None
+        )
+        parts.append(
+            f'<polyline class="series" fill="none" stroke="{color}" '
+            f'stroke-width="1.5" points="{points}"/>'
+        )
+        parts.append(
+            f'<text x="{x1 - 150}" y="{y1 + 14 + 14 * n}" font-family="sans-serif" '
+            f'font-size="11" fill="{color}">{charts._escape(table.columns[col])}</text>'
+        )
+    parts.append(
+        f'<text x="{x0}" y="{y0 + 16}" font-family="sans-serif" font-size="10">'
+        f"{times[0].isoformat(timespec='seconds')}</text>"
+    )
+    parts.append(
+        f'<text x="{x1}" y="{y0 + 16}" text-anchor="end" font-family="sans-serif" '
+        f'font-size="10">{times[-1].isoformat(timespec="seconds")}</text>'
+    )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def assert_chart_matches_reference(table: ResultTable, out: Path) -> None:
+    spec = ChartSpec(kind="time_series", title="ref")
+    try:
+        expected = reference_time_series(table, spec)
+    except ChartError:
+        with pytest.raises(ChartError):
+            render_chart(table, spec, out)
+        return
+    assert render_chart(table, spec, out).read_bytes() == expected.encode("utf-8")
+
+
+@st.composite
+def chart_tables(draw) -> ResultTable:
+    """1-50 rows under arbitrary timestamps; 1-4 float, int or constant
+    columns with None cells, plus at times a bool column, which is not drawn."""
+    n = draw(st.integers(min_value=1, max_value=50))
+    micros = draw(st.lists(st.integers(min_value=0, max_value=10**11), min_size=n, max_size=n))
+    columns = [[BASE_TIME + timedelta(microseconds=us) for us in micros]]
+    kinds = draw(st.lists(st.sampled_from(("float", "int", "constant")), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        kinds.insert(draw(st.integers(min_value=0, max_value=len(kinds))), "bool")
+    for kind in kinds:
+        cell = {
+            "float": st.floats(min_value=-1e9, max_value=1e9),
+            "int": st.integers(min_value=-10**6, max_value=10**6),
+            "constant": st.just(draw(st.floats(min_value=-1e3, max_value=1e3))),
+            "bool": st.booleans(),
+        }[kind]
+        columns.append(draw(st.lists(st.none() | cell, min_size=n, max_size=n)))
+    names = ("timestamp", *(f"{kind}{i}" for i, kind in enumerate(kinds)))
+    return ResultTable(columns=names, rows=tuple(zip(*columns)))
+
+
+@given(table=chart_tables())
+# rounding to 0.01 tells apart a reordered x or y mapping only near a tie, as here
+@example(
+    table=ResultTable(
+        columns=("timestamp", "v"),
+        rows=tuple(
+            (BASE_TIME + timedelta(seconds=s), v) for s, v in ((0, 158), (259, -363), (400, 437))
+        ),
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_time_series_chart_bytes_equal_reference(table, tmp_path_factory):
+    assert_chart_matches_reference(table, tmp_path_factory.getbasetemp() / "hypothesis.svg")
+
+
+@pytest.mark.parametrize("parameter", list(PARAMETERS))
+def test_time_series_chart_bytes_equal_reference_on_stored_series(
+    overlap_db, db, parameter, tmp_path
+):
+    tables = [timeseries(overlap_db, "MP9", parameter)]
+    tables += [timeseries(db, point.id, parameter) for point in POINTS]
+    assert tables[0].rows
+    for n, table in enumerate(tables):
+        assert_chart_matches_reference(table, tmp_path / f"{n}.svg")
 
 
 def test_bar_chart_one_bar_per_measure(db, tmp_path):
@@ -480,6 +627,20 @@ def test_pie_chart_rejects_negative_values(tmp_path):
     table = ResultTable(columns=("k", "v"), rows=(("a", 1.0), ("b", -2.0)))
     with pytest.raises(ChartError):
         render_chart(table, ChartSpec(kind="pie"), tmp_path / "x.svg")
+
+
+@pytest.mark.parametrize(
+    "kind, columns, rows",
+    [
+        ("time_series", ("t", "v", "bad"), ((BASE_TIME, 1.0, 2.0), (BASE_TIME, 1.5, float("inf")))),
+        ("bar", ("k", "v", "bad"), (("a", 1.0, 2.0), ("b", 1.5, float("-inf")))),
+        ("pie", ("k", "bad", "label"), (("a", 1.0, "x"), ("b", float("nan"), "y"))),
+    ],
+)
+def test_chart_refuses_a_non_finite_cell(kind, columns, rows, tmp_path):
+    table = ResultTable(columns=columns, rows=rows)
+    with pytest.raises(ChartError, match="column 'bad'"):
+        render_chart(table, ChartSpec(kind=kind), tmp_path / "x.svg")
 
 
 def test_time_series_chart_requires_time_column(tmp_path):

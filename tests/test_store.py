@@ -466,6 +466,29 @@ def test_ingest_footer_with_utc_offset_is_malformed(written_sag_run, tmp_path):
         assert timeseries(db, "MP1", "rms").rows == ()
 
 
+def test_ingest_non_finite_cell_makes_the_file_malformed(tmp_path):
+    # SQLite would store NaN as NULL, read back as an undefined value
+    root = tmp_path / "tree"
+    for point_id, cell in (("GOOD", "1.5"), ("NAN", "nan"), ("INF", "inf"), ("BIG", "1e400")):
+        (root / point_id / "rms").mkdir(parents=True)
+        (root / point_id / "point.json").write_text(json.dumps({"id": point_id}))
+        rows = ["1.0,1.0,1.0,1.0,1.0,1.0", f"1.0,{cell},1.0,1.0,1.0,1.0"]
+        footer = f"#last_sample={BASE_TIME.isoformat(timespec='microseconds')}"
+        (root / point_id / "rms" / "rms_000.csv").write_text("\n".join(rows + [footer]) + "\n")
+    with StreamDatabase(tmp_path / "pq.db") as db:
+        report = ingest_directory(root, db)
+        assert report.files_ingested == 1
+        assert report.rows_inserted["rms"] == 2
+        assert {Path(path).parts[-3]: reason for path, reason in report.files_malformed} == {
+            "NAN": "cell 'nan' is not a finite number",
+            "INF": "cell 'inf' is not a finite number",
+            "BIG": "cell '1e400' is not a finite number",
+        }
+        assert timeseries(db, "GOOD", "rms").rows[1][2] == 1.5
+        stored = db.conn.execute("SELECT DISTINCT measurement_point_id FROM rms").fetchall()
+        assert [row[0] for row in stored] == ["GOOD"]
+
+
 def hand_built_result() -> PipelineResult:
     """Two records of every parameter, one interval apart, with undefined cells."""
     third = 1.0 / 3.0
