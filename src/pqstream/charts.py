@@ -139,10 +139,18 @@ def _axis_frame(parts: list[str]) -> None:
 
 
 def _value_span(lo: float, hi: float) -> tuple[float, float]:
-    if lo == hi:
-        pad = abs(lo) if lo != 0 else 1.0
-        return lo - 0.05 * pad, hi + 0.05 * pad
-    pad = 0.05 * (hi - lo)
+    """The y range drawn for values in [lo, hi]: 5 % wider on each side.
+
+    The range is never empty: a constant column pads by 5 % of its value,
+    or by 0.05 where that pad underflows (zero, or a subnormal such as
+    5e-324).  A range wider than the largest float raises
+    :class:`ChartError`, because its ticks and coordinates cannot be drawn.
+    """
+    pad = 0.05 * (abs(lo) if lo == hi else hi - lo)
+    if lo == hi and pad == 0:
+        pad = 0.05
+    if not math.isfinite((hi + pad) - (lo - pad)):
+        raise ChartError(f"values from {lo} to {hi} span more than a float can hold")
     return lo - pad, hi + pad
 
 

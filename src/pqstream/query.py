@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import decode_raw_capture
+from .events import RawCaptureError, read_raw_capture
 from .store import (
     PARAMETERS,
     EventStat,
@@ -230,23 +230,33 @@ def extract_raw_capture(event: StoredEvent, out_dir: Path | str) -> Path:
     """Decompress an event's raw capture into a CSV next to the caller's output.
 
     The CSV holds one row per sample: the sample index followed by the six
-    channel values (voltage A, B, C then current A, B, C).  Raises
-    :class:`NotFoundError` when the event has no stored capture.
+    channel values (voltage A, B, C then current A, B, C).  The capture is
+    read, decoded and written one block at a time, so memory does not grow
+    with its length.  Raises :class:`NotFoundError` when the event has no
+    stored capture, and :class:`RawCaptureError` (leaving no CSV) when the
+    capture does not decode.
     """
     if not event.raw_path:
         raise NotFoundError(
             f"event {event.event_id} has no raw capture stored (write failed or skipped)"
         )
-    header, samples = decode_raw_capture(Path(event.raw_path).read_bytes())
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"raw_{event.measurement_point_id}_{event.event_id}.csv"
-    index = round(header["start_time"] * header["sample_rate"]) + np.arange(samples.shape[1])
-    np.savetxt(
-        out_path,
-        np.column_stack((index, samples.T)),
-        fmt="%d" + ",%.17g" * samples.shape[0],
-        header="sample_index,v_a,v_b,v_c,i_a,i_b,i_c",
-        comments="",
-    )
+    with Path(event.raw_path).open("rb") as src:
+        header, blocks = read_raw_capture(src)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        first = round(header["start_time"] * header["sample_rate"])
+        # one % per block writes the bytes np.savetxt writes, without its per-row calls
+        row = "%d" + ",%.17g" * header["channel_count"] + "\n"
+        try:
+            with out_path.open("w") as out:
+                out.write("sample_index,v_a,v_b,v_c,i_a,i_b,i_c\n")
+                for block in blocks:
+                    m = block.shape[1]
+                    cells = np.column_stack((first + np.arange(m), block.T))
+                    out.write((row * m) % tuple(cells.ravel().tolist()))
+                    first += m
+        except RawCaptureError:
+            out_path.unlink()
+            raise
     return out_path

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,21 @@ from pqstream.analyzer import PipelineConfig
 from pqstream.siggen import DisturbanceScript, SignalConfig, generate_stream, parse_script
 
 BASE_TIME = datetime.fromisoformat("2000-01-01T00:00:00")
+
+#: A version-1 raw capture, written by the level-6 encoder that version 2
+#: replaced: event 3, first sample 4480, the samples of v1_capture_samples().
+V1_CAPTURE = Path(__file__).parent / "data" / "raw_v1_event3.pqz"
+
+
+def v1_capture_samples() -> np.ndarray:
+    """The (6, 700) samples stored in V1_CAPTURE: exact ramps plus -0.0,
+    the smallest subnormal and 1e300."""
+    k = np.arange(700)
+    samples = np.array([k / 7 + (1000 * c - 2500) for c in range(6)])
+    samples[0, 0] = -0.0
+    samples[1, 1] = 5e-324
+    samples[2, 2] = 1e300
+    return samples
 
 
 def unit_config(duration: float, **kwargs) -> SignalConfig:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import math
+import struct
 import zlib
 
 import numpy as np
@@ -23,11 +25,12 @@ from pqstream.events import (
     compute_unbalance,
     decode_raw_capture,
     encode_raw_capture,
+    read_raw_capture,
 )
 from pqstream.analyzer import run_pipeline
 from pqstream.siggen import SAMPLE_RATE, generate_stream, parse_script
 
-from conftest import unit_config, unit_pipeline_config
+from conftest import V1_CAPTURE, unit_config, unit_pipeline_config, v1_capture_samples
 
 _HEADER_PROBE = 16  # cuts inside the fixed header
 NOMINAL = 1.0  # the generator scales amplitude so nominal rms is 1.0
@@ -334,6 +337,91 @@ def test_raw_capture_rejects_corrupt_blob():
     mangled = b"XXXX" + mangled[4:]
     with pytest.raises(RawCaptureError):
         decode_raw_capture(zlib.compress(mangled))
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, SAMPLE_RATE - 1, SAMPLE_RATE, SAMPLE_RATE + 1, 2 * SAMPLE_RATE + 17]
+)
+def test_raw_capture_round_trip_bit_exact_across_blocks(n):
+    rng = np.random.default_rng(n)
+    phase = np.arange(n) / 10.0 + np.arange(6)[:, None]
+    block = 325.0 * np.sin(phase) + rng.normal(scale=1e-3, size=(6, n))
+    if n:
+        block[:, 0] = (-0.0, 5e-324, 1e300, 1e300, 5e-324, -0.0)
+        block[:, -1] = (5e-324, 1e300, -0.0, -0.0, 1e300, 5e-324)
+    header, out = decode_raw_capture(encode_raw_capture(2, 640, block))
+    assert header["sample_count"] == n
+    assert out.shape == (6, n) and out.dtype == np.float64
+    assert out.tobytes() == block.tobytes()  # signs of zero and subnormals included
+
+
+class ShortReads(io.BytesIO):
+    """A binary file whose reads return at most ``size`` bytes, like a pipe."""
+
+    def __init__(self, blob: bytes, size: int) -> None:
+        super().__init__(blob)
+        self.size = size
+
+    def read(self, n: int = -1) -> bytes:
+        return super().read(self.size if n < 0 else min(n, self.size))
+
+
+@pytest.mark.parametrize("size", [1, 7, 4096])
+def test_read_raw_capture_blocks_whatever_the_read_size(size):
+    block = np.sin(np.arange(6 * (SAMPLE_RATE + 1)) / 9.0).reshape(6, -1)
+    for blob, lengths in (
+        (encode_raw_capture(1, 0, block), [SAMPLE_RATE, 1]),
+        (V1_CAPTURE.read_bytes(), [700]),  # version 1 is one channel-major block
+    ):
+        header, blocks = read_raw_capture(ShortReads(blob, size))
+        blocks = list(blocks)
+        assert [b.shape for b in blocks] == [(6, n) for n in lengths]
+        expected = block if header["event_id"] == 1 else v1_capture_samples()
+        assert np.concatenate(blocks, axis=1).tobytes() == expected.tobytes()
+
+
+def test_raw_capture_v2_refuses_a_bad_payload():
+    blob = encode_raw_capture(1, 0, np.arange(6.0 * (SAMPLE_RATE + 1)).reshape(6, -1))
+    raw = zlib.decompress(blob)
+    for short in (raw[:-1], raw[: -8 * 6]):
+        with pytest.raises(RawCaptureError, match="payload ends inside"):
+            decode_raw_capture(zlib.compress(short))
+    for long in (raw + b"\0", raw + bytes(8 * 6)):
+        with pytest.raises(RawCaptureError, match="after its last block"):
+            decode_raw_capture(zlib.compress(long))
+    with pytest.raises(RawCaptureError, match="version 3"):
+        decode_raw_capture(zlib.compress(raw[:4] + struct.pack("<I", 3) + raw[8:]))
+    with pytest.raises(RawCaptureError, match="sample rate of 0"):
+        decode_raw_capture(zlib.compress(raw[:20] + struct.pack("<I", 0) + raw[24:]))
+    with pytest.raises(RawCaptureError, match="stream truncated"):
+        decode_raw_capture(blob[:-4])  # every sample there, the checksum cut
+    with pytest.raises(RawCaptureError, match="payload ends inside"):
+        decode_raw_capture(blob[: len(blob) // 2])
+
+
+def test_raw_capture_v2_header_reads_with_the_v1_struct():
+    # tools that count capture samples (perfbench/tracing.py) read only the
+    # first 40 decompressed bytes, laid out as in version 1
+    n = 2 * SAMPLE_RATE + 17
+    blob = encode_raw_capture(9, 640, np.zeros((6, n)))
+    head = zlib.decompressobj().decompress(blob, 40)
+    assert struct.Struct("<4sIQIIdQ").unpack(head) == (
+        b"PQZ1", 2, 9, 6, SAMPLE_RATE, 640 / SAMPLE_RATE, n
+    )
+
+
+def test_v1_capture_decodes_bit_exact():
+    blob = V1_CAPTURE.read_bytes()
+    assert zlib.decompress(blob)[:8] == b"PQZ1" + struct.pack("<I", 1)
+    header, samples = decode_raw_capture(blob)
+    assert header == {
+        "event_id": 3,
+        "channel_count": 6,
+        "sample_rate": SAMPLE_RATE,
+        "start_time": 4480 / SAMPLE_RATE,
+        "sample_count": 700,
+    }
+    assert samples.tobytes() == v1_capture_samples().tobytes()
 
 
 def test_capture_buffer_extract_and_trim():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from datetime import datetime, timedelta
@@ -18,6 +19,7 @@ from pqstream.charts import ChartError, ChartSpec, format_text_table, render_cha
 from pqstream.events import (
     EventDetector,
     EventThresholds,
+    RawCaptureError,
     decode_raw_capture,
     encode_raw_capture,
 )
@@ -42,7 +44,13 @@ from pqstream.store import (
     ingest_directory,
 )
 
-from conftest import BASE_TIME, unit_config, unit_pipeline_config
+from conftest import (
+    BASE_TIME,
+    V1_CAPTURE,
+    unit_config,
+    unit_pipeline_config,
+    v1_capture_samples,
+)
 
 POINTS = (
     MeasurementPoint("MP1", "Mill feeder", "feeder", "Heavy Industry"),
@@ -426,6 +434,28 @@ def test_extract_raw_capture_row_count(db, tmp_path):
     ]
 
 
+def test_extract_raw_capture_same_csv_for_v1_and_v2(db, tmp_path):
+    event = replace(event_detail(db, 1, point_id="MP2"), event_id=3, raw_path=str(V1_CAPTURE))
+    v1 = extract_raw_capture(event, tmp_path / "v1").read_bytes()
+    blob_path = tmp_path / "v2.pqz"
+    blob_path.write_bytes(encode_raw_capture(3, 4480, v1_capture_samples()))
+    v2 = extract_raw_capture(replace(event, raw_path=str(blob_path)), tmp_path / "v2")
+    assert v2.read_bytes() == v1
+    # the bytes the whole-capture exporter wrote for this capture
+    digest = "b3f2a175343d8ae1757e0cf5471673687852b7f779e3085c4d430b4520531aef"
+    assert hashlib.sha256(v1).hexdigest() == digest
+
+
+def test_extract_raw_capture_leaves_no_csv_for_a_bad_capture(db, tmp_path):
+    event = event_detail(db, 1, point_id="MP2")
+    blob_path = tmp_path / "cut.pqz"
+    # every block decodes and is written before the cut checksum is found
+    blob_path.write_bytes(Path(event.raw_path).read_bytes()[:-4])
+    with pytest.raises(RawCaptureError):
+        extract_raw_capture(replace(event, raw_path=str(blob_path)), tmp_path / "out")
+    assert not list((tmp_path / "out").iterdir())
+
+
 def test_extract_raw_capture_missing_blob(tmp_path, db):
     event = event_detail(db, 1, point_id="MP2")
     orphan = type(event)(
@@ -497,7 +527,11 @@ def reference_time_series(table: ResultTable, spec: ChartSpec) -> str:
     values = [float(row[i]) for row in table.rows for i in numeric if row[i] is not None]
     lo, hi = min(values), max(values)
     pad = 0.05 * ((abs(lo) if lo != 0 else 1.0) if lo == hi else hi - lo)
+    if pad == 0 and lo == hi:  # 5 % of a subnormal underflows
+        pad = 0.05
     lo, hi = lo - pad, hi + pad
+    if not math.isfinite(hi - lo):
+        raise ChartError("span overflows")
     x0, y0 = charts.MARGIN_LEFT, charts.HEIGHT - charts.MARGIN_BOTTOM
     x1, y1 = charts.WIDTH - charts.MARGIN_RIGHT, charts.MARGIN_TOP
     parts = charts._svg_header(spec)
@@ -578,6 +612,15 @@ def chart_tables(draw) -> ResultTable:
         rows=tuple(
             (BASE_TIME + timedelta(seconds=s), v) for s, v in ((0, 158), (259, -363), (400, 437))
         ),
+    )
+)
+# a constant subnormal column, whose 5 % pad underflows to 0
+@example(table=ResultTable(columns=("timestamp", "v"), rows=((BASE_TIME, 5e-324),) * 2))
+# values whose span overflows a float
+@example(
+    table=ResultTable(
+        columns=("timestamp", "v"),
+        rows=((BASE_TIME, -1.79e308), (BASE_TIME + timedelta(seconds=1), 1.79e308)),
     )
 )
 @settings(max_examples=200, deadline=None)
