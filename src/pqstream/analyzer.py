@@ -385,7 +385,6 @@ class StreamPipeline:
         self._fill = 0               # samples currently in the buffer
         self._done = 0               # samples already cut into RMS windows
         self._buf_base = 0           # absolute index of buffer start
-        self._next_sample = 0
         self._prev_frequency = config.nominal_frequency
         self._half_block = config.half_cycle_samples
         pst_len = round(PST_INTERVAL_S * SAMPLE_RATE / RMS_WINDOW) * (RMS_WINDOW // self._half_block)
@@ -402,10 +401,10 @@ class StreamPipeline:
     def process_frame(self, frame: WaveformFrame) -> None:
         if self._finished:
             raise RuntimeError("pipeline already finished")
-        if frame.start_sample_index != self._next_sample:
+        expected = self._buf_base + self._fill
+        if frame.start_sample_index != expected:
             raise StreamGapError(
-                f"frame starts at sample {frame.start_sample_index}, "
-                f"expected {self._next_sample}"
+                f"frame starts at sample {frame.start_sample_index}, expected {expected}"
             )
         pos = 0
         n = frame.frame_length
@@ -415,7 +414,6 @@ class StreamPipeline:
             self._buf[3:, self._fill : self._fill + take] = frame.current_samples[:, pos : pos + take]
             self._fill += take
             pos += take
-            self._next_sample += take
             if self.detector is not None:
                 self.detector.feed_samples(
                     self._buf_base + self._fill - take,

@@ -11,7 +11,9 @@ emitting it), and unbalance entries are deferred while any amplitude event
 is active so a one-phase dip is not double reported as unbalance.
 
 Each finalized event yields a record plus a compressed raw capture of all
-six channels spanning the event with a pre and post trigger margin.  A
+six channels spanning the event with a pre and post trigger margin.  Raw
+samples are kept from the RMS window last judged (or an open event's start,
+if earlier) minus the pre-trigger.  A
 capture is a ``.pqz`` blob, version 2: one zlib level-1 stream holding a
 40-byte header, then the samples in one-second blocks, each channel of a
 block stored as the eight byte planes of its float64 samples (the shuffle
@@ -60,7 +62,7 @@ _RAW_HEADER = struct.Struct("<4sIQIIdQ")
 _READ_CHUNK = 1 << 16  # compressed bytes read from a capture at a time
 
 
-class RawCaptureError(RuntimeError):
+class RawCaptureError(ValueError):
     """Raised when a raw capture blob cannot be decoded."""
 
 
@@ -119,9 +121,9 @@ def encode_raw_capture(event_id: int, start_sample: int, samples: np.ndarray) ->
     1, up to byte 7.  One zlib level-1 stream covers the header and every
     block, and each block's planes go straight into it.  Version 1 captures,
     whose payload is one channel-major block of plain samples, still decode.
+    Any (6, n) array will do, a strided view too; one second is copied at a time.
     """
-    data = np.ascontiguousarray(samples, dtype="<f8")
-    if data.ndim != 2 or data.shape[0] != RAW_CHANNELS:
+    if samples.ndim != 2 or samples.shape[0] != RAW_CHANNELS:
         raise ValueError(f"capture must have shape ({RAW_CHANNELS}, n)")
     stream = zlib.compressobj(1)
     parts = [
@@ -133,13 +135,13 @@ def encode_raw_capture(event_id: int, start_sample: int, samples: np.ndarray) ->
                 RAW_CHANNELS,
                 SAMPLE_RATE,
                 start_sample / SAMPLE_RATE,
-                data.shape[1],
+                samples.shape[1],
             )
         )
     ]
-    for lo in range(0, data.shape[1], SAMPLE_RATE):
-        block = data[:, lo : lo + SAMPLE_RATE].view(np.uint8)
-        planes = block.reshape(RAW_CHANNELS, -1, 8).transpose(0, 2, 1)
+    for lo in range(0, samples.shape[1], SAMPLE_RATE):
+        block = np.ascontiguousarray(samples[:, lo : lo + SAMPLE_RATE], dtype="<f8")
+        planes = block.view(np.uint8).reshape(RAW_CHANNELS, -1, 8).transpose(0, 2, 1)
         parts.append(stream.compress(np.ascontiguousarray(planes)))
     parts.append(stream.flush())
     return b"".join(parts)
@@ -241,56 +243,49 @@ def decode_raw_capture(blob: bytes) -> tuple[dict, np.ndarray]:
 
 
 class CaptureBuffer:
-    """Rolling store of recent raw samples for event capture extraction.
+    """Samples ``first_sample`` to ``next_sample`` of all six channels, in one
+    (6, capacity) array whose column 0 is absolute sample ``_base``.
 
-    Frames are retained from the earliest sample any active event still
-    needs (its start minus the pre-trigger) up to the present; idle
-    retention is just the pre-trigger horizon.
+    :meth:`feed` writes in place, moving the retained samples to the front at
+    the array's end and doubling it only when they do not fit; :meth:`trim`
+    only moves ``first_sample``, which the detector sets to the window it last
+    judged (or an open event's start, if earlier) minus the pre-trigger.
     """
 
     def __init__(self) -> None:
-        self._chunks: list[tuple[int, np.ndarray]] = []
-        self._next = 0
-
-    @property
-    def next_sample(self) -> int:
-        return self._next
-
-    @property
-    def first_sample(self) -> int:
-        return self._chunks[0][0] if self._chunks else self._next
+        self._data = np.empty((RAW_CHANNELS, SAMPLE_RATE))
+        self._base = 0
+        self.first_sample = 0
+        self.next_sample = 0
 
     def feed(self, start_index: int, voltage: np.ndarray, current: np.ndarray) -> None:
-        if start_index != self._next:
+        if start_index != self.next_sample:
             raise ValueError(
-                f"capture feed at sample {start_index}, expected {self._next}"
+                f"capture feed at sample {start_index}, expected {self.next_sample}"
             )
-        block = np.vstack([voltage, current])
-        self._chunks.append((start_index, block))
-        self._next = start_index + block.shape[1]
+        n = voltage.shape[1]
+        lo, hi = self.first_sample - self._base, self.next_sample - self._base
+        capacity = self._data.shape[1]
+        if hi + n > capacity:
+            kept = self._data[:, lo:hi]
+            if hi - lo + n > capacity:
+                self._data = np.empty((RAW_CHANNELS, max(2 * capacity, hi - lo + n)))
+            self._data[:, : hi - lo] = kept
+            self._base, hi = self.first_sample, hi - lo
+        self._data[:3, hi : hi + n] = voltage
+        self._data[3:, hi : hi + n] = current
+        self.next_sample += n
 
     def trim(self, keep_from: int) -> None:
-        while self._chunks:
-            start, block = self._chunks[0]
-            if start + block.shape[1] > keep_from:
-                break
-            self._chunks.pop(0)
+        """Drop the samples before ``keep_from``, never past the newest one."""
+        self.first_sample = max(self.first_sample, min(keep_from, self.next_sample))
 
     def extract(self, start_sample: int, end_sample: int) -> tuple[int, np.ndarray]:
-        """Samples in [start_sample, end_sample), clamped to what is retained."""
+        """Samples in [start_sample, end_sample), clamped to what is retained,
+        as a view valid until the next :meth:`feed`."""
         start = max(start_sample, self.first_sample)
-        end = min(end_sample, self._next)
-        if end <= start:
-            return start, np.empty((RAW_CHANNELS, 0))
-        parts = []
-        for chunk_start, block in self._chunks:
-            chunk_end = chunk_start + block.shape[1]
-            if chunk_end <= start or chunk_start >= end:
-                continue
-            lo = max(start, chunk_start) - chunk_start
-            hi = min(end, chunk_end) - chunk_start
-            parts.append(block[:, lo:hi])
-        return start, np.concatenate(parts, axis=1)
+        end = max(start, min(end_sample, self.next_sample))
+        return start, self._data[:, start - self._base : end - self._base]
 
 
 @dataclass
@@ -313,7 +308,8 @@ class EventDetector:
     capture is skipped entirely.  Captures span the event plus the trigger
     margins, clamped to the samples seen so far, so a post trigger longer
     than one RMS interval is truncated at the stream position where the
-    exit was observed.
+    exit was observed.  Whatever the frame length, samples are kept from the
+    window just judged (or an open event's start) minus the pre-trigger.
     """
 
     def __init__(
@@ -402,7 +398,7 @@ class EventDetector:
         elif factor is not None and factor <= UNBALANCE_THRESHOLD - UNBALANCE_HYSTERESIS:
             self._exit("unbalance", timestamp)
 
-        self._trim_capture()
+        self._trim_capture(timestamp)
 
     def _enter(self, event_type: str, timestamp: float) -> None:
         start_time = timestamp - RMS_INTERVAL_S
@@ -418,8 +414,9 @@ class EventDetector:
         self._active[event_type] = None
         self._finalize(active, timestamp - RMS_INTERVAL_S)
 
-    def _trim_capture(self) -> None:
-        keep_from = self.capture.next_sample - PRE_TRIGGER_SAMPLES
+    def _trim_capture(self, timestamp: float) -> None:
+        # an event the next window opens starts where this window ends
+        keep_from = round(timestamp * SAMPLE_RATE) - PRE_TRIGGER_SAMPLES
         for active in self._active.values():
             if active is not None:
                 keep_from = min(keep_from, active.start_sample - PRE_TRIGGER_SAMPLES)
@@ -455,7 +452,8 @@ class EventDetector:
         )
 
     def close(self, end_timestamp: float | None = None) -> None:
-        """Finalize events still open at stream end at the last known time."""
+        """Finalize events still open at stream end at the last known time,
+        and let go of the raw samples, which no later event can use."""
         if end_timestamp is None:
             end_timestamp = self._last_timestamp if self._last_timestamp is not None else 0.0
         for event_type in EVENT_TYPES:
@@ -463,4 +461,4 @@ class EventDetector:
             if active is not None:
                 self._active[event_type] = None
                 self._finalize(active, end_timestamp)
-        self.records.sort(key=lambda r: r.event_id)
+        self.capture = CaptureBuffer()

@@ -554,10 +554,10 @@ class _ParsedFile:
     measurement_date: datetime
 
 
-def _parse_transfer_csv(path: Path, expected_columns: int) -> _ParsedFile:
+def _parse_transfer_csv(lines: list[str], expected_columns: int) -> _ParsedFile:
     rows: list[list[str]] = []
     measurement_date: datetime | None = None
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    for raw in lines:
         line = raw.strip()
         if not line:
             continue
@@ -707,8 +707,10 @@ def _ingest_one_file(
         report.files_skipped_duplicate += 1
         return
     try:
-        parsed = _parse_transfer_csv(path, len(FILE_COLUMNS[parameter_type]))
-    except StoreError as exc:
+        lines = content.decode("utf-8").splitlines()
+        del content  # parse with only the lines alive, not the bytes or text too
+        parsed = _parse_transfer_csv(lines, len(FILE_COLUMNS[parameter_type]))
+    except (UnicodeDecodeError, StoreError) as exc:
         report.files_malformed.append((str(path), str(exc)))
         return
     transfer_time = datetime.now(timezone.utc).replace(tzinfo=None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -154,6 +155,21 @@ def test_event_detail_and_extraction(workspace, tmp_path, capsys):
     assert extracted.exists()
     # 0.2 s margins around the 1 s sag
     assert len(extracted.read_text().splitlines()) == 1 + int(1.4 * 3200)
+
+
+def test_event_extraction_of_a_damaged_capture_exits_2(workspace, tmp_path, capsys):
+    tree = tmp_path / "transfer"
+    shutil.copytree(workspace / "transfer", tree)
+    (capture,) = (tree / "CLI1" / "Sag").glob("raw_*.pqz")
+    capture.write_bytes(capture.read_bytes()[: capture.stat().st_size // 2])
+    db = str(tmp_path / "pq.db")
+    assert main(["ingest", "--root", str(tree), "--db", db]) == 0
+    out = tmp_path / "out"
+    code = main(["event", "1", "--db", db, "--point", "CLI1", "--raw", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(out.glob("*.csv"))
 
 
 def test_unknown_point_exits_3(workspace, capsys):

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from pqstream.events import (
     HYSTERESIS,
     INTERRUPTION_THRESHOLD,
+    PRE_TRIGGER_SAMPLES,
     SAG_THRESHOLD,
     SWELL_THRESHOLD,
     UNBALANCE_HYSTERESIS,
@@ -27,7 +28,7 @@ from pqstream.events import (
     encode_raw_capture,
     read_raw_capture,
 )
-from pqstream.analyzer import run_pipeline
+from pqstream.analyzer import StreamPipeline, run_pipeline
 from pqstream.siggen import SAMPLE_RATE, generate_stream, parse_script
 
 from conftest import V1_CAPTURE, unit_config, unit_pipeline_config, v1_capture_samples
@@ -440,7 +441,100 @@ def test_capture_buffer_extract_and_trim():
     assert block2.shape == (6, 20)
 
 
+def test_capture_buffer_matches_the_stream_through_growth_and_moves():
+    rng = np.random.default_rng(5)
+    frames = rng.integers(1, 3 * SAMPLE_RATE, size=25)
+    stream = rng.normal(size=(6, frames.sum()))
+    buffer = CaptureBuffer()
+    pos = 0
+    for n in frames:
+        buffer.feed(pos, stream[:3, pos : pos + n], stream[3:, pos : pos + n])
+        pos += n
+        # hold back up to 8 s, as an open event does
+        buffer.trim(pos - int(rng.integers(0, 8 * SAMPLE_RATE)))
+        lo = int(rng.integers(0, pos))
+        start, block = buffer.extract(lo, pos + 5)
+        assert start == max(lo, buffer.first_sample)
+        assert np.array_equal(block, stream[:, start:pos])
+
+
+def test_capture_buffer_trim_never_moves_back_or_past_the_newest_sample():
+    buffer = CaptureBuffer()
+    chunk = np.ones((3, 10))
+    buffer.feed(0, chunk, chunk)
+    buffer.trim(8)
+    buffer.trim(3)
+    assert buffer.first_sample == 8
+    buffer.trim(50)
+    assert buffer.first_sample == buffer.next_sample == 10
+    start, block = buffer.extract(0, 50)
+    assert (start, block.shape) == (10, (6, 0))
+
+
+@pytest.mark.parametrize("order", ["strided", "fortran"])
+def test_raw_capture_of_a_view_equals_that_of_its_copy(order):
+    rng = np.random.default_rng(11)
+    n = SAMPLE_RATE + 123
+    if order == "strided":
+        samples = rng.normal(size=(12, 2 * n))[::2, ::2]
+    else:
+        samples = np.asfortranarray(rng.normal(size=(6, n)))
+    assert not samples.flags.c_contiguous
+    assert encode_raw_capture(4, 640, samples) == encode_raw_capture(
+        4, 640, np.ascontiguousarray(samples)
+    )
+
+
 # -- end-to-end detection through the pipeline --------------------------------
+
+
+def capture_run(script_text, duration, frame_length):
+    """Capture blob of each event of a scripted stream cut into frames of
+    ``frame_length`` samples, and the detector's capture buffer at stream end."""
+    blobs = {}
+
+    def sink(event_type, event_id, blob):
+        blobs[event_id] = blob
+        return f"raw_{event_id}.pqz"
+
+    detector = make_detector(raw_sink=sink)
+    pipeline = StreamPipeline(unit_pipeline_config(), detector=detector)
+    for frame in generate_stream(unit_config(duration), parse_script(script_text), frame_length):
+        pipeline.process_frame(frame)
+    capture = detector.capture
+    pipeline.finish()
+    return blobs, capture
+
+
+def test_capture_blobs_do_not_depend_on_the_frame_length():
+    # a 1000-sample frame straddles RMS windows: the capture must still reach
+    # back a full pre-trigger before each event, as with 640-sample frames
+    script = "sag 1.0 2.4 A 0.6\nswell 3.0 3.6 B 1.2\nsag 3.4 5.0 C 0.7\n"
+    reference, _ = capture_run(script, 8.0, 640)
+    header, _ = decode_raw_capture(reference[1])
+    assert (header["start_time"], header["sample_count"]) == (0.8, 5760)
+    for frame_length in (1000, 3200, 9600):
+        blobs, _ = capture_run(script, 8.0, frame_length)
+        assert blobs == reference, frame_length
+
+
+def test_capture_buffer_falls_back_after_a_long_sag():
+    frame_length = 1000
+    blobs, capture = capture_run("sag 1.0 121.0 A 0.5\n", 124.0, frame_length)
+    header, _ = decode_raw_capture(blobs[1])
+    assert header["sample_count"] == round(120.4 * SAMPLE_RATE)
+    assert capture.next_sample - capture.first_sample <= PRE_TRIGGER_SAMPLES + frame_length
+
+
+def test_closed_detector_holds_no_samples():
+    detector = make_detector(raw_sink=lambda event_type, event_id, blob: "x.pqz")
+    run_pipeline(
+        generate_stream(unit_config(3.0), parse_script("sag 1.0 3.0 A 0.5\n")),
+        unit_pipeline_config(),
+        detector=detector,
+    )
+    assert len(detector.records) == 1
+    assert detector.capture.next_sample - detector.capture.first_sample == 0
 
 
 def test_scripted_sag_exact_extent():

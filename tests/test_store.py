@@ -401,6 +401,19 @@ def test_ingest_malformed_file_reported_and_skipped(written_sag_run, tmp_path):
         assert report.rows_inserted["rms"] == 60
 
 
+def test_ingest_file_that_is_not_utf8_is_malformed_and_the_rest_ingest(written_sag_run, tmp_path):
+    out_root, _, _ = written_sag_run
+    bad = out_root / "MP1" / "rms" / "rms_000.csv"
+    bad.write_bytes(bad.read_bytes() + b"\xff")
+    with StreamDatabase(tmp_path / "pq.db") as db:
+        report = ingest_directory(out_root, db)
+        assert report.files_ingested == 4
+        assert [path for path, _ in report.files_malformed] == [str(bad)]
+        assert "utf-8" in report.files_malformed[0][1]
+        assert "rms" not in report.rows_inserted
+        assert report.rows_inserted["power"] == 12
+
+
 def test_ingest_point_metadata_defaults(tmp_path):
     # a hand-written point.json may omit everything but the id
     root = tmp_path / "tree"
