@@ -9,12 +9,16 @@ that produced them.  Incomplete windows at stream end are discarded and
 tallied, never emitted.
 
 The RMS, power and harmonics kernels take one six-channel block, voltage
-phases first and current phases after; the pipeline passes views of its
-own buffer, so one reduction or projection per window serves both and
-nothing is copied.  Harmonics and the power phasors are projected at the
-exact frequency estimate on 640-sample sub-blocks (:func:`_project`); that
-basis is rebuilt for every window, not cached, because it is cheap and the
-estimate changes in its last bits.
+phases first and current phases after.  The pipeline analyzes its 3 s
+buffer in one step when it is full, and a trailing partial block at
+:meth:`StreamPipeline.finish`: one reduction gives the levels of all 15 RMS
+windows, one their half-cycle RMS values, one each the three seconds'
+levels, P and S, and one stacked product their power phasors.  So records,
+and the detector's samples and updates, leave at each block end and at
+``finish``, not per frame.  Harmonics and the power phasors are projected
+at the exact frequency estimate on 640-sample sub-blocks (:func:`_project`);
+that basis is rebuilt for every window, not cached, because it is cheap and
+the estimate changes in its last bits.
 
 The sampling rate (``SAMPLE_RATE``), the band a frequency estimate must
 fall in (``FREQUENCY_BAND``), the THD floor factor (``THD_FLOOR_FACTOR``)
@@ -142,10 +146,34 @@ def compute_rms(window: np.ndarray, timestamp: float) -> RmsRecord:
 
 
 def half_cycle_rms(window: np.ndarray, block: int) -> np.ndarray:
-    """RMS over consecutive ``block``-sample groups; shape (3, n//block)."""
+    """RMS over consecutive ``block``-sample groups of the last axis; a
+    (..., n) window gives (..., n//block), the last ``n % block`` samples unused."""
     n = window.shape[-1] - window.shape[-1] % block
-    grouped = window[..., :n].reshape(window.shape[0], n // block, block)
+    grouped = window[..., :n].reshape(*window.shape[:-1], n // block, block)
     return np.sqrt(np.mean(np.square(grouped), axis=-1))
+
+
+def _basis(fundamental: float, orders: int) -> np.ndarray:
+    """Real (2 * orders, RMS_WINDOW) basis of one sub-block: the real parts of
+    exp(-2j*pi*h*f*t) for orders h = 1..orders, then their imaginary parts."""
+    base = np.exp(-2j * np.pi * fundamental / SAMPLE_RATE * np.arange(RMS_WINDOW))
+    sub = np.empty((orders, RMS_WINDOW), dtype=np.complex128)
+    sub[0] = base
+    for h in range(1, orders):
+        np.multiply(sub[h - 1], base, out=sub[h])
+    return np.concatenate((sub.real, sub.imag))
+
+
+def _rotate(parts: np.ndarray, fundamental: float, channels: int) -> np.ndarray:
+    """Complex (channels, orders) projections from the (channels * blocks,
+    2 * orders) sub-block products with :func:`_basis`: the twiddle
+    exp(-2j*pi*h*f*RMS_WINDOW*k/fs) moves sub-block k to the window start."""
+    orders = parts.shape[1] // 2
+    blocks = parts.shape[0] // channels
+    step = -2j * np.pi * fundamental / SAMPLE_RATE
+    sums = (parts[:, :orders] + 1j * parts[:, orders:]).reshape(channels, blocks, orders)
+    twiddle = np.exp(step * RMS_WINDOW * np.outer(np.arange(blocks), np.arange(1, orders + 1)))
+    return (2.0 / (blocks * RMS_WINDOW)) * np.einsum("cbh,bh->ch", sums, twiddle)
 
 
 def _project(x: np.ndarray, fundamental: float, orders: int) -> np.ndarray:
@@ -154,24 +182,14 @@ def _project(x: np.ndarray, fundamental: float, orders: int) -> np.ndarray:
     Entry (c, h-1) projects channel c onto order h of ``fundamental``,
     scaled so a sinusoid of amplitude A has magnitude A.  ``n`` must be a
     multiple of ``RMS_WINDOW``: all sub-blocks of that length go through
-    one matrix product, and the twiddle exp(-2j*pi*h*f*RMS_WINDOW*k/fs)
-    moves sub-block k to the window start.
+    one real matrix product with :func:`_basis`, and :func:`_rotate` sums them.
     """
     channels, n = x.shape
     blocks, rest = divmod(n, RMS_WINDOW)
     if rest or not blocks:
         raise ValueError(f"projection length must be a positive multiple of {RMS_WINDOW}")
-    step = -2j * np.pi * fundamental / SAMPLE_RATE
-    base = np.exp(step * np.arange(RMS_WINDOW))
-    sub = np.empty((orders, RMS_WINDOW), dtype=np.complex128)
-    sub[0] = base
-    for h in range(1, orders):
-        np.multiply(sub[h - 1], base, out=sub[h])
-    # the samples are real: one real product on the basis's real and imaginary rows
-    parts = x.reshape(channels * blocks, RMS_WINDOW) @ np.concatenate((sub.real, sub.imag)).T
-    sums = (parts[:, :orders] + 1j * parts[:, orders:]).reshape(channels, blocks, orders)
-    twiddle = np.exp(step * RMS_WINDOW * np.outer(np.arange(blocks), np.arange(1, orders + 1)))
-    return (2.0 / n) * np.einsum("cbh,bh->ch", sums, twiddle)
+    parts = x.reshape(channels * blocks, RMS_WINDOW) @ _basis(fundamental, orders).T
+    return _rotate(parts, fundamental, channels)
 
 
 def harmonic_magnitudes(samples: np.ndarray, fundamental: float) -> np.ndarray:
@@ -237,33 +255,41 @@ def compute_power(window: np.ndarray, fundamental: float, timestamp: float) -> P
     """
     if window.shape[-1] != POWER_WINDOW:
         raise ValueError(f"power window must hold exactly {POWER_WINDOW} samples")
-    levels = rms(window)
-    active = np.mean(window[:3] * window[3:], axis=-1).tolist()
-    apparent = (levels[:3] * levels[3:]).tolist()
-    phasor = _project(window, fundamental, 1)[:, 0]
-    magnitude, angle = np.abs(phasor).tolist(), np.angle(phasor).tolist()
-    p_out, q_out, s_out, pf_out = [], [], [], []
-    for p in range(3):
-        P, S = active[p], apparent[p]
-        if S > 0.0 and magnitude[p] > 0.0 and magnitude[p + 3] > 0.0:
-            phi = _wrap_angle(angle[p] - angle[p + 3])
-            sign = math.copysign(1.0, phi) if phi != 0.0 else 0.0
-        else:
-            sign = 0.0
-        Q = sign * math.sqrt(max(S * S - P * P, 0.0)) + 0.0
-        # P <= S holds mathematically (Cauchy-Schwarz); clamp float rounding.
-        pf = min(1.0, max(-1.0, P / S)) if S > 0.0 else 0.0
-        p_out.append(P)
-        q_out.append(Q)
-        s_out.append(S)
-        pf_out.append(pf)
-    return PowerRecord(
-        timestamp=timestamp,
-        active=tuple(p_out),
-        reactive=tuple(q_out),
-        apparent=tuple(s_out),
-        power_factor=tuple(pf_out),
-    )
+    return _power_records(window, [fundamental], [timestamp])[0]
+
+
+def _power_records(
+    block: np.ndarray, fundamentals: Sequence[float], timestamps: Sequence[float]
+) -> list[PowerRecord]:
+    """:func:`compute_power` of each consecutive second of a (6, m * 3200)
+    block, second s at ``fundamentals[s]``: one reduction per quantity and
+    one stacked projection for all m seconds."""
+    m = len(fundamentals)
+    seconds = block.reshape(6, m, POWER_WINDOW)
+    levels = rms(seconds)
+    active = np.mean(seconds[:3] * seconds[3:], axis=-1).T.tolist()
+    apparent = (levels[:3] * levels[3:]).T.tolist()
+    blocks = POWER_WINDOW // RMS_WINDOW
+    subs = seconds.reshape(6, m, blocks, RMS_WINDOW).transpose(1, 0, 2, 3)
+    bases = np.stack([_basis(f, 1) for f in fundamentals])
+    parts = subs.reshape(m, 6 * blocks, RMS_WINDOW) @ bases.transpose(0, 2, 1)
+    phasors = np.array([_rotate(x, f, 6)[:, 0] for x, f in zip(parts, fundamentals)])
+    magnitudes, angles = np.abs(phasors).tolist(), np.angle(phasors).tolist()
+    records = []
+    for ts, P3, S3, magnitude, angle in zip(timestamps, active, apparent, magnitudes, angles):
+        q_out, pf_out = [], []
+        for p in range(3):
+            P, S = P3[p], S3[p]
+            if S > 0.0 and magnitude[p] > 0.0 and magnitude[p + 3] > 0.0:
+                phi = _wrap_angle(angle[p] - angle[p + 3])
+                sign = math.copysign(1.0, phi) if phi != 0.0 else 0.0
+            else:
+                sign = 0.0
+            q_out.append(sign * math.sqrt(max(S * S - P * P, 0.0)) + 0.0)
+            # P <= S holds mathematically (Cauchy-Schwarz); clamp float rounding.
+            pf_out.append(min(1.0, max(-1.0, P / S)) if S > 0.0 else 0.0)
+        records.append(PowerRecord(ts, tuple(P3), tuple(q_out), tuple(S3), tuple(pf_out)))
+    return records
 
 
 def estimate_frequency(
@@ -373,8 +399,11 @@ class StreamPipeline:
 
     Keeps at most one 3 s raw-sample block plus per-second and half-cycle
     aggregates; raw samples are never retained beyond the harmonics window
-    (the events module owns its own capture buffer).  Feed frames with
-    :meth:`process_frame` and collect records with :meth:`finish`.
+    (the events module owns its own capture buffer).  Frames are copied into
+    the block buffer; the records of a block, and the detector's samples and
+    updates (one RMS window at a time, in order), leave when the block is
+    full, those of a trailing partial block at :meth:`finish`.  Feed frames
+    with :meth:`process_frame` and collect records with :meth:`finish`.
     """
 
     def __init__(self, config: PipelineConfig, detector=None) -> None:
@@ -383,7 +412,6 @@ class StreamPipeline:
         self.result = PipelineResult()
         self._buf = np.empty((6, HARMONIC_WINDOW))  # voltage phases, then current phases
         self._fill = 0               # samples currently in the buffer
-        self._done = 0               # samples already cut into RMS windows
         self._buf_base = 0           # absolute index of buffer start
         self._prev_frequency = config.nominal_frequency
         self._half_block = config.half_cycle_samples
@@ -414,41 +442,62 @@ class StreamPipeline:
             self._buf[3:, self._fill : self._fill + take] = frame.current_samples[:, pos : pos + take]
             self._fill += take
             pos += take
-            if self.detector is not None:
-                self.detector.feed_samples(
-                    self._buf_base + self._fill - take,
-                    frame.voltage_samples[:, pos - take : pos],
-                    frame.current_samples[:, pos - take : pos],
-                )
-            self._drain_windows()
-
-    def _drain_windows(self) -> None:
-        while self._done + RMS_WINDOW <= self._fill:
-            end_local = self._done + RMS_WINDOW
-            end_abs = self._buf_base + end_local
-            ts = end_abs / SAMPLE_RATE
-            win = self._buf[:, self._done : end_local]
-            rec = compute_rms(win, ts)
-            self.result.rms.append(rec)
-            self._append_half_cycles(win[:3], ts)
-            if self.detector is not None:
-                self.detector.update(ts, rec.v_rms)
-            if end_abs % POWER_WINDOW == 0:
-                self._emit_second(end_local, ts)
-            if end_abs % HARMONIC_WINDOW == 0:
-                self._emit_harmonics(ts)
-                self._buf_base = end_abs
+            if self._fill == HARMONIC_WINDOW:
+                self._analyze_block()
+                self._buf_base += HARMONIC_WINDOW
                 self._fill = 0
-                self._done = 0
-                continue
-            self._done = end_local
 
-    def _emit_second(self, end_local: int, ts: float) -> None:
-        win = self._buf[:, end_local - POWER_WINDOW : end_local]
-        freq = estimate_frequency(win[0], previous=self._prev_frequency, timestamp=ts)
-        self._prev_frequency = freq.frequency
-        self.result.frequency.append(freq)
-        self.result.power.append(compute_power(win, freq.frequency, ts))
+    def _analyze_block(self) -> None:
+        """Records of every full window in the buffer, a full block or the
+        partial one at :meth:`finish`; the detector gets each RMS window's
+        samples and then its triple."""
+        windows = self._fill // RMS_WINDOW
+        seconds = self._fill // POWER_WINDOW
+        base = self._buf_base
+        block = self._buf[:, : windows * RMS_WINDOW].reshape(6, windows, RMS_WINDOW)
+        stamps = [(base + RMS_WINDOW * k) / SAMPLE_RATE for k in range(1, windows + 1)]
+        levels = rms(block).T.tolist()
+        records = [RmsRecord(ts, tuple(v[:3]), tuple(v[3:])) for ts, v in zip(stamps, levels)]
+        self.result.rms.extend(records)
+        if self.detector is not None:
+            # each window's samples just before its update, so the capture
+            # buffer holds no more than with one frame per window
+            for k, rec in enumerate(records):
+                self._feed_detector(k * RMS_WINDOW, (k + 1) * RMS_WINDOW)
+                self.detector.update(rec.timestamp, rec.v_rms)
+
+        # grouped per RMS window, so a half-cycle never spans two windows
+        hc = half_cycle_rms(block[:3], self._half_block).reshape(3, -1)
+        self._pst_series[:, self._pst_fill : self._pst_fill + hc.shape[1]] = hc
+        self._pst_fill += hc.shape[1]
+        # Pst deadlines are whole blocks apart, so they fall on a block end
+        if stamps[-1] >= self._pst_deadline:
+            rec = compute_pst(self._pst_series[:, : self._pst_fill], self._pst_deadline)
+            self.result.flicker_pst.append(rec)
+            self._pst_fill = 0
+            self._pst_deadline += PST_INTERVAL_S
+            self._collect_plt(rec)
+
+        for end in range(POWER_WINDOW, seconds * POWER_WINDOW + 1, POWER_WINDOW):
+            freq = estimate_frequency(
+                self._buf[0, end - POWER_WINDOW : end],
+                previous=self._prev_frequency,
+                timestamp=(base + end) / SAMPLE_RATE,
+            )
+            self._prev_frequency = freq.frequency
+            self.result.frequency.append(freq)
+        if seconds:
+            freqs = self.result.frequency[-seconds:]
+            self.result.power.extend(_power_records(
+                self._buf[:, : seconds * POWER_WINDOW],
+                [f.frequency for f in freqs],
+                [f.timestamp for f in freqs],
+            ))
+        if self._fill == HARMONIC_WINDOW:
+            self._emit_harmonics(stamps[-1])
+
+    def _feed_detector(self, lo: int, hi: int) -> None:
+        self.detector.feed_samples(self._buf_base + lo, self._buf[:3, lo:hi], self._buf[3:, lo:hi])
 
     def _emit_harmonics(self, ts: float) -> None:
         rec = compute_harmonics(
@@ -473,18 +522,6 @@ class StreamPipeline:
         # keep the boundary record: the next window interpolates from it
         self._fundamentals = self._fundamentals[-1:]
 
-    def _append_half_cycles(self, v_win: np.ndarray, ts: float) -> None:
-        hc = half_cycle_rms(v_win, self._half_block)
-        k = hc.shape[1]
-        self._pst_series[:, self._pst_fill : self._pst_fill + k] = hc
-        self._pst_fill += k
-        if ts >= self._pst_deadline:
-            rec = compute_pst(self._pst_series[:, : self._pst_fill], self._pst_deadline)
-            self.result.flicker_pst.append(rec)
-            self._pst_fill = 0
-            self._pst_deadline += PST_INTERVAL_S
-            self._collect_plt(rec)
-
     def _collect_plt(self, rec: FlickerPstRecord) -> None:
         self._pst_window.append(rec)
         if len(self._pst_window) < PLT_PST_COUNT:
@@ -504,15 +541,20 @@ class StreamPipeline:
         if self._finished:
             return self.result
         self._finished = True
+        if self._fill >= RMS_WINDOW:
+            self._analyze_block()
         diag = self.result.diagnostics
-        leftover = self._fill - self._done
-        if leftover:
-            diag.bump("rms_samples_discarded", leftover)
         end_abs = self._buf_base + self._fill
+        if end_abs % RMS_WINDOW:
+            diag.bump("rms_samples_discarded", end_abs % RMS_WINDOW)
         if end_abs % POWER_WINDOW:
             diag.bump("power_samples_discarded", end_abs % POWER_WINDOW)
         if end_abs % HARMONIC_WINDOW:
             diag.bump("harmonic_samples_discarded", end_abs % HARMONIC_WINDOW)
+        # each RMS window's samples after its last whole half-cycle never reach Pst
+        skipped = end_abs // RMS_WINDOW * (RMS_WINDOW % self._half_block)
+        if skipped:
+            diag.bump("half_cycle_samples_skipped", skipped)
         if self._pst_fill:
             diag.bump("pst_half_cycles_discarded", self._pst_fill)
         if self._pst_window:
@@ -522,6 +564,7 @@ class StreamPipeline:
             if last_ts > self._demand_deadline - DEMAND_INTERVAL_S:
                 diag.bump("demand_windows_discarded")
         if self.detector is not None:
+            self._feed_detector(self._fill - self._fill % RMS_WINDOW, self._fill)
             self.detector.close(end_abs / SAMPLE_RATE)
             self.result.events = list(self.detector.records)
         return self.result

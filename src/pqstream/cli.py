@@ -138,6 +138,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"analyzed {voltage.shape[1]} samples from {in_dir}")
     counts = " ".join(f"{name}={len(getattr(result, name))}" for name in PARAMETERS)
     print(f"records: {counts} events={len(result.events)}")
+    discarded = result.diagnostics.discarded
+    print("discarded: " + (" ".join(f"{k}={v}" for k, v in discarded.items()) or "none"))
+    print(f"capture write errors: {sum(e.raw_write_error for e in result.events)}")
     for path in written:
         print(f"wrote {path}")
     return 0

@@ -13,8 +13,11 @@ is active so a one-phase dip is not double reported as unbalance.
 Each finalized event yields a record plus a compressed raw capture of all
 six channels spanning the event with a pre and post trigger margin.  Raw
 samples are kept from the RMS window last judged (or an open event's start,
-if earlier) minus the pre-trigger.  A
-capture is a ``.pqz`` blob, version 2: one zlib level-1 stream holding a
+if earlier) minus the pre-trigger.  The analyzer judges RMS windows at
+each 3 s block end and hands over each window's samples just before its
+triple, so with no event open the capture buffer holds at most the
+pre-trigger plus one RMS window, well under one block plus the
+pre-trigger.  A capture is a ``.pqz`` blob, version 2: one zlib level-1 stream holding a
 40-byte header, then the samples in one-second blocks, each channel of a
 block stored as the eight byte planes of its float64 samples (the shuffle
 filter of HDF5 and Blosc), which compresses better and about ten times

@@ -266,20 +266,33 @@ def _value_fields(record_type: type) -> tuple[str, ...]:
     return tuple(f.name for f in fields(record_type) if f.name != "timestamp")
 
 
-def _flatten_into(row: list, values) -> None:
-    for value in values:
-        if isinstance(value, tuple):
-            _flatten_into(row, value)
-        else:
-            row.append(value)
-
-
 def _record_row(record) -> list:
     """CSV row of one analyzer record: its fields after ``timestamp`` in
-    declaration order, nested tuples flattened."""
+    declaration order, tuples and tuples of tuples flattened."""
     row: list = []
-    _flatten_into(row, [getattr(record, name) for name in _value_fields(type(record))])
+    for name in _value_fields(type(record)):
+        value = getattr(record, name)
+        if type(value) is not tuple:
+            row.append(value)
+        elif value and type(value[0]) is tuple:
+            for part in value:
+                row.extend(part)
+        else:
+            row.extend(value)
     return row
+
+
+@cache
+def _float_row_format(cells: int) -> str:
+    return ",".join(["%.17g"] * cells)
+
+
+def _csv_line(row: list) -> str:
+    """``",".join(format_value(v) for v in row)``, in one format call when
+    every cell is a float ("%.17g" would print a large int in exponent form)."""
+    if set(map(type, row)) == {float}:
+        return _float_row_format(len(row)) % tuple(row)
+    return ",".join(format_value(v) for v in row)
 
 
 class TransferFileWriter:
@@ -327,7 +340,7 @@ class TransferFileWriter:
         directory.mkdir(exist_ok=True)
         path = directory / f"{parameter_type}_{file_seq:03d}.csv"
         lines = [f"# columns: {','.join(FILE_COLUMNS[parameter_type])}"]
-        lines.extend(",".join(format_value(v) for v in row) for row in rows)
+        lines.extend(map(_csv_line, rows))
         lines.append(f"#last_sample={last_sample.isoformat(timespec=ISO_TIMESPEC)}")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return path

@@ -14,6 +14,7 @@ from pqstream.analyzer import (
     PLT_PST_COUNT,
     POWER_WINDOW,
     RMS_WINDOW,
+    THD_FLOOR_FACTOR,
     PipelineConfig,
     StreamGapError,
     StreamPipeline,
@@ -31,6 +32,7 @@ from pqstream.analyzer import (
     rms,
     run_pipeline,
 )
+from pqstream.events import EventDetector, EventThresholds
 from pqstream.siggen import SAMPLE_RATE, SignalConfig, WaveformFrame, generate_stream, parse_script
 
 from conftest import gather, unit_config, unit_pipeline_config
@@ -512,3 +514,130 @@ def test_half_cycle_rms_shape_and_value():
 def test_pipeline_config_validation():
     with pytest.raises(ValueError):
         PipelineConfig(nominal_frequency=-1.0)
+
+
+# -- the 3 s block step against the per-window computation -----------------------
+
+
+def frames_of(voltage, current, length):
+    for start in range(0, voltage.shape[1], length):
+        end = start + length
+        yield WaveformFrame(start, voltage[:, start:end], current[:, start:end])
+
+
+def capturing_detector():
+    """Detector whose sink keeps each capture blob by event id."""
+    blobs = {}
+
+    def sink(event_type, event_id, blob):
+        blobs[event_id] = blob
+        return f"raw_{event_id}.pqz"
+
+    return EventDetector(EventThresholds(nominal_voltage_rms=1.0), raw_sink=sink), blobs
+
+
+def per_window_reference(voltage, current, config):
+    """Records, events and capture blobs of a stream computed one window at a
+    time with the public kernels, the detector fed and updated once per RMS
+    window: the pipeline's results before it analyzed whole 3 s blocks."""
+    block = np.vstack((voltage, current))
+    n = block.shape[1]
+    detector, blobs = capturing_detector()
+    rms_records = []
+    for end in range(RMS_WINDOW, n + 1, RMS_WINDOW):
+        window = block[:, end - RMS_WINDOW : end]
+        detector.feed_samples(end - RMS_WINDOW, window[:3], window[3:])
+        rms_records.append(compute_rms(window, end / SAMPLE_RATE))
+        detector.update(rms_records[-1].timestamp, rms_records[-1].v_rms)
+    if n % RMS_WINDOW:
+        detector.feed_samples(n - n % RMS_WINDOW, voltage[:, n - n % RMS_WINDOW :],
+                              current[:, n - n % RMS_WINDOW :])
+    detector.close(n / SAMPLE_RATE)
+    frequency, power, previous = [], [], config.nominal_frequency
+    for end in range(POWER_WINDOW, n + 1, POWER_WINDOW):
+        window = block[:, end - POWER_WINDOW : end]
+        frequency.append(estimate_frequency(window[0], previous, end / SAMPLE_RATE))
+        previous = frequency[-1].frequency
+        power.append(compute_power(window, previous, end / SAMPLE_RATE))
+    harmonics = [
+        compute_harmonics(
+            block[:, end - HARMONIC_WINDOW : end],
+            frequency[end // POWER_WINDOW - 1].frequency,
+            end / SAMPLE_RATE,
+            v_floor=THD_FLOOR_FACTOR * config.nominal_voltage_rms,
+            i_floor=THD_FLOOR_FACTOR * config.nominal_current_rms,
+        )
+        for end in range(HARMONIC_WINDOW, n + 1, HARMONIC_WINDOW)
+    ]
+    records = {"rms": rms_records, "power": power, "frequency": frequency, "harmonics": harmonics}
+    return records, detector.records, blobs
+
+
+@pytest.fixture(scope="module")
+def scripted_61s():
+    config = unit_config(61.3, current_lag_deg=25.0)
+    script = parse_script(
+        "harmonic 0 61.3 ABC 0.03 5\nsag 10.0 12.4 A 0.6\nswell 59.0 61.3 B 1.2\n"
+    )
+    voltage, current = gather(config, script)
+    return voltage, current, per_window_reference(voltage, current, unit_pipeline_config())
+
+
+@pytest.mark.parametrize("frame_length", [640, 1000, 9600, 10007])
+def test_block_step_matches_per_window_records(scripted_61s, frame_length):
+    voltage, current, (records, events, blobs) = scripted_61s
+    detector, got_blobs = capturing_detector()
+    result = run_pipeline(
+        frames_of(voltage, current, frame_length), unit_pipeline_config(), detector=detector
+    )
+    for name, expected in records.items():
+        assert getattr(result, name) == expected, name
+    assert result.demand == result.flicker_pst == result.flicker_plt == []
+    assert [e.event_type for e in events] == ["sag", "swell"]
+    assert result.events == events
+    assert got_blobs == blobs
+    assert result.diagnostics.discarded == {
+        "rms_samples_discarded": 320,
+        "power_samples_discarded": 960,
+        "harmonic_samples_discarded": 4160,
+        "pst_half_cycles_discarded": 306 * 20,
+        "demand_windows_discarded": 1,
+    }
+
+
+def test_stream_shorter_than_a_block_emits_its_windows():
+    config = unit_config(2.5, current_lag_deg=10.0)
+    voltage, current = gather(config)
+    records, _, _ = per_window_reference(voltage, current, unit_pipeline_config())
+    result = run_pipeline(frames_of(voltage, current, 1000), unit_pipeline_config())
+    assert (len(result.rms), len(result.power), len(result.frequency)) == (12, 2, 2)
+    for name, expected in records.items():
+        assert getattr(result, name) == expected, name
+    assert result.diagnostics.discarded == {
+        "rms_samples_discarded": 320,
+        "power_samples_discarded": 1600,
+        "harmonic_samples_discarded": 8000,
+        "pst_half_cycles_discarded": 12 * 20,
+    }
+
+
+def test_sixty_hertz_pst_groups_half_cycles_per_rms_window():
+    # 27-sample half-cycles do not tile a 640-sample window: each window
+    # yields 23 of them and skips its last 19 samples
+    config = unit_config(1201.3, nominal_frequency=60.0, jitter_pu=0.01, seed=3)
+    voltage, current = gather(config, parse_script("flicker_modulation 0 1201.3 ABC 0.02 8.8\n"))
+    result = run_pipeline(
+        frames_of(voltage, current, 1000), unit_pipeline_config(nominal_frequency=60.0)
+    )
+    per_window = [
+        half_cycle_rms(voltage[:, end - RMS_WINDOW : end], 27)
+        for end in range(RMS_WINDOW, voltage.shape[1] + 1, RMS_WINDOW)
+    ]
+    windows = round(600.0 * SAMPLE_RATE / RMS_WINDOW)
+    expected = [
+        compute_pst(np.hstack(per_window[k * windows : (k + 1) * windows]), 600.0 * (k + 1))
+        for k in range(2)
+    ]
+    assert result.flicker_pst == expected
+    assert result.diagnostics.discarded["half_cycle_samples_skipped"] == len(per_window) * 19
+    assert result.diagnostics.discarded["pst_half_cycles_discarded"] == 6 * 23

@@ -59,6 +59,22 @@ def test_analyze_writes_transfer_tree(workspace):
     assert list((point_dir / "Sag").glob("raw_*.pqz"))
 
 
+def test_analyze_reports_discards_and_capture_write_errors(workspace, tmp_path, capsys):
+    # a file where the Sag directory belongs makes the capture write fail
+    (tmp_path / "CLI1").mkdir()
+    (tmp_path / "CLI1" / "Sag").write_text("not a directory")
+    capsys.readouterr()
+    assert main(["analyze", "--in", str(workspace / "stream"), "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert (
+        "discarded: harmonic_samples_discarded=6400 pst_half_cycles_discarded=800"
+        " demand_windows_discarded=1\n"
+    ) in out
+    assert "capture write errors: 1\n" in out
+    event_log = (tmp_path / "CLI1" / "event" / "event_000.csv").read_text().splitlines()
+    assert event_log[1].split(",")[1] == "sag" and event_log[1].endswith(",")
+
+
 def test_ingest_summary_output(workspace, capsys):
     # a second ingest run of the same tree must change nothing
     assert main([

@@ -10,6 +10,7 @@ from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pqstream.analyzer import (
     HARMONIC_ORDERS,
@@ -188,6 +189,25 @@ def test_format_value_round_trip():
 
 
 # -- transfer file writer -----------------------------------------------------
+
+
+CELLS = st.one_of(
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.integers(min_value=10**17, max_value=10**30),
+)
+
+
+@given(rows=st.lists(st.one_of(st.lists(st.floats(), max_size=12), st.lists(CELLS, max_size=12))))
+@example(rows=[[-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.1]])
+@example(rows=[[1.5, None, True, 10**20], [1.5, 2.5]])
+@settings(max_examples=200)
+def test_csv_lines_equal_the_per_cell_format(tmp_path_factory, rows):
+    writer = TransferFileWriter(tmp_path_factory.mktemp("csv"), make_point(), BASE_TIME)
+    path = writer._write_csv("rms", rows, BASE_TIME, 0)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines[1:-2] == [",".join(format_value(v) for v in row) for row in rows]
 
 
 def test_writer_tree_layout(written_sag_run):
