@@ -124,8 +124,10 @@ class PipelineConfig:
     nominal_current_rms: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.nominal_frequency <= 0:
-            raise ValueError("nominal_frequency must be positive")
+        if not FREQUENCY_BAND[0] <= self.nominal_frequency <= FREQUENCY_BAND[1]:
+            raise ValueError(f"nominal_frequency must lie in {FREQUENCY_BAND} Hz")
+        if not (self.nominal_voltage_rms > 0 and self.nominal_current_rms > 0):
+            raise ValueError("nominal RMS levels must be positive")
 
     @property
     def half_cycle_samples(self) -> int:

@@ -22,6 +22,7 @@ from .analyzer import PipelineConfig, run_pipeline
 from .charts import ChartError, ChartSpec, format_text_table, render_chart
 from .events import EventDetector, EventThresholds
 from .query import (
+    DEFAULT_AGGREGATES,
     NotFoundError,
     QueryError,
     QuerySpec,
@@ -107,17 +108,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     in_dir = Path(args.in_dir)
     meta = _load_gen_config(in_dir / META_FILE)
+    signal = _signal_config(meta)
+    nominal_v = signal.nominal_voltage_rms if args.nominal_v is None else args.nominal_v
+    config = PipelineConfig(
+        nominal_frequency=signal.nominal_frequency,
+        nominal_voltage_rms=nominal_v,
+        nominal_current_rms=signal.nominal_current_rms,
+    )
     voltage = np.load(in_dir / VOLTAGE_FILE)
     current = np.load(in_dir / CURRENT_FILE)
-    nominal_v = args.nominal_v if args.nominal_v is not None else float(
-        meta.get("nominal_voltage_rms", 230.0)
-    )
-    nominal_i = float(meta.get("nominal_current_rms", 10.0))
-    config = PipelineConfig(
-        nominal_frequency=float(meta.get("nominal_frequency", 50.0)),
-        nominal_voltage_rms=nominal_v,
-        nominal_current_rms=nominal_i,
-    )
     point = MeasurementPoint.from_dict({"id": "MP1", **meta.get("point", {})})
     base_time = datetime.fromisoformat(meta.get("base_time", DEFAULT_BASE_TIME))
     writer = TransferFileWriter(args.out, point, base_time)
@@ -183,7 +182,9 @@ def cmd_query_events(args: argparse.Namespace) -> int:
         key, value = item.split("=", 1)
         filters.append((key, value))
     group_by = tuple(k for k in (args.group_by or "").split(",") if k)
-    spec = QuerySpec(filters=tuple(filters), group_by=group_by)
+    # a pie draws one measure: the event total
+    aggregates = (("sum", "event_count"),) if args.chart == "pie" else DEFAULT_AGGREGATES
+    spec = QuerySpec(filters=tuple(filters), group_by=group_by, aggregates=aggregates)
     with StreamDatabase(args.db, readonly=True) as db:
         table = aggregate_events(db, spec)
     _render_or_print(table, args, "Event counts")

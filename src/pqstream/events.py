@@ -1,14 +1,17 @@
 """Voltage event detection with hysteresis and raw-sample capture.
 
-Four per-type state machines run over the 0.2 s RMS cadence: sag (any
-phase below 0.85 pu), swell (any phase above 1.10 pu), interruption (all
-phases below 0.05 pu) and amplitude unbalance (above 0.02).  Exits require
-clearing the threshold by a hysteresis margin on every phase (0.02 pu, or
-0.005 for unbalance), so a trace chattering inside the band produces
-exactly one event.  While an interruption is active, sag transitions are
-suppressed (an interruption entry absorbs an already-open sag without
-emitting it), and unbalance entries are deferred while any amplitude event
-is active so a one-phase dip is not double reported as unbalance.
+Four per-type state machines run over the 0.2 s RMS cadence.  As in IEC
+61000-4-30 (5.4, 5.5), each amplitude machine judges a triple by one
+channel, its lowest per-unit phase ``low`` or its highest ``high``: sag
+(``low < 0.85``), swell (``high > 1.10``) and interruption (``high <
+0.05``).  Amplitude unbalance enters above a factor of 0.02.  Exits require
+clearing the threshold by a hysteresis margin (0.02 pu, or 0.005 for
+unbalance), so a trace chattering inside the band produces exactly one
+event.  The sag machine is not consulted while an interruption is open, nor
+on the point that closes it (an interruption entry absorbs an already-open
+sag without emitting it), and unbalance entries are deferred while any
+amplitude event is open so a one-phase dip is not double reported as
+unbalance.  A triple holding NaN or an infinity is refused.
 
 Each finalized event yields a record plus a compressed raw capture of all
 six channels spanning the event with a pre and post trigger margin.  Raw
@@ -34,6 +37,7 @@ voltage they are relative to is set per measurement point.
 from __future__ import annotations
 
 import io
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -293,7 +297,6 @@ class CaptureBuffer:
 
 @dataclass
 class _ActiveEvent:
-    event_type: str
     start_time: float
     start_sample: int
 
@@ -340,94 +343,76 @@ class EventDetector:
     # -- state machine ------------------------------------------------------
 
     def update(self, timestamp: float, v_rms) -> None:
-        """Advance every machine with one RMS triple (tuple or array)."""
+        """Advance every machine with one RMS triple (tuple or array).
+
+        With ``low`` and ``high`` the triple's lowest and highest per-unit
+        phase: an interruption enters at ``high < 0.05`` and exits at
+        ``high >= 0.07``; a sag enters at ``low < 0.85`` and exits at ``low
+        >= 0.87``; a swell enters at ``high > 1.10`` and exits at ``high <=
+        1.08``; unbalance enters at a factor above 0.02 and exits at or
+        below 0.015.  A triple holding NaN or an infinity raises
+        ``ValueError`` before any state changes.
+        """
         if self._last_timestamp is not None and timestamp <= self._last_timestamp:
             raise ValueError(
                 f"RMS timestamps must increase strictly: {timestamp} after "
                 f"{self._last_timestamp}"
             )
+        values = [float(x) for x in v_rms]
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"RMS triple must be finite, got {values}")
+        factor = compute_unbalance(values)
         self._last_timestamp = timestamp
         nominal = self.thresholds.nominal_voltage_rms
-        a, b, c = (float(x) / nominal for x in v_rms)
+        low, high = min(values) / nominal, max(values) / nominal
+        # events start, and end, where the window that shows the change starts
+        edge = timestamp - RMS_INTERVAL_S
+        active = self._active
 
-        # Interruption first: it governs sag behaviour at this point.  Sag
-        # transitions stay suppressed through the interruption's exit window
-        # too, so a staircase recovery that lingers in the sag band for one
-        # point does not spawn a spurious sag on the way back up.
-        inter_was_active = self._active["interruption"] is not None
-        if not inter_was_active:
-            low = INTERRUPTION_THRESHOLD
-            if a < low and b < low and c < low:
-                if self._active["sag"] is not None:
-                    # The collapse already tripped the sag machine on the way
-                    # down; the interruption absorbs it without a record.
-                    self._active["sag"] = None
-                self._enter("interruption", timestamp)
-        else:
-            clear = INTERRUPTION_THRESHOLD + HYSTERESIS
-            if a >= clear or b >= clear or c >= clear:
-                self._exit("interruption", timestamp)
+        # Interruption first: it governs the sag machine at this point.  Sag
+        # stays unconsulted through the interruption's exit window too, so a
+        # staircase recovery that lingers in the sag band for one point does
+        # not spawn a spurious sag on the way back up.
+        if active["interruption"] is not None:
+            if high >= INTERRUPTION_THRESHOLD + HYSTERESIS:
+                self._exit("interruption", edge)
+        elif high < INTERRUPTION_THRESHOLD:
+            # a sag the collapse opened on the way down is absorbed without
+            # a record
+            active["sag"] = None
+            self._enter("interruption", edge)
+        elif active["sag"] is None:
+            if low < SAG_THRESHOLD:
+                self._enter("sag", edge)
+        elif low >= SAG_THRESHOLD + HYSTERESIS:
+            self._exit("sag", edge)
 
-        if self._active["interruption"] is None and not inter_was_active:
-            if self._active["sag"] is None:
-                low = SAG_THRESHOLD
-                if a < low or b < low or c < low:
-                    self._enter("sag", timestamp)
-            else:
-                clear = SAG_THRESHOLD + HYSTERESIS
-                if a >= clear and b >= clear and c >= clear:
-                    self._exit("sag", timestamp)
+        if active["swell"] is None:
+            if high > SWELL_THRESHOLD:
+                self._enter("swell", edge)
+        elif high <= SWELL_THRESHOLD - HYSTERESIS:
+            self._exit("swell", edge)
 
-        if self._active["swell"] is None:
-            high = SWELL_THRESHOLD
-            if a > high or b > high or c > high:
-                self._enter("swell", timestamp)
-        else:
-            clear = SWELL_THRESHOLD - HYSTERESIS
-            if a <= clear and b <= clear and c <= clear:
-                self._exit("swell", timestamp)
-
-        factor = compute_unbalance(v_rms)
-        if self._active["unbalance"] is None:
-            amplitude_event_active = any(
-                self._active[t] is not None for t in ("sag", "swell", "interruption")
-            )
+        if active["unbalance"] is None:
             if (
                 factor is not None
                 and factor > UNBALANCE_THRESHOLD
-                and not amplitude_event_active
+                and all(active[t] is None for t in ("sag", "swell", "interruption"))
             ):
-                self._enter("unbalance", timestamp)
+                self._enter("unbalance", edge)
         elif factor is not None and factor <= UNBALANCE_THRESHOLD - UNBALANCE_HYSTERESIS:
-            self._exit("unbalance", timestamp)
+            self._exit("unbalance", edge)
 
         self._trim_capture(timestamp)
 
-    def _enter(self, event_type: str, timestamp: float) -> None:
-        start_time = timestamp - RMS_INTERVAL_S
-        self._active[event_type] = _ActiveEvent(
-            event_type=event_type,
-            start_time=start_time,
-            start_sample=round(start_time * SAMPLE_RATE),
-        )
+    def _enter(self, event_type: str, start_time: float) -> None:
+        self._active[event_type] = _ActiveEvent(start_time, round(start_time * SAMPLE_RATE))
 
-    def _exit(self, event_type: str, timestamp: float) -> None:
+    def _exit(self, event_type: str, end_time: float) -> None:
+        """End the open ``event_type`` event at ``end_time`` and record it."""
         active = self._active[event_type]
-        assert active is not None
         self._active[event_type] = None
-        self._finalize(active, timestamp - RMS_INTERVAL_S)
-
-    def _trim_capture(self, timestamp: float) -> None:
-        # an event the next window opens starts where this window ends
-        keep_from = round(timestamp * SAMPLE_RATE) - PRE_TRIGGER_SAMPLES
-        for active in self._active.values():
-            if active is not None:
-                keep_from = min(keep_from, active.start_sample - PRE_TRIGGER_SAMPLES)
-        self.capture.trim(max(keep_from, 0))
-
-    def _finalize(self, active: _ActiveEvent, end_time: float) -> None:
         end_sample = round(end_time * SAMPLE_RATE)
-        size = end_sample - active.start_sample
         event_id = self._next_event_id
         self._next_event_id += 1
         path: str | None = None
@@ -438,30 +423,36 @@ class EventDetector:
             )
             blob = encode_raw_capture(event_id, first, samples)
             try:
-                path = self.raw_sink(active.event_type, event_id, blob)
+                path = self.raw_sink(event_type, event_id, blob)
             except OSError:
                 failed = True
         self.records.append(
             EventRecord(
                 event_id=event_id,
                 measurement_point_id=self.measurement_point_id,
-                event_type=active.event_type,
+                event_type=event_type,
                 start_time=active.start_time,
                 end_time=end_time,
-                size_in_samples=size,
+                size_in_samples=end_sample - active.start_sample,
                 file_path=path,
                 raw_write_error=failed,
             )
         )
+
+    def _trim_capture(self, timestamp: float) -> None:
+        # an event the next window opens starts where this window ends
+        keep_from = round(timestamp * SAMPLE_RATE) - PRE_TRIGGER_SAMPLES
+        for active in self._active.values():
+            if active is not None:
+                keep_from = min(keep_from, active.start_sample - PRE_TRIGGER_SAMPLES)
+        self.capture.trim(max(keep_from, 0))
 
     def close(self, end_timestamp: float | None = None) -> None:
         """Finalize events still open at stream end at the last known time,
         and let go of the raw samples, which no later event can use."""
         if end_timestamp is None:
             end_timestamp = self._last_timestamp if self._last_timestamp is not None else 0.0
-        for event_type in EVENT_TYPES:
-            active = self._active[event_type]
+        for event_type, active in self._active.items():
             if active is not None:
-                self._active[event_type] = None
-                self._finalize(active, end_timestamp)
+                self._exit(event_type, end_timestamp)
         self.capture = CaptureBuffer()

@@ -53,11 +53,10 @@ class NotFoundError(LookupError):
 
 @dataclass(frozen=True)
 class ResultTable:
-    """Columns, rows and a provenance note describing what produced them."""
+    """Columns and rows of a query result."""
 
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
-    provenance: str = ""
 
     def __post_init__(self) -> None:
         for row in self.rows:
@@ -141,11 +140,7 @@ def timeseries(
         ):
             out.append((first + data[0] * step, *data[1:]))
     out.sort(key=lambda r: r[0])
-    return ResultTable(
-        columns=("timestamp", *columns),
-        rows=tuple(out),
-        provenance=f"timeseries point={point_id} parameter={parameter_type}",
-    )
+    return ResultTable(columns=("timestamp", *columns), rows=tuple(out))
 
 
 def aggregate_events(db: StreamDatabase, spec: QuerySpec = QuerySpec()) -> ResultTable:
@@ -176,12 +171,7 @@ def aggregate_events(db: StreamDatabase, spec: QuerySpec = QuerySpec()) -> Resul
     rows = [tuple(row) for row in db.conn.execute(sql, params)]
     if not spec.group_by and rows == [tuple([None] * len(spec.aggregates))]:
         rows = []  # SQL aggregates over zero rows; report an empty table instead
-    return ResultTable(
-        columns=tuple(headers),
-        rows=tuple(rows),
-        provenance="aggregate_events "
-        + (f"group_by={','.join(spec.group_by)}" if spec.group_by else "ungrouped"),
-    )
+    return ResultTable(columns=tuple(headers), rows=tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqstream.analyzer import (
+    FREQUENCY_BAND,
     HARMONIC_ORDERS,
     HARMONIC_WINDOW,
     PLT_PST_COUNT,
@@ -512,8 +513,18 @@ def test_half_cycle_rms_shape_and_value():
 
 
 def test_pipeline_config_validation():
-    with pytest.raises(ValueError):
-        PipelineConfig(nominal_frequency=-1.0)
+    for refused in (
+        {"nominal_frequency": -1.0},
+        {"nominal_frequency": 2.0},  # no half-cycle fits in an RMS window
+        {"nominal_frequency": 1e6},  # a half-cycle rounds to no sample
+        {"nominal_frequency": math.nan},
+        {"nominal_voltage_rms": 0.0},
+        {"nominal_current_rms": -10.0},  # a negative THD floor
+    ):
+        with pytest.raises(ValueError):
+            PipelineConfig(**refused)
+    PipelineConfig(nominal_frequency=FREQUENCY_BAND[0])
+    PipelineConfig(nominal_frequency=FREQUENCY_BAND[1])
 
 
 # -- the 3 s block step against the per-window computation -----------------------

@@ -75,6 +75,28 @@ def test_analyze_reports_discards_and_capture_write_errors(workspace, tmp_path, 
     assert event_log[1].split(",")[1] == "sag" and event_log[1].endswith(",")
 
 
+def test_analyze_nominal_v_overrides_the_stream_nominal(tmp_path, capsys):
+    # a clean 230 V stream judged against 200 V is one swell, 1.15 pu throughout
+    (tmp_path / "config.json").write_text(json.dumps({"duration": 4.0}))
+    assert main(["gen", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "s")]) == 0
+    assert main([
+        "analyze", "--in", str(tmp_path / "s"), "--out", str(tmp_path / "t"), "--nominal-v", "200",
+    ]) == 0
+    rows = (tmp_path / "t" / "MP1" / "event" / "event_000.csv").read_text().splitlines()[1:-1]
+    assert rows == [
+        "1,swell,2000-01-01T00:00:00.000000,2000-01-01T00:00:04.000000,12800,Swell/raw_1.pqz"
+    ]
+
+
+def test_analyze_refuses_a_nominal_frequency_it_cannot_measure(tmp_path, capsys):
+    # at 1 MHz a half-cycle rounds to no sample at all
+    (tmp_path / "meta.json").write_text(json.dumps({"nominal_frequency": 1e6}))
+    np.save(tmp_path / "voltage.npy", np.zeros((3, 3200)))
+    np.save(tmp_path / "current.npy", np.zeros((3, 3200)))
+    assert main(["analyze", "--in", str(tmp_path), "--out", str(tmp_path / "t")]) == 2
+    assert capsys.readouterr().err.startswith("error: nominal_frequency")
+
+
 def test_ingest_summary_output(workspace, capsys):
     # a second ingest run of the same tree must change nothing
     assert main([
@@ -125,6 +147,32 @@ def test_query_events_filter_and_chart(workspace, tmp_path, capsys):
     ]) == 0
     assert chart.exists()
     assert 'class="bar"' in chart.read_text()
+
+
+def test_query_events_pie_draws_one_slice_per_group(workspace, tmp_path, capsys):
+    # a second point under another load type, in a copy of the database
+    config = {
+        "nominal_voltage_rms": 1.0,
+        "nominal_current_rms": 1.0,
+        "duration": 4.0,
+        "point": {"id": "CLI2", "name": "second point", "load_type": "Heavy Industry"},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    (tmp_path / "dist.txt").write_text("swell 1.0 2.0 B 1.2\n")
+    db = tmp_path / "pq.db"
+    shutil.copy(workspace / "pq.db", db)
+    assert main([
+        "gen", "--config", str(tmp_path / "config.json"),
+        "--script", str(tmp_path / "dist.txt"), "--out", str(tmp_path / "stream"),
+    ]) == 0
+    assert main(["analyze", "--in", str(tmp_path / "stream"), "--out", str(tmp_path / "tree")]) == 0
+    assert main(["ingest", "--root", str(tmp_path / "tree"), "--db", str(db)]) == 0
+    chart = tmp_path / "events.svg"
+    assert main([
+        "query", "events", "--db", str(db), "--group-by", "load_type",
+        "--chart", "pie", "--out", str(chart),
+    ]) == 0
+    assert chart.read_text().count('class="slice"') == 2
 
 
 def test_query_series_with_range(workspace, capsys):

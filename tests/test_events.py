@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import io
 import math
 import struct
@@ -15,6 +16,7 @@ from pqstream.events import (
     HYSTERESIS,
     INTERRUPTION_THRESHOLD,
     PRE_TRIGGER_SAMPLES,
+    RMS_INTERVAL_S,
     SAG_THRESHOLD,
     SWELL_THRESHOLD,
     UNBALANCE_HYSTERESIS,
@@ -310,6 +312,147 @@ def test_unbalance_chatter_is_one_event():
     drive(detector, levels)
     detector.close(len(levels) * 0.2)
     assert [e.event_type for e in detector.records] == ["unbalance"]
+
+
+# -- the lowest/highest-phase rules against the per-phase ones -----------------
+
+
+class PerPhaseDetector(EventDetector):
+    """``update`` as it stood when each machine tested every phase in turn,
+    kept as the reference the lowest/highest-phase rules must match on
+    finite triples."""
+
+    def update(self, timestamp, v_rms):
+        if self._last_timestamp is not None and timestamp <= self._last_timestamp:
+            raise ValueError("RMS timestamps must increase strictly")
+        self._last_timestamp = timestamp
+        nominal = self.thresholds.nominal_voltage_rms
+        a, b, c = (float(x) / nominal for x in v_rms)
+        edge = timestamp - RMS_INTERVAL_S
+
+        inter_was_active = self._active["interruption"] is not None
+        if not inter_was_active:
+            low = INTERRUPTION_THRESHOLD
+            if a < low and b < low and c < low:
+                if self._active["sag"] is not None:
+                    self._active["sag"] = None
+                self._enter("interruption", edge)
+        else:
+            clear = INTERRUPTION_THRESHOLD + HYSTERESIS
+            if a >= clear or b >= clear or c >= clear:
+                self._exit("interruption", edge)
+
+        if self._active["interruption"] is None and not inter_was_active:
+            if self._active["sag"] is None:
+                low = SAG_THRESHOLD
+                if a < low or b < low or c < low:
+                    self._enter("sag", edge)
+            else:
+                clear = SAG_THRESHOLD + HYSTERESIS
+                if a >= clear and b >= clear and c >= clear:
+                    self._exit("sag", edge)
+
+        if self._active["swell"] is None:
+            high = SWELL_THRESHOLD
+            if a > high or b > high or c > high:
+                self._enter("swell", edge)
+        else:
+            clear = SWELL_THRESHOLD - HYSTERESIS
+            if a <= clear and b <= clear and c <= clear:
+                self._exit("swell", edge)
+
+        factor = compute_unbalance(v_rms)
+        if self._active["unbalance"] is None:
+            amplitude_event_active = any(
+                self._active[t] is not None for t in ("sag", "swell", "interruption")
+            )
+            if (
+                factor is not None
+                and factor > UNBALANCE_THRESHOLD
+                and not amplitude_event_active
+            ):
+                self._enter("unbalance", edge)
+        elif factor is not None and factor <= UNBALANCE_THRESHOLD - UNBALANCE_HYSTERESIS:
+            self._exit("unbalance", edge)
+
+        self._trim_capture(timestamp)
+
+
+# every threshold and hysteresis edge, and the third phase of (1, 1, x) whose
+# unbalance factor (2 - 2x) / (2 + x) sits at the unbalance entry and exit
+_EDGES = [
+    INTERRUPTION_THRESHOLD,
+    INTERRUPTION_THRESHOLD + HYSTERESIS,
+    SAG_THRESHOLD,
+    SAG_THRESHOLD + HYSTERESIS,
+    SWELL_THRESHOLD,
+    SWELL_THRESHOLD - HYSTERESIS,
+    (2 - 2 * UNBALANCE_THRESHOLD) / (2 + UNBALANCE_THRESHOLD),
+    (2 - 2 * (UNBALANCE_THRESHOLD - UNBALANCE_HYSTERESIS))
+    / (2 + UNBALANCE_THRESHOLD - UNBALANCE_HYSTERESIS),
+]
+_edge_levels = st.sampled_from(
+    [0.0, 1.0]
+    + [v for e in _EDGES for v in (math.nextafter(e, 0.0), e, math.nextafter(e, 2.0))]
+)
+_finite_level = _edge_levels | st.floats(min_value=0.0, max_value=1.3)
+# all three phases alike too, or an interruption would hardly ever open
+_finite_triples = st.tuples(_finite_level, _finite_level, _finite_level) | _finite_level.map(
+    lambda v: (v, v, v)
+)
+
+
+@given(st.lists(_finite_triples, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_lowest_and_highest_phase_rules_match_the_per_phase_rules(levels):
+    reference, detector = PerPhaseDetector(EventThresholds(1.0)), make_detector()
+    for k, triple in enumerate(levels):
+        ts = 0.2 * (k + 1)
+        reference.update(ts, triple)
+        detector.update(ts, triple)
+        assert detector.records == reference.records
+    reference.close()
+    detector.close()
+    assert detector.records == reference.records
+
+
+def _state(detector):
+    return copy.deepcopy(
+        (
+            detector._active,
+            detector._last_timestamp,
+            detector._next_event_id,
+            detector.records,
+            detector.capture.first_sample,
+        )
+    )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_triple_is_refused_and_changes_nothing(bad):
+    detector = make_detector()
+    drive(detector, [NOMINAL, 0.5, 1.2, (NOMINAL, NOMINAL, 0.9)])
+    before = _state(detector)
+    for triple in ((bad, NOMINAL, NOMINAL), (0.5, bad, 0.5), np.array([1.2, 1.2, bad])):
+        with pytest.raises(ValueError, match="finite"):
+            detector.update(1.0, triple)
+        assert _state(detector) == before
+
+
+def test_nan_phase_is_refused_rather_than_holding_a_sag_open():
+    # A sag on B opens at 0.6 s, and B recovers in the window ending at 1.4 s
+    # while phase A reads NaN there and for nine more windows.  Judged phase
+    # by phase, NaN failed every exit test, so the sag ran on to 3.2 s; now
+    # the stream stops at the first NaN and the sag ends at the last window
+    # accepted.
+    detector = make_detector()
+    ts = drive(detector, [NOMINAL] * 3 + [(NOMINAL, 0.5, NOMINAL)] * 3)
+    with pytest.raises(ValueError, match="finite"):
+        detector.update(ts, (math.nan, NOMINAL, NOMINAL))
+    detector.close()
+    [sag] = detector.records
+    assert sag.event_type == "sag"
+    assert (sag.start_time, sag.end_time) == (pytest.approx(0.6), pytest.approx(1.2))
 
 
 # -- raw capture container ----------------------------------------------------
