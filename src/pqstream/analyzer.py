@@ -6,19 +6,21 @@ plus THD every 3 s, demand every 15 minutes, short-term flicker severity
 every 10 minutes and long-term flicker severity every 2 hours.  All record
 timestamps are seconds since stream start and mark the end of the window
 that produced them.  Incomplete windows at stream end are discarded and
-tallied, never emitted.
+tallied, never emitted.  Demand and Pst intervals are whole 3 s blocks, so
+each closes at the block end whose sample index is a multiple of its length.
 
 The RMS, power and harmonics kernels take one six-channel block, voltage
 phases first and current phases after.  The pipeline analyzes its 3 s
 buffer in one step when it is full, and a trailing partial block at
 :meth:`StreamPipeline.finish`: one reduction gives the levels of all 15 RMS
 windows, one their half-cycle RMS values, one each the three seconds'
-levels, P and S, and one stacked product their power phasors.  So records,
-and the detector's samples and updates, leave at each block end and at
-``finish``, not per frame.  Harmonics and the power phasors are projected
-at the exact frequency estimate on 640-sample sub-blocks (:func:`_project`);
-that basis is rebuilt for every window, not cached, because it is cheap and
-the estimate changes in its last bits.
+levels, P and S, and one stacked product their power phasors.  The current
+phasors' magnitudes are the per-second fundamental currents that demand
+averages.  So records, and the detector's samples and updates, leave at each
+block end and at ``finish``, not per frame.  Harmonics and the power phasors
+are projected at the exact frequency estimate on 640-sample sub-blocks
+(:func:`_project`); that basis is rebuilt for every window, not cached,
+because it is cheap and the estimate changes in its last bits.
 
 The sampling rate (``SAMPLE_RATE``), the band a frequency estimate must
 fall in (``FREQUENCY_BAND``), the THD floor factor (``THD_FLOOR_FACTOR``)
@@ -39,7 +41,7 @@ from .siggen import SAMPLE_RATE, WaveformFrame
 RMS_WINDOW = 640            # 0.2 s at 3200 Hz
 POWER_WINDOW = 3200         # 1 s
 HARMONIC_WINDOW = 9600      # 3 s
-DEMAND_INTERVAL_S = 900.0   # 15 min of per-second fundamental current magnitudes
+DEMAND_INTERVAL_S = 900.0   # 15 min of the power step's per-second fundamental currents
 PST_INTERVAL_S = 600.0      # 10 min of half-cycle RMS values
 PLT_PST_COUNT = 12          # 12 x 10 min = 2 h
 HARMONIC_ORDERS = 33
@@ -257,15 +259,16 @@ def compute_power(window: np.ndarray, fundamental: float, timestamp: float) -> P
     """
     if window.shape[-1] != POWER_WINDOW:
         raise ValueError(f"power window must hold exactly {POWER_WINDOW} samples")
-    return _power_records(window, [fundamental], [timestamp])[0]
+    return _power_records(window, [fundamental], [timestamp])[0][0]
 
 
 def _power_records(
     block: np.ndarray, fundamentals: Sequence[float], timestamps: Sequence[float]
-) -> list[PowerRecord]:
+) -> tuple[list[PowerRecord], list[list[float]]]:
     """:func:`compute_power` of each consecutive second of a (6, m * 3200)
-    block, second s at ``fundamentals[s]``: one reduction per quantity and
-    one stacked projection for all m seconds."""
+    block, second s at ``fundamentals[s]``, and each second's three
+    fundamental current magnitudes: one reduction per quantity and one
+    stacked projection for all m seconds."""
     m = len(fundamentals)
     seconds = block.reshape(6, m, POWER_WINDOW)
     levels = rms(seconds)
@@ -291,7 +294,7 @@ def _power_records(
             # P <= S holds mathematically (Cauchy-Schwarz); clamp float rounding.
             pf_out.append(min(1.0, max(-1.0, P / S)) if S > 0.0 else 0.0)
         records.append(PowerRecord(ts, tuple(P3), tuple(q_out), tuple(S3), tuple(pf_out)))
-    return records
+    return records, [magnitude[3:] for magnitude in magnitudes]
 
 
 def estimate_frequency(
@@ -420,10 +423,8 @@ class StreamPipeline:
         pst_len = round(PST_INTERVAL_S * SAMPLE_RATE / RMS_WINDOW) * (RMS_WINDOW // self._half_block)
         self._pst_series = np.empty((3, pst_len))
         self._pst_fill = 0
-        self._pst_deadline = PST_INTERVAL_S
         self._pst_window: list[FlickerPstRecord] = []
-        self._fundamentals: list[tuple[float, Triple]] = []
-        self._demand_deadline = DEMAND_INTERVAL_S
+        self._currents: list[list[float]] = []  # per second of the open demand window
         self._finished = False
 
     # -- frame intake ---------------------------------------------------
@@ -472,13 +473,6 @@ class StreamPipeline:
         hc = half_cycle_rms(block[:3], self._half_block).reshape(3, -1)
         self._pst_series[:, self._pst_fill : self._pst_fill + hc.shape[1]] = hc
         self._pst_fill += hc.shape[1]
-        # Pst deadlines are whole blocks apart, so they fall on a block end
-        if stamps[-1] >= self._pst_deadline:
-            rec = compute_pst(self._pst_series[:, : self._pst_fill], self._pst_deadline)
-            self.result.flicker_pst.append(rec)
-            self._pst_fill = 0
-            self._pst_deadline += PST_INTERVAL_S
-            self._collect_plt(rec)
 
         for end in range(POWER_WINDOW, seconds * POWER_WINDOW + 1, POWER_WINDOW):
             freq = estimate_frequency(
@@ -490,39 +484,36 @@ class StreamPipeline:
             self.result.frequency.append(freq)
         if seconds:
             freqs = self.result.frequency[-seconds:]
-            self.result.power.extend(_power_records(
+            power, currents = _power_records(
                 self._buf[:, : seconds * POWER_WINDOW],
                 [f.frequency for f in freqs],
                 [f.timestamp for f in freqs],
-            ))
-        if self._fill == HARMONIC_WINDOW:
-            self._emit_harmonics(stamps[-1])
+            )
+            self.result.power.extend(power)
+            self._currents.extend(currents)
+        if self._fill < HARMONIC_WINDOW:
+            return
+        block_end = base + HARMONIC_WINDOW
+        self.result.harmonics.append(compute_harmonics(
+            self._buf,
+            self._prev_frequency,
+            block_end / SAMPLE_RATE,
+            v_floor=THD_FLOOR_FACTOR * self.config.nominal_voltage_rms,
+            i_floor=THD_FLOOR_FACTOR * self.config.nominal_current_rms,
+        ))
+        # Pst and demand intervals are whole blocks, so they close on a block end
+        if block_end % round(PST_INTERVAL_S * SAMPLE_RATE) == 0:
+            rec = compute_pst(self._pst_series[:, : self._pst_fill], block_end / SAMPLE_RATE)
+            self.result.flicker_pst.append(rec)
+            self._pst_fill = 0
+            self._collect_plt(rec)
+        if block_end % round(DEMAND_INTERVAL_S * SAMPLE_RATE) == 0:
+            series = np.array(self._currents).T
+            self.result.demand.append(compute_demand(series, block_end / SAMPLE_RATE))
+            self._currents = []
 
     def _feed_detector(self, lo: int, hi: int) -> None:
         self.detector.feed_samples(self._buf_base + lo, self._buf[:3, lo:hi], self._buf[3:, lo:hi])
-
-    def _emit_harmonics(self, ts: float) -> None:
-        rec = compute_harmonics(
-            self._buf,
-            self._prev_frequency,
-            ts,
-            v_floor=THD_FLOOR_FACTOR * self.config.nominal_voltage_rms,
-            i_floor=THD_FLOOR_FACTOR * self.config.nominal_current_rms,
-        )
-        self.result.harmonics.append(rec)
-        self._fundamentals.append((ts, tuple(row[0] for row in rec.i_harmonics)))
-        if ts >= self._demand_deadline:
-            self._emit_demand(self._demand_deadline)
-            self._demand_deadline += DEMAND_INTERVAL_S
-
-    def _emit_demand(self, boundary: float) -> None:
-        xs = np.array([ts for ts, _ in self._fundamentals])
-        mags = np.array([m for _, m in self._fundamentals])  # (k, 3)
-        seconds = np.arange(boundary - DEMAND_INTERVAL_S + 1.0, boundary + 1.0)
-        series = np.vstack([np.interp(seconds, xs, mags[:, p]) for p in range(3)])
-        self.result.demand.append(compute_demand(series, boundary))
-        # keep the boundary record: the next window interpolates from it
-        self._fundamentals = self._fundamentals[-1:]
 
     def _collect_plt(self, rec: FlickerPstRecord) -> None:
         self._pst_window.append(rec)
@@ -561,10 +552,8 @@ class StreamPipeline:
             diag.bump("pst_half_cycles_discarded", self._pst_fill)
         if self._pst_window:
             diag.bump("plt_pst_records_discarded", len(self._pst_window))
-        if self._fundamentals and self.result.harmonics:
-            last_ts = self.result.harmonics[-1].timestamp
-            if last_ts > self._demand_deadline - DEMAND_INTERVAL_S:
-                diag.bump("demand_windows_discarded")
+        if self._currents:
+            diag.bump("demand_windows_discarded")
         if self.detector is not None:
             self._feed_detector(self._fill - self._fill % RMS_WINDOW, self._fill)
             self.detector.close(end_abs / SAMPLE_RATE)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from datetime import datetime
 from pathlib import Path
 
@@ -65,15 +66,11 @@ def _load_gen_config(path: Path) -> dict:
 
 
 def _signal_config(meta: dict) -> SignalConfig:
-    return SignalConfig(
-        nominal_frequency=float(meta.get("nominal_frequency", 50.0)),
-        nominal_voltage_rms=float(meta.get("nominal_voltage_rms", 230.0)),
-        nominal_current_rms=float(meta.get("nominal_current_rms", 10.0)),
-        duration=float(meta.get("duration", 1.0)),
-        current_lag_deg=float(meta.get("current_lag_deg", 0.0)),
-        jitter_pu=float(meta.get("jitter_pu", 0.0)),
-        seed=int(meta.get("seed", 0)),
-    )
+    """The :class:`SignalConfig` of the fields ``meta`` holds, each cast to
+    the type of its default; the others keep their defaults."""
+    return SignalConfig(**{
+        f.name: type(f.default)(meta[f.name]) for f in fields(SignalConfig) if f.name in meta
+    })
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

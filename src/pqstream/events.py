@@ -101,9 +101,10 @@ def compute_unbalance(v_rms) -> float | None:
 class EventRecord:
     """One finalized voltage event.
 
-    Times are seconds since stream start; ``file_path`` points at the
-    compressed raw capture and is None when writing failed or no sink was
-    attached (``raw_write_error`` tells the two apart).
+    Times are seconds since stream start; ``file_path`` is the path the raw
+    sink returned for the compressed capture (relative to the point
+    directory for a transfer-file writer) and is None when writing failed or
+    no sink was attached (``raw_write_error`` tells the two apart).
     """
 
     event_id: int
@@ -295,12 +296,6 @@ class CaptureBuffer:
         return start, self._data[:, start - self._base : end - self._base]
 
 
-@dataclass
-class _ActiveEvent:
-    start_time: float
-    start_sample: int
-
-
 RawSink = Callable[[str, int, bytes], str]
 
 
@@ -315,7 +310,10 @@ class EventDetector:
     margins, clamped to the samples seen so far, so a post trigger longer
     than one RMS interval is truncated at the stream position where the
     exit was observed.  Whatever the frame length, samples are kept from the
-    window just judged (or an open event's start) minus the pre-trigger.
+    window just judged (or an open event's start) minus the pre-trigger.  An
+    open event is held as its start time alone; its start sample,
+    ``round(start_time * SAMPLE_RATE)``, is derived where the capture trim
+    and the record need it.
     """
 
     def __init__(
@@ -329,7 +327,8 @@ class EventDetector:
         self.raw_sink = raw_sink
         self.records: list[EventRecord] = []
         self.capture = CaptureBuffer()
-        self._active: dict[str, _ActiveEvent | None] = {t: None for t in EVENT_TYPES}
+        # an open event's start time, None when that type has no open event
+        self._active: dict[str, float | None] = {t: None for t in EVENT_TYPES}
         self._last_timestamp: float | None = None
         self._next_event_id = 1
 
@@ -406,12 +405,13 @@ class EventDetector:
         self._trim_capture(timestamp)
 
     def _enter(self, event_type: str, start_time: float) -> None:
-        self._active[event_type] = _ActiveEvent(start_time, round(start_time * SAMPLE_RATE))
+        self._active[event_type] = start_time
 
     def _exit(self, event_type: str, end_time: float) -> None:
         """End the open ``event_type`` event at ``end_time`` and record it."""
-        active = self._active[event_type]
+        start_time = self._active[event_type]
         self._active[event_type] = None
+        start_sample = round(start_time * SAMPLE_RATE)
         end_sample = round(end_time * SAMPLE_RATE)
         event_id = self._next_event_id
         self._next_event_id += 1
@@ -419,7 +419,7 @@ class EventDetector:
         failed = False
         if self.raw_sink is not None:
             first, samples = self.capture.extract(
-                active.start_sample - PRE_TRIGGER_SAMPLES, end_sample + POST_TRIGGER_SAMPLES
+                start_sample - PRE_TRIGGER_SAMPLES, end_sample + POST_TRIGGER_SAMPLES
             )
             blob = encode_raw_capture(event_id, first, samples)
             try:
@@ -431,9 +431,9 @@ class EventDetector:
                 event_id=event_id,
                 measurement_point_id=self.measurement_point_id,
                 event_type=event_type,
-                start_time=active.start_time,
+                start_time=start_time,
                 end_time=end_time,
-                size_in_samples=end_sample - active.start_sample,
+                size_in_samples=end_sample - start_sample,
                 file_path=path,
                 raw_write_error=failed,
             )
@@ -442,9 +442,9 @@ class EventDetector:
     def _trim_capture(self, timestamp: float) -> None:
         # an event the next window opens starts where this window ends
         keep_from = round(timestamp * SAMPLE_RATE) - PRE_TRIGGER_SAMPLES
-        for active in self._active.values():
-            if active is not None:
-                keep_from = min(keep_from, active.start_sample - PRE_TRIGGER_SAMPLES)
+        for start_time in self._active.values():
+            if start_time is not None:
+                keep_from = min(keep_from, round(start_time * SAMPLE_RATE) - PRE_TRIGGER_SAMPLES)
         self.capture.trim(max(keep_from, 0))
 
     def close(self, end_timestamp: float | None = None) -> None:
@@ -452,7 +452,7 @@ class EventDetector:
         and let go of the raw samples, which no later event can use."""
         if end_timestamp is None:
             end_timestamp = self._last_timestamp if self._last_timestamp is not None else 0.0
-        for event_type, active in self._active.items():
-            if active is not None:
+        for event_type, start_time in self._active.items():
+            if start_time is not None:
                 self._exit(event_type, end_timestamp)
         self.capture = CaptureBuffer()

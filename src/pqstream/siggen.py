@@ -369,7 +369,10 @@ def generate_stream(
             voltage[p] = v
             current[p] = c
         if rng is not None:
-            voltage = voltage + config.jitter_pu * v_amp * rng.standard_normal((3, n))
-            current = current + config.jitter_pu * i_amp * rng.standard_normal((3, n))
+            # drawn sample by sample, six channels each, so frame length
+            # does not change the noise
+            noise = rng.standard_normal((n, 6)).T
+            voltage = voltage + config.jitter_pu * v_amp * noise[:3]
+            current = current + config.jitter_pu * i_amp * noise[3:]
         yield WaveformFrame(start, voltage, current)
         start += n

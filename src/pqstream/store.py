@@ -326,12 +326,13 @@ class TransferFileWriter:
         return self.base_time + timedelta(milliseconds=round(seconds * 1000.0))
 
     def raw_sink(self, event_type: str, event_id: int, blob: bytes) -> str:
-        """Store one compressed capture; returns its absolute path."""
-        directory = self.point_dir / RAW_DIR_NAMES[event_type]
-        directory.mkdir(exist_ok=True)
-        path = directory / f"raw_{event_id}.pqz"
-        path.write_bytes(blob)
-        return str(path.resolve())
+        """Store one compressed capture; returns its path relative to the
+        point directory, as the event log stores it."""
+        directory = RAW_DIR_NAMES[event_type]
+        (self.point_dir / directory).mkdir(exist_ok=True)
+        path = f"{directory}/raw_{event_id}.pqz"
+        (self.point_dir / path).write_bytes(blob)
+        return path
 
     def _write_csv(
         self, parameter_type: str, rows: list[list], last_sample: datetime, file_seq: int
@@ -362,20 +363,13 @@ class TransferFileWriter:
         return written
 
     def _event_row(self, event: EventRecord) -> list:
-        raw = ""
-        if event.file_path:
-            raw_path = Path(event.file_path)
-            try:
-                raw = raw_path.relative_to(self.point_dir.resolve()).as_posix()
-            except ValueError:
-                raw = str(raw_path)
         return [
             event.event_id,
             event.event_type,
             self.timestamp(event.start_time).isoformat(timespec=ISO_TIMESPEC),
             self.timestamp(event.end_time).isoformat(timespec=ISO_TIMESPEC),
             event.size_in_samples,
-            raw,
+            event.file_path or "",
         ]
 
 

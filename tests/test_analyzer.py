@@ -464,19 +464,28 @@ def test_pipeline_online_equals_batch():
             assert np.allclose(batch.v_harmonics[p], record.v_harmonics[p], rtol=1e-9, atol=1e-12)
 
 
-def test_pipeline_demand_interpolation_oracle():
-    # Slow full-depth-of-variation load: fundamental current magnitude varies
-    # across 3 s harmonic windows, so demand must mean the interpolated
-    # per-second series, not the raw record values.
-    script = parse_script("flicker_modulation 0 900 ABC 0.2 0.003\n")
-    result = run_pipeline(generate_stream(unit_config(900.0), script), unit_pipeline_config())
-    assert len(result.demand) == 1
-    xs = np.array([r.timestamp for r in result.harmonics])
-    mags = np.array([[row[0] for row in r.i_harmonics] for r in result.harmonics])
-    seconds = np.arange(1.0, 901.0)
-    oracle = [float(np.mean(np.interp(seconds, xs, mags[:, p]))) for p in range(3)]
+def test_pipeline_demand_is_the_mean_of_per_second_fundamental_currents():
+    # A 0.5 Hz load modulation lifts the fundamental current by 0.05 * 2 / pi
+    # in even seconds and lowers it as much in odd ones, so the mean of the
+    # 900 per-second magnitudes is the unmodulated 10 * sqrt(2) A.  A 3 s
+    # window holds 1.5 modulation periods: a mean read from 3 s records
+    # misses it by 2.4e-5.
+    config = SignalConfig(duration=900.0, current_lag_deg=20.0)
+    script = parse_script("flicker_modulation 0 900 ABC 0.05 0.5\n")
+    result = run_pipeline(generate_stream(config, script, frame_length=9600), PipelineConfig())
+    assert [r.timestamp for r in result.demand] == [900.0]
     for p in range(3):
-        assert result.demand[0].demand[p] == pytest.approx(oracle[p], rel=1e-12)
+        assert result.demand[0].demand[p] == pytest.approx(10.0 * math.sqrt(2.0), rel=1e-9)
+    assert "demand_windows_discarded" not in result.diagnostics.discarded
+
+
+def test_demand_window_open_at_stream_end_is_tallied():
+    # the open window holds one second and no 3 s block
+    result = run_pipeline(
+        generate_stream(unit_config(901.0), frame_length=9600), unit_pipeline_config()
+    )
+    assert [r.timestamp for r in result.demand] == [900.0]
+    assert result.diagnostics.discarded["demand_windows_discarded"] == 1
 
 
 def test_pipeline_homogeneity_under_input_scaling():
@@ -629,6 +638,7 @@ def test_stream_shorter_than_a_block_emits_its_windows():
         "power_samples_discarded": 1600,
         "harmonic_samples_discarded": 8000,
         "pst_half_cycles_discarded": 12 * 20,
+        "demand_windows_discarded": 1,
     }
 
 

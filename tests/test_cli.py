@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import pqstream
-from pqstream.cli import main
+from pqstream.cli import _signal_config, main
+from pqstream.siggen import SignalConfig
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +74,16 @@ def test_analyze_reports_discards_and_capture_write_errors(workspace, tmp_path, 
     assert "capture write errors: 1\n" in out
     event_log = (tmp_path / "CLI1" / "event" / "event_000.csv").read_text().splitlines()
     assert event_log[1].split(",")[1] == "sag" and event_log[1].endswith(",")
+
+
+def test_signal_config_takes_the_fields_meta_holds(tmp_path, capsys):
+    assert _signal_config({"duration": 3}) == SignalConfig(duration=3.0)
+    assert _signal_config(
+        {"duration": "2.5", "seed": 7.0, "point": {"id": "X"}}
+    ) == SignalConfig(duration=2.5, seed=7)
+    (tmp_path / "config.json").write_text(json.dumps({"duration": "long"}))
+    assert main(["gen", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_analyze_nominal_v_overrides_the_stream_nominal(tmp_path, capsys):

@@ -116,6 +116,16 @@ def test_generation_is_deterministic_with_jitter():
     assert not np.array_equal(v1, v3)
 
 
+def test_jittered_stream_does_not_depend_on_frame_length():
+    config = unit_config(0.6, jitter_pu=0.01, seed=42)
+    streams = []
+    for frame_length in (640, 1000, 9600):
+        frames = list(generate_stream(config, frame_length=frame_length))
+        streams.append(np.hstack([np.vstack((f.voltage_samples, f.current_samples)) for f in frames]))
+    assert np.array_equal(streams[0], streams[1])
+    assert np.array_equal(streams[0], streams[2])
+
+
 def test_unbalance_kind_scales_selected_phase():
     script = parse_script("unbalance 0 1 C 0.9\n")
     voltage, _ = gather(unit_config(1.0), script)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import sqlite3
+from dataclasses import replace
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -279,6 +280,19 @@ def test_writer_event_log_contents(written_sag_run):
     assert datetime.fromisoformat(end) == BASE_TIME + timedelta(seconds=5)
     assert raw.startswith("Sag/raw_") and raw.endswith(".pqz")
     assert (out_root / "MP1" / raw).exists()
+
+
+def test_raw_sink_returns_the_path_the_event_log_stores(written_sag_run, tmp_path):
+    out_root, result, _ = written_sag_run
+    (event,) = result.events
+    assert event.file_path == f"Sag/raw_{event.event_id}.pqz"
+    rows = (out_root / "MP1" / "event" / "event_000.csv").read_text().splitlines()
+    assert rows[1].split(",")[-1] == event.file_path
+    # a custom sink's path is stored as the sink gave it
+    writer = TransferFileWriter(tmp_path / "custom", make_point(), BASE_TIME)
+    moved = replace(event, file_path="/elsewhere/capture.pqz")
+    (path,) = writer.write_results(PipelineResult(events=[moved]))
+    assert path.read_text().splitlines()[1].endswith(",/elsewhere/capture.pqz")
 
 
 def test_writer_empty_result_writes_metadata_only(tmp_path):
