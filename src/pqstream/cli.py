@@ -12,14 +12,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from datetime import datetime
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from . import __version__
-from .analyzer import PipelineConfig, run_pipeline
+from .analyzer import HARMONIC_WINDOW, PipelineConfig, run_pipeline
 from .charts import ChartError, ChartSpec, format_text_table, render_chart
 from .events import EventDetector, EventThresholds
 from .query import (
@@ -33,7 +34,6 @@ from .query import (
     timeseries,
 )
 from .siggen import (
-    DEFAULT_FRAME_LENGTH,
     DisturbanceScript,
     ScriptError,
     SignalConfig,
@@ -56,6 +56,7 @@ DEFAULT_BASE_TIME = "2000-01-01T00:00:00"
 META_FILE = "meta.json"
 VOLTAGE_FILE = "voltage.npy"
 CURRENT_FILE = "current.npy"
+SAMPLE_DTYPE = np.dtype(np.float64)  # of the streams gen writes
 
 
 def _load_gen_config(path: Path) -> dict:
@@ -68,9 +69,92 @@ def _load_gen_config(path: Path) -> dict:
 def _signal_config(meta: dict) -> SignalConfig:
     """The :class:`SignalConfig` of the fields ``meta`` holds, each cast to
     the type of its default; the others keep their defaults."""
-    return SignalConfig(**{
-        f.name: type(f.default)(meta[f.name]) for f in fields(SignalConfig) if f.name in meta
-    })
+    values = {}
+    for f in fields(SignalConfig):
+        if f.name in meta:
+            kind = type(f.default)
+            try:
+                values[f.name] = kind(meta[f.name])
+            except (TypeError, ValueError) as exc:
+                raise StoreError(
+                    f"{f.name} must be a {kind.__name__}, not {meta[f.name]!r}"
+                ) from exc
+    return SignalConfig(**values)
+
+
+_NPY_HEADER_READERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
+
+
+@dataclass(frozen=True)
+class _SampleFile:
+    """A (3, n) ``.npy`` sample file as its header describes it, read one
+    block of samples at a time so no more than a block is ever held."""
+
+    path: Path
+    dtype: np.dtype
+    fortran_order: bool
+    samples: int  # per channel
+    offset: int   # bytes before the first sample
+
+    @classmethod
+    def from_header(cls, path: Path) -> "_SampleFile":
+        """Read and check the header: shape (3, n), a real-number dtype, and
+        a file long enough to hold every sample it declares."""
+        with path.open("rb") as f:
+            try:
+                version = np.lib.format.read_magic(f)
+                read_header = _NPY_HEADER_READERS.get(version)
+                if read_header is None:
+                    raise StoreError(f"{path}: .npy format version {version} is not supported")
+                shape, fortran_order, dtype = read_header(f)
+            except ValueError as exc:
+                raise StoreError(f"{path}: not a .npy array: {exc}") from exc
+            offset = f.tell()
+        if len(shape) != 2 or shape[0] != 3:
+            raise StoreError(f"{path}: samples must have shape (3, n), not {shape}")
+        if dtype.kind not in "biuf":
+            raise StoreError(f"{path}: samples of dtype {dtype} are not real numbers")
+        if path.stat().st_size < offset + 3 * shape[1] * dtype.itemsize:
+            raise StoreError(f"{path}: ends before the {shape[1]} samples per channel it declares")
+        return cls(path, dtype, fortran_order, shape[1], offset)
+
+    def read(self, f, start: int, stop: int) -> np.ndarray:
+        """Samples ``start:stop`` of the three channels from the open file
+        ``f``, as a fresh (3, stop - start) array laid out as ``np.load``'s."""
+        size = self.dtype.itemsize
+        if self.fortran_order:  # the three channels of one sample lie together
+            block = np.empty((stop - start, 3), self.dtype)
+            f.seek(self.offset + 3 * start * size)
+            _read_into(f, block)
+            return block.T
+        block = np.empty((3, stop - start), self.dtype)
+        for channel, row in enumerate(block):
+            f.seek(self.offset + (channel * self.samples + start) * size)
+            _read_into(f, row)
+        return block
+
+
+def _read_into(f, out: np.ndarray) -> None:
+    if f.readinto(out) != out.nbytes:
+        raise StoreError(f"{f.name}: ends before its last sample")
+
+
+def _read_frames(voltage: _SampleFile, current: _SampleFile) -> Iterator[WaveformFrame]:
+    """The stream in frames of one harmonics window, read from both files."""
+    with voltage.path.open("rb") as fv, current.path.open("rb") as fc:
+        for start in range(0, voltage.samples, HARMONIC_WINDOW):
+            stop = min(start + HARMONIC_WINDOW, voltage.samples)
+            yield WaveformFrame(start, voltage.read(fv, start, stop), current.read(fc, start, stop))
+
+
+def _write_frame(f, offset: int, total: int, frame_start: int, samples: np.ndarray) -> None:
+    """Write one frame's channel rows in place in a C-order (3, total) float64 ``.npy``."""
+    for channel, row in enumerate(samples):
+        f.seek(offset + (channel * total + frame_start) * SAMPLE_DTYPE.itemsize)
+        f.write(np.ascontiguousarray(row, dtype=SAMPLE_DTYPE))
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -83,14 +167,21 @@ def cmd_gen(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     total = config.total_samples
-    voltage = np.empty((3, total))
-    current = np.empty((3, total))
-    for frame in generate_stream(config, script):
-        sl = slice(frame.start_sample_index, frame.end_sample_index)
-        voltage[:, sl] = frame.voltage_samples
-        current[:, sl] = frame.current_samples
-    np.save(out / VOLTAGE_FILE, voltage)
-    np.save(out / CURRENT_FILE, current)
+    # the header np.save writes for a (3, total) float64 array, then each
+    # frame's rows in place, so no more than a frame is ever held
+    header = {
+        "descr": np.lib.format.dtype_to_descr(SAMPLE_DTYPE),
+        "fortran_order": False,
+        "shape": (3, total),
+    }
+    with (out / VOLTAGE_FILE).open("wb") as fv, (out / CURRENT_FILE).open("wb") as fc:
+        for f in (fv, fc):
+            np.lib.format.write_array_header_1_0(f, header)
+        offset = fv.tell()
+        for frame in generate_stream(config, script):
+            start = frame.start_sample_index
+            _write_frame(fv, offset, total, start, frame.voltage_samples)
+            _write_frame(fc, offset, total, start, frame.current_samples)
     meta_out = dict(meta)
     meta_out.setdefault("base_time", DEFAULT_BASE_TIME)
     meta_out["script"] = script_text
@@ -112,8 +203,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         nominal_voltage_rms=nominal_v,
         nominal_current_rms=signal.nominal_current_rms,
     )
-    voltage = np.load(in_dir / VOLTAGE_FILE)
-    current = np.load(in_dir / CURRENT_FILE)
+    voltage = _SampleFile.from_header(in_dir / VOLTAGE_FILE)
+    current = _SampleFile.from_header(in_dir / CURRENT_FILE)
+    if current.samples != voltage.samples:
+        raise StoreError(
+            f"{VOLTAGE_FILE} holds {voltage.samples} samples per channel, "
+            f"{CURRENT_FILE} {current.samples}"
+        )
     point = MeasurementPoint.from_dict({"id": "MP1", **meta.get("point", {})})
     base_time = datetime.fromisoformat(meta.get("base_time", DEFAULT_BASE_TIME))
     writer = TransferFileWriter(args.out, point, base_time)
@@ -122,16 +218,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         measurement_point_id=point.id,
         raw_sink=writer.raw_sink,
     )
-
-    def frames():
-        total = voltage.shape[1]
-        for start in range(0, total, DEFAULT_FRAME_LENGTH):
-            end = min(start + DEFAULT_FRAME_LENGTH, total)
-            yield WaveformFrame(start, voltage[:, start:end], current[:, start:end])
-
-    result = run_pipeline(frames(), config, detector=detector)
+    result = run_pipeline(_read_frames(voltage, current), config, detector=detector)
     written = writer.write_results(result)
-    print(f"analyzed {voltage.shape[1]} samples from {in_dir}")
+    print(f"analyzed {voltage.samples} samples from {in_dir}")
     counts = " ".join(f"{name}={len(getattr(result, name))}" for name in PARAMETERS)
     print(f"records: {counts} events={len(result.events)}")
     discarded = result.diagnostics.discarded

@@ -31,7 +31,9 @@ import sqlite3
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from functools import cache
+from itertools import islice
 from pathlib import Path
+from typing import Iterable
 
 from .analyzer import (
     DEMAND_INTERVAL_S,
@@ -54,6 +56,8 @@ RAW_DIR_NAMES = {t: t.capitalize() for t in EVENT_TYPES}
 
 POINT_METADATA_FILE = "point.json"
 ISO_TIMESPEC = "microseconds"
+#: Cells of CSV rows formatted before one write: 20 harmonics rows, 682 RMS rows.
+CSV_CHUNK_CELLS = 4096
 
 
 class StoreError(RuntimeError):
@@ -335,15 +339,22 @@ class TransferFileWriter:
         return path
 
     def _write_csv(
-        self, parameter_type: str, rows: list[list], last_sample: datetime, file_seq: int
+        self, parameter_type: str, rows: Iterable[list], last_sample: datetime, file_seq: int
     ) -> Path:
+        """Write the header, ``rows`` and the footer, holding at most one
+        chunk of formatted lines at a time."""
         directory = self.point_dir / parameter_type
         directory.mkdir(exist_ok=True)
         path = directory / f"{parameter_type}_{file_seq:03d}.csv"
-        lines = [f"# columns: {','.join(FILE_COLUMNS[parameter_type])}"]
-        lines.extend(map(_csv_line, rows))
-        lines.append(f"#last_sample={last_sample.isoformat(timespec=ISO_TIMESPEC)}")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        columns = FILE_COLUMNS[parameter_type]
+        lines = map(_csv_line, rows)
+        chunk_rows = max(1, CSV_CHUNK_CELLS // len(columns))
+        with path.open("w", encoding="utf-8") as f:
+            f.write(f"# columns: {','.join(columns)}\n")
+            while chunk := list(islice(lines, chunk_rows)):
+                chunk.append("")  # so the chunk's last line ends too
+                f.write("\n".join(chunk))
+            f.write(f"#last_sample={last_sample.isoformat(timespec=ISO_TIMESPEC)}\n")
         return path
 
     def write_results(self, result: PipelineResult, file_seq: int = 0) -> list[Path]:
@@ -353,11 +364,10 @@ class TransferFileWriter:
             records = getattr(result, name)
             if not records:
                 continue
-            rows = [_record_row(r) for r in records]
             last = self.timestamp(records[-1].timestamp)
-            written.append(self._write_csv(name, rows, last, file_seq))
+            written.append(self._write_csv(name, map(_record_row, records), last, file_seq))
         if result.events:
-            rows = [self._event_row(e) for e in result.events]
+            rows = map(self._event_row, result.events)
             last = self.timestamp(max(e.end_time for e in result.events))
             written.append(self._write_csv(EVENT_LOG, rows, last, file_seq))
         return written

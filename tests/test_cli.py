@@ -2,18 +2,27 @@
 
 from __future__ import annotations
 
+import io
 import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pqstream
+from pqstream import cli
+from pqstream.analyzer import PipelineConfig, run_pipeline
 from pqstream.cli import _signal_config, main
-from pqstream.siggen import SignalConfig
+from pqstream.events import EventDetector, EventThresholds
+from pqstream.siggen import SignalConfig, WaveformFrame, parse_script
+from pqstream.store import MeasurementPoint, TransferFileWriter
+
+from conftest import gather
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +93,19 @@ def test_signal_config_takes_the_fields_meta_holds(tmp_path, capsys):
     (tmp_path / "config.json").write_text(json.dumps({"duration": "long"}))
     assert main(["gen", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "s")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["gen", "analyze"])
+def test_a_null_config_field_is_named_and_exits_2(tmp_path, capsys, command):
+    (tmp_path / "config.json").write_text(json.dumps({"duration": None}))
+    (tmp_path / "meta.json").write_text(json.dumps({"duration": None}))
+    argv = {
+        "gen": ["gen", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "s")],
+        "analyze": ["analyze", "--in", str(tmp_path), "--out", str(tmp_path / "t")],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: duration must be a float, not None\n"
+    assert not (tmp_path / "s").exists() and not (tmp_path / "t").exists()
 
 
 def test_analyze_nominal_v_overrides_the_stream_nominal(tmp_path, capsys):
@@ -309,3 +331,171 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "6990.533"
+
+
+# -- sample files: checked before any output, moved one block at a time ------
+
+
+def gen_stream(root: Path, duration: float, script: str = "") -> Path:
+    config = {
+        "duration": duration,
+        "current_lag_deg": 15.0,
+        "point": {"id": "BLK", "load_type": "Heavy Industry"},
+        "base_time": "2003-04-05T06:07:08",
+    }
+    (root / "config.json").write_text(json.dumps(config))
+    (root / "dist.txt").write_text(script)
+    argv = ["gen", "--config", str(root / "config.json"), "--out", str(root / "stream")]
+    assert main(argv + (["--script", str(root / "dist.txt")] if script else [])) == 0
+    return root / "stream"
+
+
+def tree_files(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def library_tree(out: Path, voltage, current, meta: dict) -> dict[str, bytes]:
+    """The tree the library writes from the whole in-memory arrays in one frame."""
+    point = MeasurementPoint.from_dict({"id": "MP1", **meta.get("point", {})})
+    writer = TransferFileWriter(out, point, datetime.fromisoformat(meta["base_time"]))
+    detector = EventDetector(
+        EventThresholds(nominal_voltage_rms=meta.get("nominal_voltage_rms", 230.0)),
+        measurement_point_id=point.id,
+        raw_sink=writer.raw_sink,
+    )
+    result = run_pipeline([WaveformFrame(0, voltage, current)], PipelineConfig(), detector=detector)
+    writer.write_results(result)
+    return tree_files(out)
+
+
+# 9920 samples: a multiple of neither the 640-sample frame nor the 9600-sample block
+SCRIPT = "sag 0.5 1.5 AB 0.6\nharmonic 0 3.1 ABC 0.05 5\n"
+
+
+def test_gen_writes_the_bytes_np_save_writes(tmp_path):
+    stream = gen_stream(tmp_path, 3.1, SCRIPT)
+    voltage, current = gather(SignalConfig(duration=3.1, current_lag_deg=15.0), parse_script(SCRIPT))
+    assert voltage.shape == (3, 9920)
+    for name, samples in (("voltage.npy", voltage), ("current.npy", current)):
+        saved = io.BytesIO()
+        np.save(saved, samples)
+        assert (stream / name).read_bytes() == saved.getvalue()
+
+
+def test_analyze_writes_the_tree_of_the_in_memory_stream(tmp_path):
+    stream = gen_stream(tmp_path, 3.1, SCRIPT)
+    assert main(["analyze", "--in", str(stream), "--out", str(tmp_path / "cli")]) == 0
+    expected = library_tree(
+        tmp_path / "lib",
+        np.load(stream / "voltage.npy"),
+        np.load(stream / "current.npy"),
+        json.loads((stream / "meta.json").read_text()),
+    )
+    assert "BLK/Sag/raw_1.pqz" in expected
+    assert tree_files(tmp_path / "cli") == expected
+
+
+@pytest.mark.parametrize("dtype, fortran", [("<f4", False), (">f8", False), ("<f8", True)])
+def test_analyze_passes_the_stored_dtype_and_layout_through(tmp_path, monkeypatch, dtype, fortran):
+    # float32, big-endian and column-major streams analyze as np.load reads them
+    stream = gen_stream(tmp_path, 3.1, SCRIPT)
+    arrays = {}
+    for name in ("voltage.npy", "current.npy"):
+        samples = np.load(stream / name).astype(dtype)
+        arrays[name] = np.asfortranarray(samples) if fortran else samples
+        np.save(stream / name, arrays[name])
+    seen = set()
+    run = cli.run_pipeline
+
+    def spy(frames, *args, **kwargs):
+        def frames_seen():
+            for frame in frames:
+                seen.add((frame.voltage_samples.dtype.str, frame.current_samples.flags.f_contiguous))
+                yield frame
+
+        return run(frames_seen(), *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_pipeline", spy)
+    assert main(["analyze", "--in", str(stream), "--out", str(tmp_path / "cli")]) == 0
+    assert seen == {(dtype, fortran)}
+    expected = library_tree(
+        tmp_path / "lib",
+        arrays["voltage.npy"],
+        arrays["current.npy"],
+        json.loads((stream / "meta.json").read_text()),
+    )
+    assert tree_files(tmp_path / "cli") == expected
+
+
+@pytest.mark.parametrize(
+    "current, message",
+    [
+        (np.zeros((3, 9000)), "voltage.npy holds 9920 samples per channel, current.npy 9000"),
+        (np.zeros((2, 9920)), "samples must have shape (3, n), not (2, 9920)"),
+        (np.zeros(9920), "samples must have shape (3, n), not (9920,)"),
+        (np.zeros((3, 9920), dtype=complex), "samples of dtype complex128 are not real numbers"),
+    ],
+    ids=["sample-counts-differ", "two-channels", "one-dimensional", "complex"],
+)
+def test_analyze_refuses_unusable_sample_files_before_writing(tmp_path, capsys, current, message):
+    stream = gen_stream(tmp_path, 3.1)
+    np.save(stream / "current.npy", current)
+    capsys.readouterr()
+    assert main(["analyze", "--in", str(stream), "--out", str(tmp_path / "t")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
+def test_analyze_refuses_a_truncated_sample_file_before_writing(tmp_path, capsys):
+    stream = gen_stream(tmp_path, 3.1)
+    data = (stream / "voltage.npy").read_bytes()
+    (stream / "voltage.npy").write_bytes(data[:-8])
+    assert main(["analyze", "--in", str(stream), "--out", str(tmp_path / "t")]) == 2
+    assert "ends before the 9920 samples per channel it declares" in capsys.readouterr().err
+    (stream / "voltage.npy").write_bytes(b"not an array")
+    assert main(["analyze", "--in", str(stream), "--out", str(tmp_path / "t")]) == 2
+    assert "not a .npy array" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
+def traced_peak(argv: list[str], held: dict[str, int]) -> int:
+    """tracemalloc peak of one ``main(argv)`` call, less the memory that
+    :func:`run_pipeline`'s result still holds when it returns (its records)."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] - held.pop("result", 0)
+    finally:
+        tracemalloc.stop()
+
+
+def test_gen_and_analyze_memory_does_not_grow_with_stream_length(tmp_path, monkeypatch):
+    # The records are all analyze holds for the whole stream.  Beyond them
+    # it holds what its windows need, so a 1200 s stream peaks where a 600 s
+    # one does; both hold a full 10 min Pst window.  gen holds one frame.
+    held: dict[str, int] = {}
+    run = cli.run_pipeline
+
+    def measured(*args, **kwargs):
+        before = tracemalloc.get_traced_memory()[0]
+        result = run(*args, **kwargs)
+        held["result"] = tracemalloc.get_traced_memory()[0] - before
+        return result
+
+    monkeypatch.setattr(cli, "run_pipeline", measured)
+    peaks = {}
+    for command, durations in (("gen", (30.0, 300.0)), ("analyze", (600.0, 1200.0))):
+        for duration in durations:
+            root = tmp_path / f"{command}{duration:.0f}"
+            root.mkdir()
+            (root / "config.json").write_text(json.dumps({"duration": duration}))
+            gen = ["gen", "--config", str(root / "config.json"), "--out", str(root / "s")]
+            if command == "gen":
+                main(gen[:-1] + [str(root / "warm-up")])  # one-time allocations
+                peaks[command, duration] = traced_peak(gen, held)
+            else:
+                assert main(gen) == 0
+                argv = ["analyze", "--in", str(root / "s"), "--out", str(root / "t")]
+                peaks[command, duration] = traced_peak(argv, held)
+    assert peaks["gen", 300.0] < 1.1 * peaks["gen", 30.0], peaks
+    assert peaks["analyze", 1200.0] < 1.1 * peaks["analyze", 600.0], peaks

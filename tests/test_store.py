@@ -5,7 +5,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import random
 import sqlite3
+import tracemalloc
 from dataclasses import replace
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -25,11 +27,13 @@ from pqstream.analyzer import (
     RmsRecord,
     run_pipeline,
 )
-from pqstream.events import EventDetector, EventThresholds
+from pqstream.events import EventDetector, EventRecord, EventThresholds
 from pqstream.siggen import SAMPLE_RATE, generate_stream, parse_script
 from pqstream.query import timeseries
 from pqstream.store import (
+    FILE_COLUMNS,
     PARAMETERS,
+    PHASES,
     EventStat,
     IngestReport,
     MeasurementPoint,
@@ -43,6 +47,7 @@ from pqstream.store import (
     format_value,
     ingest_directory,
     parameter_interval,
+    _record_row,
 )
 
 from conftest import BASE_TIME, unit_config, unit_pipeline_config
@@ -323,6 +328,77 @@ def test_writer_timestamp_millisecond_rounding(tmp_path):
     assert writer.timestamp(0.2) == BASE_TIME + timedelta(milliseconds=200)
     assert writer.timestamp(0.0001) == BASE_TIME  # sub-ms rounds away
     assert writer.timestamp(600.0) == BASE_TIME + timedelta(minutes=10)
+
+
+def long_result() -> PipelineResult:
+    """Records enough for several write chunks of every file, holding None
+    THD and Pst cells, both ``held`` values and a capture that failed."""
+    base = hand_built_result()
+    repeated = {
+        name: [
+            replace(rec, timestamp=rec.timestamp + k * 2 * PARAMETERS[name].interval.total_seconds())
+            for k in range(count)
+            for rec in getattr(base, name)
+        ]
+        for name, count in (("rms", 1500), ("power", 700), ("harmonics", 45), ("frequency", 2100),
+                            ("demand", 3), ("flicker_pst", 300), ("flicker_plt", 1))
+    }
+    events = [
+        EventRecord(1, "MP1", "sag", 1.0, 2.5, 4800, "Sag/raw_1.pqz"),
+        EventRecord(2, "MP1", "swell", 3.2, 3.4, 640, None, raw_write_error=True),
+        EventRecord(3, "MP1", "interruption", 7.0, 9.0, 6400, "Interruption/raw_3.pqz"),
+    ]
+    return PipelineResult(**repeated, events=events)
+
+
+def test_writer_output_equals_the_whole_file_join(tmp_path):
+    # what the writer wrote when it built every line and joined them once
+    def joined(columns, rows, last):
+        lines = [f"# columns: {','.join(columns)}"]
+        lines += [",".join(format_value(v) for v in row) for row in rows]
+        lines.append(f"#last_sample={last.isoformat(timespec='microseconds')}")
+        return ("\n".join(lines) + "\n").encode("utf-8")
+
+    result = long_result()
+    writer = TransferFileWriter(tmp_path / "out", make_point(), BASE_TIME)
+    paths = writer.write_results(result)
+    assert len(paths) == len(PARAMETERS) + 1
+    for name, parameter in PARAMETERS.items():
+        records = getattr(result, name)
+        expected = joined(
+            parameter.column_names,
+            [_record_row(r) for r in records],
+            writer.timestamp(records[-1].timestamp),
+        )
+        assert (tmp_path / "out" / "MP1" / name / f"{name}_000.csv").read_bytes() == expected
+    expected = joined(
+        FILE_COLUMNS["event"],
+        [writer._event_row(e) for e in result.events],
+        writer.timestamp(9.0),
+    )
+    assert (tmp_path / "out" / "MP1" / "event" / "event_000.csv").read_bytes() == expected
+    assert b",,0.25" in (tmp_path / "out" / "MP1" / "harmonics" / "harmonics_000.csv").read_bytes()
+
+
+def test_writer_memory_does_not_grow_with_the_rows_written(tmp_path):
+    # 1500 harmonics rows of 204 seventeen-digit cells: a file of about 6 MB
+    rng = random.Random(3)
+    def orders():
+        return tuple(tuple(rng.random() for _ in range(HARMONIC_ORDERS)) for _ in PHASES)
+    result = PipelineResult(harmonics=[
+        HarmonicsRecord(3.0 * (k + 1), orders(), orders(), orders()[0], (None, 1.5, rng.random()))
+        for k in range(1500)
+    ])
+    writer = TransferFileWriter(tmp_path / "out", make_point(), BASE_TIME)
+    tracemalloc.start()
+    try:
+        (path,) = writer.write_results(result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    written = path.stat().st_size
+    assert written > 5_000_000
+    assert peak < 0.1 * written, (peak, written)
 
 
 # -- database and ingestion ---------------------------------------------------
