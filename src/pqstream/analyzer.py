@@ -9,6 +9,13 @@ that produced them.  Incomplete windows at stream end are discarded and
 tallied, never emitted.  Demand and Pst intervals are whole 3 s blocks, so
 each closes at the block end whose sample index is a multiple of its length.
 
+Every record value is finite, or None where a ratio (THD, Pst) is
+undefined: a block whose RMS levels are not all finite (a NaN or infinite
+sample, or a square that overflows) raises ValueError before any of its
+records is made.  One gap remains: where a phase's voltage and current
+levels multiply to more than about 1e154, S * S overflows in the power step
+and Q reads NaN.
+
 The RMS, power and harmonics kernels take one six-channel block, voltage
 phases first and current phases after.  The pipeline analyzes its 3 s
 buffer in one step when it is full, and a trailing partial block at
@@ -459,7 +466,15 @@ class StreamPipeline:
         base = self._buf_base
         block = self._buf[:, : windows * RMS_WINDOW].reshape(6, windows, RMS_WINDOW)
         stamps = [(base + RMS_WINDOW * k) / SAMPLE_RATE for k in range(1, windows + 1)]
-        levels = rms(block).T.tolist()
+        with np.errstate(over="ignore"):  # an overflowing square is refused below
+            levels = rms(block)
+        if not np.isfinite(levels).all():
+            # refused before any record is made: the writer reads NaN as None
+            raise ValueError(
+                f"samples {base} to {base + windows * RMS_WINDOW} are not finite"
+                " or overflow their RMS"
+            )
+        levels = levels.T.tolist()
         records = [RmsRecord(ts, tuple(v[:3]), tuple(v[3:])) for ts, v in zip(stamps, levels)]
         self.result.rms.extend(records)
         if self.detector is not None:

@@ -208,14 +208,6 @@ class WaveformFrame:
         return self.start_sample_index + self.frame_length
 
 
-def _parse_phases(token: str, lineno: int) -> tuple[str, ...]:
-    phases = tuple(dict.fromkeys(token.upper()))
-    for ch in phases:
-        if ch not in PHASES:
-            raise ScriptError(f"line {lineno}: unknown phase {ch!r} (use A, B, C)")
-    return phases
-
-
 def _parse_number(token: str, what: str, lineno: int) -> float:
     try:
         return float(token)
@@ -246,7 +238,7 @@ def parse_script(text: str) -> DisturbanceScript:
             raise ScriptError(f"line {lineno}: unknown disturbance kind {tokens[0]!r}")
         start = _parse_number(tokens[1], "start time", lineno)
         end = _parse_number(tokens[2], "end time", lineno)
-        phases = _parse_phases(tokens[3], lineno)
+        phases = tuple(dict.fromkeys(tokens[3].upper()))  # DisturbanceSpec checks them
         magnitude = _parse_number(tokens[4], "magnitude", lineno)
         order: int | None = None
         mod_freq: float | None = None

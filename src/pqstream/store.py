@@ -30,10 +30,10 @@ import math
 import sqlite3
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timedelta, timezone
-from functools import cache
-from itertools import islice
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .analyzer import (
     DEMAND_INTERVAL_S,
@@ -70,7 +70,8 @@ class Parameter:
 
     ``name`` is the ``PipelineResult`` attribute holding its records, its
     transfer directory and its table.  ``columns`` pairs each stored column
-    with its SQL type, in the order :func:`_record_row` lays values out.
+    with its SQL type, in the order of the record's fields after
+    ``timestamp``, nested tuples flattened.
     """
 
     name: str
@@ -265,38 +266,33 @@ def format_value(value) -> str:
     return str(value)
 
 
-@cache
-def _value_fields(record_type: type) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(record_type) if f.name != "timestamp")
+def _series_chunks(parameter: Parameter, records: list) -> Iterator[str]:
+    """CSV text of ``records``, a chunk of rows at a time.
 
-
-def _record_row(record) -> list:
-    """CSV row of one analyzer record: its fields after ``timestamp`` in
-    declaration order, tuples and tuples of tuples flattened."""
-    row: list = []
-    for name in _value_fields(type(record)):
-        value = getattr(record, name)
-        if type(value) is not tuple:
-            row.append(value)
-        elif value and type(value[0]) is tuple:
-            for part in value:
-                row.extend(part)
-        else:
-            row.extend(value)
-    return row
-
-
-@cache
-def _float_row_format(cells: int) -> str:
-    return ",".join(["%.17g"] * cells)
-
-
-def _csv_line(row: list) -> str:
-    """``",".join(format_value(v) for v in row)``, in one format call when
-    every cell is a float ("%.17g" would print a large int in exponent form)."""
-    if set(map(type, row)) == {float}:
-        return _float_row_format(len(row)) % tuple(row)
-    return ",".join(format_value(v) for v in row)
+    Each field after ``timestamp`` becomes one float64 array, nested tuples
+    flattened in order, so None is NaN and a bool 1 or 0; the arrays side by
+    side go through one ``%.17g`` format call and NaN is left empty.  A
+    record whose values do not fill the parameter's columns raises ValueError.
+    """
+    names = [f.name for f in fields(type(records[0]))[1:]]
+    width = len(parameter.columns)
+    line = ",".join(["%.17g"] * width) + "\n"
+    step = max(1, CSV_CHUNK_CELLS // width)
+    for start in range(0, len(records), step):
+        chunk = records[start : start + step]
+        n = len(chunk)
+        try:
+            cells = np.hstack([
+                np.array([getattr(r, name) for r in chunk], np.float64).reshape(n, -1)
+                for name in names
+            ])
+        except ValueError as exc:
+            raise ValueError(f"{parameter.name} records are not rows of numbers: {exc}") from None
+        if cells.shape[1] != width:
+            raise ValueError(
+                f"{parameter.name} records hold {cells.shape[1]} values, expected {width}"
+            )
+        yield ((line * n) % tuple(cells.ravel().tolist())).replace("nan", "")
 
 
 class TransferFileWriter:
@@ -339,37 +335,33 @@ class TransferFileWriter:
         return path
 
     def _write_csv(
-        self, parameter_type: str, rows: Iterable[list], last_sample: datetime, file_seq: int
+        self, parameter_type: str, chunks: Iterable[str], last_sample: datetime, file_seq: int
     ) -> Path:
-        """Write the header, ``rows`` and the footer, holding at most one
-        chunk of formatted lines at a time."""
+        """Write the header, the text ``chunks`` of whole lines and the footer."""
         directory = self.point_dir / parameter_type
         directory.mkdir(exist_ok=True)
         path = directory / f"{parameter_type}_{file_seq:03d}.csv"
-        columns = FILE_COLUMNS[parameter_type]
-        lines = map(_csv_line, rows)
-        chunk_rows = max(1, CSV_CHUNK_CELLS // len(columns))
         with path.open("w", encoding="utf-8") as f:
-            f.write(f"# columns: {','.join(columns)}\n")
-            while chunk := list(islice(lines, chunk_rows)):
-                chunk.append("")  # so the chunk's last line ends too
-                f.write("\n".join(chunk))
+            f.write(f"# columns: {','.join(FILE_COLUMNS[parameter_type])}\n")
+            for chunk in chunks:
+                f.write(chunk)
             f.write(f"#last_sample={last_sample.isoformat(timespec=ISO_TIMESPEC)}\n")
         return path
 
     def write_results(self, result: PipelineResult, file_seq: int = 0) -> list[Path]:
         """Write every non-empty record series plus the event log; returns paths."""
         written: list[Path] = []
-        for name in PARAMETERS:
+        for name, parameter in PARAMETERS.items():
             records = getattr(result, name)
             if not records:
                 continue
+            chunks = _series_chunks(parameter, records)
             last = self.timestamp(records[-1].timestamp)
-            written.append(self._write_csv(name, map(_record_row, records), last, file_seq))
+            written.append(self._write_csv(name, chunks, last, file_seq))
         if result.events:
-            rows = map(self._event_row, result.events)
+            lines = (",".join(map(format_value, self._event_row(e))) + "\n" for e in result.events)
             last = self.timestamp(max(e.end_time for e in result.events))
-            written.append(self._write_csv(EVENT_LOG, rows, last, file_seq))
+            written.append(self._write_csv(EVENT_LOG, lines, last, file_seq))
         return written
 
     def _event_row(self, event: EventRecord) -> list:

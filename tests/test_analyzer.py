@@ -662,3 +662,76 @@ def test_sixty_hertz_pst_groups_half_cycles_per_rms_window():
     assert result.flicker_pst == expected
     assert result.diagnostics.discarded["half_cycle_samples_skipped"] == len(per_window) * 19
     assert result.diagnostics.discarded["pst_half_cycles_discarded"] == 6 * 23
+
+
+class RecordingDetector:
+    """Stands in for a detector: notes the first sample fed and each update."""
+
+    def __init__(self):
+        self.fed = []
+        self.updates = []
+
+    def feed_samples(self, first_sample, voltage, current):
+        self.fed.append(first_sample)
+
+    def update(self, timestamp, triple):
+        self.updates.append(timestamp)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
+@pytest.mark.parametrize("channel, index, refused", [
+    (1, 9600 + 700, "samples 9600 to 19200"),     # phase B voltage, second full block
+    (5, 19200 + 1000, "samples 19200 to 20480"),  # phase C current, trailing partial block
+])
+def test_non_finite_samples_are_refused_before_any_record_of_their_block(
+    bad, channel, index, refused
+):
+    samples = np.vstack(gather(unit_config(6.4)))
+    samples[channel, index] = bad
+    for detector in (None, RecordingDetector()):
+        pipeline = StreamPipeline(unit_pipeline_config(), detector=detector)
+        with pytest.raises(ValueError, match=f"{refused} are not finite"):
+            for frame in frames_of(samples[:3], samples[3:], 1000):
+                pipeline.process_frame(frame)
+            pipeline.finish()
+        result = pipeline.result
+        assert len(result.rms) == 15 * (index // HARMONIC_WINDOW)
+        assert len(result.frequency) == len(result.power) == 3 * (index // HARMONIC_WINDOW)
+        if detector is not None:
+            assert detector.fed == list(range(0, len(result.rms) * RMS_WINDOW, RMS_WINDOW))
+            assert detector.updates == [r.timestamp for r in result.rms]
+
+
+def test_run_pipeline_refuses_a_nan_sample_without_a_detector():
+    samples = np.vstack(gather(unit_config(3.0)))
+    samples[0, 5] = math.nan
+    with pytest.raises(ValueError, match="samples 0 to 9600 are not finite"):
+        run_pipeline(frames_of(samples[:3], samples[3:], 1000), unit_pipeline_config())
+
+
+def test_plt_window_with_an_undefined_pst_is_tallied_not_emitted():
+    # phase C at 0 for the first 10 min leaves that Pst interval's C value
+    # undefined, so the one 2 h Plt window has no defined value for C
+    config = unit_config(7200.0)
+    script = parse_script("interruption 0 600 C 0\n")
+    result = run_pipeline(
+        generate_stream(config, script, frame_length=HARMONIC_WINDOW), unit_pipeline_config()
+    )
+    assert len(result.flicker_pst) == PLT_PST_COUNT
+    assert result.flicker_pst[0].pst[2] is None
+    assert all(v is not None for r in result.flicker_pst[1:] for v in r.pst)
+    assert result.flicker_plt == []
+    assert result.diagnostics.discarded == {"plt_windows_with_undefined_pst": 1}
+
+
+def test_finish_twice_returns_the_same_result_and_refuses_more_frames():
+    frames = list(generate_stream(unit_config(3.4)))
+    pipeline = StreamPipeline(unit_pipeline_config())
+    for frame in frames[:-1]:
+        pipeline.process_frame(frame)
+    result = pipeline.finish()
+    rms_records = list(result.rms)
+    assert pipeline.finish() is result
+    assert result.rms == rms_records
+    with pytest.raises(RuntimeError, match="already finished"):
+        pipeline.process_frame(frames[-1])

@@ -16,9 +16,9 @@ import pytest
 
 import pqstream
 from pqstream import cli
-from pqstream.analyzer import PipelineConfig, run_pipeline
+from pqstream.analyzer import PipelineConfig, PipelineResult, run_pipeline
 from pqstream.cli import _signal_config, main
-from pqstream.events import EventDetector, EventThresholds
+from pqstream.events import EventDetector, EventRecord, EventThresholds
 from pqstream.siggen import SignalConfig, WaveformFrame, parse_script
 from pqstream.store import MeasurementPoint, TransferFileWriter
 
@@ -240,6 +240,15 @@ def test_query_series_chart(workspace, tmp_path, capsys):
     assert chart.read_text().count('class="series"') == 12
 
 
+def test_query_series_chart_without_out_exits_2(workspace, capsys):
+    code = main([
+        "query", "series", "--db", str(workspace / "pq.db"),
+        "--point", "CLI1", "--param", "power", "--chart", "time_series",
+    ])
+    assert code == 2
+    assert "--chart needs --out" in capsys.readouterr().err
+
+
 def test_event_detail_and_extraction(workspace, tmp_path, capsys):
     assert main([
         "event", "1", "--db", str(workspace / "pq.db"),
@@ -267,6 +276,30 @@ def test_event_extraction_of_a_damaged_capture_exits_2(workspace, tmp_path, caps
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
     assert not list(out.glob("*.csv"))
+
+
+def test_event_without_a_capture_says_so(tmp_path, capsys):
+    point = MeasurementPoint("NC1", "NC1", "busbar", "Urban Only")
+    writer = TransferFileWriter(tmp_path / "tree", point, datetime(2000, 1, 1))
+    event = EventRecord(1, "NC1", "swell", 1.0, 1.4, 1280, None, raw_write_error=True)
+    writer.write_results(PipelineResult(events=[event]))
+    db = str(tmp_path / "pq.db")
+    assert main(["ingest", "--root", str(tmp_path / "tree"), "--db", db]) == 0
+    capsys.readouterr()
+    assert main(["event", "1", "--db", db]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "raw capture: not available"
+
+
+def test_event_extraction_into_an_existing_file_exits_4(workspace, tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    code = main([
+        "event", "1", "--db", str(workspace / "pq.db"),
+        "--point", "CLI1", "--raw", "--out", str(blocker),
+    ])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("io error: ")
+    assert blocker.read_text() == "a file, not a directory"
 
 
 def test_unknown_point_exits_3(workspace, capsys):
@@ -456,6 +489,18 @@ def test_analyze_refuses_a_truncated_sample_file_before_writing(tmp_path, capsys
     assert main(["analyze", "--in", str(stream), "--out", str(tmp_path / "t")]) == 2
     assert "not a .npy array" in capsys.readouterr().err
     assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+def test_analyze_refuses_a_non_finite_sample_and_writes_no_csv(tmp_path, capsys, bad):
+    stream = gen_stream(tmp_path, 4.0)
+    current = np.load(stream / "current.npy")
+    current[2, 10000] = bad
+    np.save(stream / "current.npy", current)
+    capsys.readouterr()
+    assert main(["analyze", "--in", str(stream), "--out", str(tmp_path / "t")]) == 2
+    assert "samples 9600 to 12800 are not finite" in capsys.readouterr().err
+    assert not list((tmp_path / "t").rglob("*.csv"))
 
 
 def traced_peak(argv: list[str], held: dict[str, int]) -> int:

@@ -672,6 +672,27 @@ def test_pie_chart_rejects_negative_values(tmp_path):
         render_chart(table, ChartSpec(kind="pie"), tmp_path / "x.svg")
 
 
+def test_pie_chart_of_one_non_zero_row_is_a_full_circle(tmp_path):
+    table = ResultTable(columns=("k", "v"), rows=(("a", 3.0), ("b", None)))
+    svg = render_chart(table, ChartSpec(kind="pie"), tmp_path / "p.svg").read_text()
+    assert svg.count('class="slice"') == 1
+    assert '<circle class="slice"' in svg
+    assert "a (100.0%)" in svg
+
+
+def test_pie_chart_rejects_an_all_zero_total(tmp_path):
+    table = ResultTable(columns=("k", "v"), rows=(("a", 0.0), ("b", 0.0)))
+    with pytest.raises(ChartError, match="positive total"):
+        render_chart(table, ChartSpec(kind="pie"), tmp_path / "x.svg")
+
+
+def test_bar_chart_of_all_zero_values_draws(tmp_path):
+    table = ResultTable(columns=("k", "v"), rows=(("a", 0.0), ("b", 0.0)))
+    svg = render_chart(table, ChartSpec(kind="bar"), tmp_path / "b.svg").read_text()
+    assert svg.count('class="bar"') == 2
+    ET.fromstring(svg)
+
+
 @pytest.mark.parametrize(
     "kind, columns, rows",
     [

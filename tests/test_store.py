@@ -47,7 +47,6 @@ from pqstream.store import (
     format_value,
     ingest_directory,
     parameter_interval,
-    _record_row,
 )
 
 from conftest import BASE_TIME, unit_config, unit_pipeline_config
@@ -197,23 +196,67 @@ def test_format_value_round_trip():
 # -- transfer file writer -----------------------------------------------------
 
 
-CELLS = st.one_of(
-    st.floats(),
-    st.booleans(),
-    st.none(),
-    st.integers(min_value=10**17, max_value=10**30),
+#: Reference flattening of each parameter's record into its cells, in column
+#: order, written from the documented transfer-file layout.
+FLATTEN = {
+    "rms": lambda r: (*r.v_rms, *r.i_rms),
+    "power": lambda r: (*r.active, *r.reactive, *r.apparent, *r.power_factor),
+    "harmonics": lambda r: (
+        *(x for row in r.v_harmonics for x in row),
+        *(x for row in r.i_harmonics for x in row),
+        *r.thd_v,
+        *r.thd_i,
+    ),
+    "frequency": lambda r: (r.frequency, r.held),
+    "demand": lambda r: r.demand,
+    "flicker_pst": lambda r: r.pst,
+    "flicker_plt": lambda r: r.plt,
+}
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+UNDEFINED_OR_FINITE = st.none() | FINITE
+
+
+def triples(cells=FINITE):
+    return st.tuples(cells, cells, cells)
+
+
+# 99 cells from a few drawn values, so a list of records stays cheap to draw
+ORDERS = st.lists(FINITE, min_size=1, max_size=6).map(
+    lambda xs: tuple(tuple(xs[(p + h) % len(xs)] for h in range(HARMONIC_ORDERS)) for p in range(3))
 )
 
 
-@given(rows=st.lists(st.one_of(st.lists(st.floats(), max_size=12), st.lists(CELLS, max_size=12))))
-@example(rows=[[-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.1]])
-@example(rows=[[1.5, None, True, 10**20], [1.5, 2.5]])
+@given(result=st.builds(
+    PipelineResult,
+    rms=st.lists(st.builds(RmsRecord, st.just(0.2), triples(), triples())),
+    harmonics=st.lists(
+        st.builds(HarmonicsRecord, st.just(3.0), ORDERS, ORDERS,
+                  triples(UNDEFINED_OR_FINITE), triples(UNDEFINED_OR_FINITE)),
+        max_size=25,
+    ),
+    frequency=st.lists(st.builds(FrequencyRecord, st.just(1.0), FINITE, st.booleans())),
+    flicker_pst=st.lists(st.builds(FlickerPstRecord, st.just(600.0), triples(UNDEFINED_OR_FINITE))),
+))
+@example(result=PipelineResult(
+    rms=[RmsRecord(0.2, (-0.0, 5e-324, 2.2250738585072014e-308), (1e308, -1e308, 0.1))],
+    frequency=[FrequencyRecord(1.0, 50.0, True), FrequencyRecord(2.0, -0.0, False)],
+    flicker_pst=[FlickerPstRecord(600.0, (None, -0.0, None))],
+))
 @settings(max_examples=200)
-def test_csv_lines_equal_the_per_cell_format(tmp_path_factory, rows):
+def test_csv_lines_equal_the_per_cell_format(tmp_path_factory, result):
     writer = TransferFileWriter(tmp_path_factory.mktemp("csv"), make_point(), BASE_TIME)
-    path = writer._write_csv("rms", rows, BASE_TIME, 0)
-    lines = path.read_text(encoding="utf-8").split("\n")
-    assert lines[1:-2] == [",".join(format_value(v) for v in row) for row in rows]
+    paths = writer.write_results(result)
+    assert {path.parent.name for path in paths} == {
+        name for name in PARAMETERS if getattr(result, name)
+    }
+    for path in paths:
+        name = path.parent.name
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[1:-2] == [
+            ",".join(format_value(v) for v in FLATTEN[name](r)) for r in getattr(result, name)
+        ]
 
 
 def test_writer_tree_layout(written_sag_run):
@@ -367,7 +410,7 @@ def test_writer_output_equals_the_whole_file_join(tmp_path):
         records = getattr(result, name)
         expected = joined(
             parameter.column_names,
-            [_record_row(r) for r in records],
+            [FLATTEN[name](r) for r in records],
             writer.timestamp(records[-1].timestamp),
         )
         assert (tmp_path / "out" / "MP1" / name / f"{name}_000.csv").read_bytes() == expected
@@ -386,7 +429,9 @@ def test_writer_memory_does_not_grow_with_the_rows_written(tmp_path):
     def orders():
         return tuple(tuple(rng.random() for _ in range(HARMONIC_ORDERS)) for _ in PHASES)
     result = PipelineResult(harmonics=[
-        HarmonicsRecord(3.0 * (k + 1), orders(), orders(), orders()[0], (None, 1.5, rng.random()))
+        HarmonicsRecord(
+            3.0 * (k + 1), orders(), orders(), orders()[0][:3], (None, 1.5, rng.random())
+        )
         for k in range(1500)
     ])
     writer = TransferFileWriter(tmp_path / "out", make_point(), BASE_TIME)
@@ -399,6 +444,23 @@ def test_writer_memory_does_not_grow_with_the_rows_written(tmp_path):
     written = path.stat().st_size
     assert written > 5_000_000
     assert peak < 0.1 * written, (peak, written)
+
+
+def test_writer_refuses_records_that_do_not_fill_their_columns(tmp_path):
+    orders = tuple((1.0,) * HARMONIC_ORDERS for _ in PHASES)
+    writer = TransferFileWriter(tmp_path / "out", make_point(), BASE_TIME)
+    for result, match in (
+        # thd_v holding 33 values instead of 3: 234 cells for 204 columns
+        (PipelineResult(harmonics=[HarmonicsRecord(3.0, orders, orders, orders[0], (1.0,) * 3)]),
+         "harmonics records hold 234 values, expected 204"),
+        (PipelineResult(rms=[RmsRecord(0.2, (1.0, 2.0), (3.0, 4.0))]),
+         "rms records hold 4 values, expected 6"),
+        (PipelineResult(rms=[RmsRecord(0.2, (1.0,) * 3, (1.0,) * 3),
+                             RmsRecord(0.4, (1.0,) * 3, (1.0,) * 4)]),
+         "rms records are not rows of numbers"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            writer.write_results(result)
 
 
 # -- database and ingestion ---------------------------------------------------
@@ -524,6 +586,92 @@ def test_ingest_file_that_is_not_utf8_is_malformed_and_the_rest_ingest(written_s
         assert report.rows_inserted["power"] == 12
 
 
+def test_ingest_row_of_another_width_and_an_unparsable_footer_are_malformed(
+    written_sag_run, tmp_path
+):
+    out_root, _, _ = written_sag_run
+    power = out_root / "MP1" / "power" / "power_000.csv"
+    lines = power.read_text().splitlines()
+    lines[3] += ",1.5"
+    power.write_text("\n".join(lines) + "\n")
+    rms = out_root / "MP1" / "rms" / "rms_000.csv"
+    lines = rms.read_text().splitlines()
+    lines[-1] = "#last_sample=yesterday"
+    rms.write_text("\n".join(lines) + "\n")
+    with StreamDatabase(tmp_path / "pq.db") as db:
+        report = ingest_directory(out_root, db)
+        assert report.files_ingested == 3
+        reasons = dict(report.files_malformed)
+        assert reasons.keys() == {str(power), str(rms)}
+        assert reasons[str(power)] == "row 3 holds 13 cells, expected 12"
+        assert reasons[str(rms)].startswith("bad footer timestamp: ")
+        assert "power" not in report.rows_inserted and "rms" not in report.rows_inserted
+        assert db.conn.execute("SELECT COUNT(*) FROM transfer_file").fetchone()[0] == 3
+    summary = report.summary().splitlines()
+    assert f"  {power}: row 3 holds 13 cells, expected 12" in summary
+
+
+def test_ingest_report_summary_lists_each_malformed_file_with_its_reason():
+    report = IngestReport(
+        points_seen=2,
+        files_ingested=3,
+        files_skipped_duplicate=1,
+        files_malformed=[("A/rms/rms_000.csv", "missing #last_sample footer"),
+                         ("B", "missing point metadata")],
+        rows_inserted={"rms": 60, "event": 1},
+    )
+    assert report.summary().splitlines() == [
+        "points: 2",
+        "files ingested: 3",
+        "files skipped (duplicate): 1",
+        "files malformed: 2",
+        "  A/rms/rms_000.csv: missing #last_sample footer",
+        "  B: missing point metadata",
+        "rows into event: 1",
+        "rows into rms: 60",
+    ]
+
+
+def test_ingest_unknown_event_type_is_malformed_and_stores_no_event(tmp_path):
+    root = tmp_path / "tree"
+    (root / "EV" / "event").mkdir(parents=True)
+    (root / "EV" / "point.json").write_text(json.dumps({"id": "EV"}))
+    path = root / "EV" / "event" / "event_000.csv"
+    path.write_text(
+        f"# columns: {','.join(FILE_COLUMNS['event'])}\n"
+        "1,flood,2000-01-01T00:00:01.000000,2000-01-01T00:00:02.000000,3200,\n"
+        "#last_sample=2000-01-01T00:00:02.000000\n"
+    )
+    with StreamDatabase(tmp_path / "pq.db") as db:
+        report = ingest_directory(root, db)
+        assert report.files_malformed == [(str(path), "unknown event type 'flood'")]
+        assert db.conn.execute("SELECT COUNT(*) FROM event").fetchone()[0] == 0
+
+
+def test_ingest_point_directory_without_metadata_is_reported(written_sag_run, tmp_path):
+    out_root, _, _ = written_sag_run
+    (out_root / "STRAY" / "rms").mkdir(parents=True)
+    with StreamDatabase(tmp_path / "pq.db") as db:
+        report = ingest_directory(out_root, db)
+    assert (report.points_seen, report.files_ingested) == (1, 5)
+    assert report.files_malformed == [(str(out_root / "STRAY"), "missing point metadata")]
+
+
+def test_ingest_refuses_a_root_that_is_no_directory_and_a_readonly_database(
+    written_sag_run, tmp_path
+):
+    out_root, _, _ = written_sag_run
+    db_path = tmp_path / "pq.db"
+    with StreamDatabase(db_path) as db:
+        for root in (out_root / "MP1" / "point.json", tmp_path / "missing"):
+            with pytest.raises(StoreError, match="is not a directory"):
+                ingest_directory(root, db)
+    with StreamDatabase(db_path, readonly=True) as db:
+        with pytest.raises(StoreError, match="read-only"):
+            ingest_directory(out_root, db)
+        assert db.get_point("MP1") is None
+
+
 def test_ingest_point_metadata_defaults(tmp_path):
     # a hand-written point.json may omit everything but the id
     root = tmp_path / "tree"
@@ -640,25 +788,14 @@ def hand_built_result() -> PipelineResult:
 
 
 def test_round_trip_every_parameter_bit_exact(tmp_path):
-    flatten = {
-        "rms": lambda r: r.v_rms + r.i_rms,
-        "power": lambda r: r.active + r.reactive + r.apparent + r.power_factor,
-        "harmonics": lambda r: (
-            sum(r.v_harmonics, ()) + sum(r.i_harmonics, ()) + r.thd_v + r.thd_i
-        ),
-        "frequency": lambda r: (r.frequency, float(r.held)),
-        "demand": lambda r: r.demand,
-        "flicker_pst": lambda r: r.pst,
-        "flicker_plt": lambda r: r.plt,
-    }
-    assert set(flatten) == set(PARAMETERS)
+    assert set(FLATTEN) == set(PARAMETERS)
     result = hand_built_result()
     TransferFileWriter(tmp_path / "out", make_point(), BASE_TIME).write_results(result)
     with StreamDatabase(tmp_path / "pq.db") as db:
         report = ingest_directory(tmp_path / "out", db)
         assert report.files_malformed == []
         assert report.files_ingested == len(PARAMETERS)
-        for parameter, flat in flatten.items():
+        for parameter, flat in FLATTEN.items():
             records = getattr(result, parameter)
             table = timeseries(db, "MP1", parameter)
             assert len(table.rows) == len(records) == 2
