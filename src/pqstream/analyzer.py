@@ -11,23 +11,22 @@ each closes at the block end whose sample index is a multiple of its length.
 
 Every record value is finite, or None where a ratio (THD, Pst) is
 undefined: a block whose RMS levels are not all finite (a NaN or infinite
-sample, or a square that overflows) raises ValueError before any of its
-records is made.  One gap remains: where a phase's voltage and current
-levels multiply to more than about 1e154, S * S overflows in the power step
-and Q reads NaN.
+sample, or a square that overflows), or one where a phase's voltage and
+current levels multiply past about 1e154 so that S * S overflows, raises
+ValueError before any of its records is made.
 
 The RMS, power and harmonics kernels take one six-channel block, voltage
 phases first and current phases after.  The pipeline analyzes its 3 s
 buffer in one step when it is full, and a trailing partial block at
 :meth:`StreamPipeline.finish`: one reduction gives the levels of all 15 RMS
-windows, one their half-cycle RMS values, one each the three seconds'
-levels, P and S, and one stacked product their power phasors.  The current
-phasors' magnitudes are the per-second fundamental currents that demand
-averages.  So records, and the detector's samples and updates, leave at each
-block end and at ``finish``, not per frame.  Harmonics and the power phasors
-are projected at the exact frequency estimate on 640-sample sub-blocks
-(:func:`_project`); that basis is rebuilt for every window, not cached,
-because it is cheap and the estimate changes in its last bits.
+windows, one their half-cycle RMS values, and one each the three seconds'
+levels, P and S.  The current phasors' magnitudes are the per-second
+fundamental currents that demand averages.  So records, and the detector's
+samples and updates, leave at each block end and at ``finish``, not per
+frame.  Harmonics and each second's power phasors go through one projector,
+:func:`_project`, at the exact frequency estimate on 640-sample sub-blocks;
+that basis is rebuilt for every window, not cached, because it is cheap and
+the estimate changes in its last bits.
 
 The sampling rate (``SAMPLE_RATE``), the band a frequency estimate must
 fall in (``FREQUENCY_BAND``), the THD floor factor (``THD_FLOOR_FACTOR``)
@@ -175,41 +174,31 @@ def _basis(fundamental: float, orders: int) -> np.ndarray:
     return np.concatenate((sub.real, sub.imag))
 
 
-def _rotate(parts: np.ndarray, fundamental: float, channels: int) -> np.ndarray:
-    """Complex (channels, orders) projections from the (channels * blocks,
-    2 * orders) sub-block products with :func:`_basis`: the twiddle
-    exp(-2j*pi*h*f*RMS_WINDOW*k/fs) moves sub-block k to the window start."""
-    orders = parts.shape[1] // 2
-    blocks = parts.shape[0] // channels
-    step = -2j * np.pi * fundamental / SAMPLE_RATE
-    sums = (parts[:, :orders] + 1j * parts[:, orders:]).reshape(channels, blocks, orders)
-    twiddle = np.exp(step * RMS_WINDOW * np.outer(np.arange(blocks), np.arange(1, orders + 1)))
-    return (2.0 / (blocks * RMS_WINDOW)) * np.einsum("cbh,bh->ch", sums, twiddle)
-
-
 def _project(x: np.ndarray, fundamental: float, orders: int) -> np.ndarray:
     """Complex (channels, orders) projections of (channels, n) samples.
 
     Entry (c, h-1) projects channel c onto order h of ``fundamental``,
     scaled so a sinusoid of amplitude A has magnitude A.  ``n`` must be a
     multiple of ``RMS_WINDOW``: all sub-blocks of that length go through
-    one real matrix product with :func:`_basis`, and :func:`_rotate` sums them.
+    one real matrix product with :func:`_basis`, and the twiddle
+    exp(-2j*pi*h*f*RMS_WINDOW*k/fs) moves sub-block k to the window start.
     """
     channels, n = x.shape
     blocks, rest = divmod(n, RMS_WINDOW)
     if rest or not blocks:
         raise ValueError(f"projection length must be a positive multiple of {RMS_WINDOW}")
     parts = x.reshape(channels * blocks, RMS_WINDOW) @ _basis(fundamental, orders).T
-    return _rotate(parts, fundamental, channels)
+    sums = (parts[:, :orders] + 1j * parts[:, orders:]).reshape(channels, blocks, orders)
+    step = -2j * np.pi * fundamental / SAMPLE_RATE
+    twiddle = np.exp(step * RMS_WINDOW * np.outer(np.arange(blocks), np.arange(1, orders + 1)))
+    return (2.0 / n) * np.einsum("cbh,bh->ch", sums, twiddle)
 
 
 def harmonic_magnitudes(samples: np.ndarray, fundamental: float) -> np.ndarray:
     """Peak amplitudes at orders 1..33 times ``fundamental``.
 
-    ``samples`` is (n,) or (channels, n) with n a multiple of ``RMS_WINDOW``;
-    each order is projected per sub-block and rotated into place by block
-    twiddles (:func:`_project`).  Nothing is cached: that basis is cheap, and
-    the frequency estimate changes from window to window.
+    ``samples`` is (n,) or (channels, n) with n a multiple of ``RMS_WINDOW``,
+    projected by :func:`_project`.
     """
     x = np.asarray(samples, dtype=np.float64)
     mags = np.abs(_project(np.atleast_2d(x), fundamental, HARMONIC_ORDERS))
@@ -262,30 +251,36 @@ def compute_power(window: np.ndarray, fundamental: float, timestamp: float) -> P
     Q = sign(phi) * sqrt(max(S^2 - P^2, 0)) where phi is the fundamental
     lag of current behind voltage, making Q positive for inductive load; a
     zero Q is always +0, whatever the sign of the rounding noise in phi.
-    The power factor is P/S, defined as 0 for a dead window.
+    The power factor is P/S, defined as 0 for a dead window.  A window
+    whose S * S overflows raises ValueError.
     """
     if window.shape[-1] != POWER_WINDOW:
         raise ValueError(f"power window must hold exactly {POWER_WINDOW} samples")
-    return _power_records(window, [fundamental], [timestamp])[0][0]
+    return _power_records(window, 0, [fundamental], [timestamp])[0][0]
 
 
 def _power_records(
-    block: np.ndarray, fundamentals: Sequence[float], timestamps: Sequence[float]
+    block: np.ndarray,
+    first_sample: int,
+    fundamentals: Sequence[float],
+    timestamps: Sequence[float],
 ) -> tuple[list[PowerRecord], list[list[float]]]:
     """:func:`compute_power` of each consecutive second of a (6, m * 3200)
     block, second s at ``fundamentals[s]``, and each second's three
     fundamental current magnitudes: one reduction per quantity and one
-    stacked projection for all m seconds."""
+    :func:`_project` per second.  An S * S that overflows raises ValueError
+    naming the block's samples, from ``first_sample``, before any record."""
     m = len(fundamentals)
     seconds = block.reshape(6, m, POWER_WINDOW)
-    levels = rms(seconds)
+    with np.errstate(over="ignore"):
+        levels = rms(seconds)
+        apparent = levels[:3] * levels[3:]
+        if not np.isfinite(np.square(apparent)).all():
+            end = first_sample + m * POWER_WINDOW
+            raise ValueError(f"samples {first_sample} to {end}: apparent power squared overflows")
     active = np.mean(seconds[:3] * seconds[3:], axis=-1).T.tolist()
-    apparent = (levels[:3] * levels[3:]).T.tolist()
-    blocks = POWER_WINDOW // RMS_WINDOW
-    subs = seconds.reshape(6, m, blocks, RMS_WINDOW).transpose(1, 0, 2, 3)
-    bases = np.stack([_basis(f, 1) for f in fundamentals])
-    parts = subs.reshape(m, 6 * blocks, RMS_WINDOW) @ bases.transpose(0, 2, 1)
-    phasors = np.array([_rotate(x, f, 6)[:, 0] for x, f in zip(parts, fundamentals)])
+    apparent = apparent.T.tolist()
+    phasors = np.array([_project(seconds[:, s], f, 1)[:, 0] for s, f in enumerate(fundamentals)])
     magnitudes, angles = np.abs(phasors).tolist(), np.angle(phasors).tolist()
     records = []
     for ts, P3, S3, magnitude, angle in zip(timestamps, active, apparent, magnitudes, angles):
@@ -319,10 +314,7 @@ def estimate_frequency(
         return FrequencyRecord(timestamp=timestamp, frequency=previous, held=True)
     frac = x[idx] / (x[idx] - x[idx + 1])
     crossings = (idx + frac) / SAMPLE_RATE
-    span = crossings[-1] - crossings[0]
-    if span <= 0.0:
-        return FrequencyRecord(timestamp=timestamp, frequency=previous, held=True)
-    freq = (len(crossings) - 1) / span
+    freq = (len(crossings) - 1) / (crossings[-1] - crossings[0])
     if not FREQUENCY_BAND[0] <= freq <= FREQUENCY_BAND[1]:
         return FrequencyRecord(timestamp=timestamp, frequency=previous, held=True)
     return FrequencyRecord(timestamp=timestamp, frequency=float(freq), held=False)
@@ -469,11 +461,28 @@ class StreamPipeline:
         with np.errstate(over="ignore"):  # an overflowing square is refused below
             levels = rms(block)
         if not np.isfinite(levels).all():
-            # refused before any record is made: the writer reads NaN as None
+            # refused before any record is made or the detector fed, as
+            # _power_records refuses an overflowing S * S: the writer reads
+            # NaN as None
             raise ValueError(
                 f"samples {base} to {base + windows * RMS_WINDOW} are not finite"
                 " or overflow their RMS"
             )
+        freqs = []
+        for end in range(POWER_WINDOW, seconds * POWER_WINDOW + 1, POWER_WINDOW):
+            freq = estimate_frequency(
+                self._buf[0, end - POWER_WINDOW : end],
+                previous=self._prev_frequency,
+                timestamp=(base + end) / SAMPLE_RATE,
+            )
+            self._prev_frequency = freq.frequency
+            freqs.append(freq)
+        power, currents = _power_records(
+            self._buf[:, : seconds * POWER_WINDOW],
+            base,
+            [f.frequency for f in freqs],
+            [f.timestamp for f in freqs],
+        )
         levels = levels.T.tolist()
         records = [RmsRecord(ts, tuple(v[:3]), tuple(v[3:])) for ts, v in zip(stamps, levels)]
         self.result.rms.extend(records)
@@ -483,29 +492,14 @@ class StreamPipeline:
             for k, rec in enumerate(records):
                 self._feed_detector(k * RMS_WINDOW, (k + 1) * RMS_WINDOW)
                 self.detector.update(rec.timestamp, rec.v_rms)
+        self.result.frequency.extend(freqs)
+        self.result.power.extend(power)
+        self._currents.extend(currents)
 
         # grouped per RMS window, so a half-cycle never spans two windows
         hc = half_cycle_rms(block[:3], self._half_block).reshape(3, -1)
         self._pst_series[:, self._pst_fill : self._pst_fill + hc.shape[1]] = hc
         self._pst_fill += hc.shape[1]
-
-        for end in range(POWER_WINDOW, seconds * POWER_WINDOW + 1, POWER_WINDOW):
-            freq = estimate_frequency(
-                self._buf[0, end - POWER_WINDOW : end],
-                previous=self._prev_frequency,
-                timestamp=(base + end) / SAMPLE_RATE,
-            )
-            self._prev_frequency = freq.frequency
-            self.result.frequency.append(freq)
-        if seconds:
-            freqs = self.result.frequency[-seconds:]
-            power, currents = _power_records(
-                self._buf[:, : seconds * POWER_WINDOW],
-                [f.frequency for f in freqs],
-                [f.timestamp for f in freqs],
-            )
-            self.result.power.extend(power)
-            self._currents.extend(currents)
         if self._fill < HARMONIC_WINDOW:
             return
         block_end = base + HARMONIC_WINDOW

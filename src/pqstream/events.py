@@ -27,9 +27,10 @@ filter of HDF5 and Blosc), which compresses better and about ten times
 faster than plain samples at level 6.  Version 1 captures (one
 channel-major block of plain samples) still decode, and both versions are
 read one block at a time, so a raw export holds one second of samples.  The
-thresholds and hysteresis margins, the sampling rate (``SAMPLE_RATE``), the
-RMS interval the machines step by (``RMS_INTERVAL_S``, one analyzer RMS
-window) and the trigger margins (``PRE_TRIGGER_SAMPLES``,
+detector keeps time in samples: an event starts and ends at the first sample
+of the RMS window (``RMS_WINDOW``) that shows the change, or at the stream
+end, and its record's times are those samples over ``SAMPLE_RATE``.  The
+thresholds, hysteresis and trigger margins (``PRE_TRIGGER_SAMPLES``,
 ``POST_TRIGGER_SAMPLES``) are fixed module constants; only the nominal
 voltage they are relative to is set per measurement point.
 """
@@ -50,7 +51,6 @@ from .siggen import SAMPLE_RATE
 
 EVENT_TYPES = ("sag", "swell", "interruption", "unbalance")
 
-RMS_INTERVAL_S = RMS_WINDOW / SAMPLE_RATE
 PRE_TRIGGER_SAMPLES = round(0.2 * SAMPLE_RATE)   # captured before an event's start
 POST_TRIGGER_SAMPLES = round(0.2 * SAMPLE_RATE)  # captured after its end
 
@@ -311,9 +311,7 @@ class EventDetector:
     than one RMS interval is truncated at the stream position where the
     exit was observed.  Whatever the frame length, samples are kept from the
     window just judged (or an open event's start) minus the pre-trigger.  An
-    open event is held as its start time alone; its start sample,
-    ``round(start_time * SAMPLE_RATE)``, is derived where the capture trim
-    and the record need it.
+    open event is held as its start sample alone.
     """
 
     def __init__(
@@ -327,8 +325,8 @@ class EventDetector:
         self.raw_sink = raw_sink
         self.records: list[EventRecord] = []
         self.capture = CaptureBuffer()
-        # an open event's start time, None when that type has no open event
-        self._active: dict[str, float | None] = {t: None for t in EVENT_TYPES}
+        # an open event's start sample, None when that type has no open event
+        self._active: dict[str, int | None] = {t: None for t in EVENT_TYPES}
         self._last_timestamp: float | None = None
         self._next_event_id = 1
 
@@ -365,7 +363,8 @@ class EventDetector:
         nominal = self.thresholds.nominal_voltage_rms
         low, high = min(values) / nominal, max(values) / nominal
         # events start, and end, where the window that shows the change starts
-        edge = timestamp - RMS_INTERVAL_S
+        end = round(timestamp * SAMPLE_RATE)
+        edge = end - RMS_WINDOW
         active = self._active
 
         # Interruption first: it governs the sag machine at this point.  Sag
@@ -402,17 +401,15 @@ class EventDetector:
         elif factor is not None and factor <= UNBALANCE_THRESHOLD - UNBALANCE_HYSTERESIS:
             self._exit("unbalance", edge)
 
-        self._trim_capture(timestamp)
+        self._trim_capture(end)
 
-    def _enter(self, event_type: str, start_time: float) -> None:
-        self._active[event_type] = start_time
+    def _enter(self, event_type: str, start_sample: int) -> None:
+        self._active[event_type] = start_sample
 
-    def _exit(self, event_type: str, end_time: float) -> None:
-        """End the open ``event_type`` event at ``end_time`` and record it."""
-        start_time = self._active[event_type]
+    def _exit(self, event_type: str, end_sample: int) -> None:
+        """End the open ``event_type`` event at ``end_sample`` and record it."""
+        start_sample = self._active[event_type]
         self._active[event_type] = None
-        start_sample = round(start_time * SAMPLE_RATE)
-        end_sample = round(end_time * SAMPLE_RATE)
         event_id = self._next_event_id
         self._next_event_id += 1
         path: str | None = None
@@ -431,28 +428,29 @@ class EventDetector:
                 event_id=event_id,
                 measurement_point_id=self.measurement_point_id,
                 event_type=event_type,
-                start_time=start_time,
-                end_time=end_time,
+                start_time=start_sample / SAMPLE_RATE,
+                end_time=end_sample / SAMPLE_RATE,
                 size_in_samples=end_sample - start_sample,
                 file_path=path,
                 raw_write_error=failed,
             )
         )
 
-    def _trim_capture(self, timestamp: float) -> None:
+    def _trim_capture(self, end_sample: int) -> None:
         # an event the next window opens starts where this window ends
-        keep_from = round(timestamp * SAMPLE_RATE) - PRE_TRIGGER_SAMPLES
-        for start_time in self._active.values():
-            if start_time is not None:
-                keep_from = min(keep_from, round(start_time * SAMPLE_RATE) - PRE_TRIGGER_SAMPLES)
+        keep_from = end_sample - PRE_TRIGGER_SAMPLES
+        for start_sample in self._active.values():
+            if start_sample is not None:
+                keep_from = min(keep_from, start_sample - PRE_TRIGGER_SAMPLES)
         self.capture.trim(max(keep_from, 0))
 
     def close(self, end_timestamp: float | None = None) -> None:
         """Finalize events still open at stream end at the last known time,
         and let go of the raw samples, which no later event can use."""
         if end_timestamp is None:
-            end_timestamp = self._last_timestamp if self._last_timestamp is not None else 0.0
-        for event_type, start_time in self._active.items():
-            if start_time is not None:
-                self._exit(event_type, end_timestamp)
+            end_timestamp = self._last_timestamp or 0.0
+        end_sample = round(end_timestamp * SAMPLE_RATE)
+        for event_type, start_sample in self._active.items():
+            if start_sample is not None:
+                self._exit(event_type, end_sample)
         self.capture = CaptureBuffer()

@@ -337,15 +337,19 @@ class TransferFileWriter:
     def _write_csv(
         self, parameter_type: str, chunks: Iterable[str], last_sample: datetime, file_seq: int
     ) -> Path:
-        """Write the header, the text ``chunks`` of whole lines and the footer."""
+        """Write the header, the ``chunks`` of whole lines and the footer, or no file."""
         directory = self.point_dir / parameter_type
         directory.mkdir(exist_ok=True)
         path = directory / f"{parameter_type}_{file_seq:03d}.csv"
-        with path.open("w", encoding="utf-8") as f:
-            f.write(f"# columns: {','.join(FILE_COLUMNS[parameter_type])}\n")
-            for chunk in chunks:
-                f.write(chunk)
-            f.write(f"#last_sample={last_sample.isoformat(timespec=ISO_TIMESPEC)}\n")
+        try:
+            with path.open("w", encoding="utf-8") as f:
+                f.write(f"# columns: {','.join(FILE_COLUMNS[parameter_type])}\n")
+                for chunk in chunks:
+                    f.write(chunk)
+                f.write(f"#last_sample={last_sample.isoformat(timespec=ISO_TIMESPEC)}\n")
+        except BaseException:
+            path.unlink(missing_ok=True)
+            raise
         return path
 
     def write_results(self, result: PipelineResult, file_seq: int = 0) -> list[Path]:
@@ -441,7 +445,7 @@ class StreamDatabase:
         self.readonly = readonly
         try:
             if readonly:
-                self.conn = sqlite3.connect(f"file:{self.path}?mode=ro", uri=True)
+                self.conn = sqlite3.connect(self.path.resolve().as_uri() + "?mode=ro", uri=True)
             else:
                 self.conn = sqlite3.connect(self.path)
             try:

@@ -298,6 +298,16 @@ def test_frequency_out_of_band_holds_previous():
     assert record.held
 
 
+def test_frequency_with_an_infinite_sample_at_a_crossing_holds_previous():
+    # the crossing's interpolation reads -inf / -inf, so the estimate is NaN
+    # and the band check holds the previous value
+    window = sine_window(POWER_WINDOW)[0]
+    window[64] = -math.inf
+    with np.errstate(invalid="ignore"):
+        record = estimate_frequency(window, previous=49.9, timestamp=2.0)
+    assert (record.frequency, record.held) == (49.9, True)
+
+
 # -- demand -------------------------------------------------------------------
 
 
@@ -389,6 +399,25 @@ def test_plt_doubles_with_input():
 def test_plt_requires_twelve_values():
     with pytest.raises(ValueError):
         compute_plt([(1.0, 1.0, 1.0)] * 11, timestamp=7200.0)
+
+
+def test_plt_refuses_an_undefined_pst():
+    values = [(1.0, 1.0, 1.0)] * (PLT_PST_COUNT - 1) + [(1.0, math.nan, 1.0)]
+    with pytest.raises(ValueError, match="undefined Pst"):
+        compute_plt(values, timestamp=7200.0)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: compute_thd([1.0]), "fundamental plus at least one harmonic"),
+    (lambda: compute_thd(np.ones((2, 3))), "fundamental plus at least one harmonic"),
+    (lambda: compute_harmonics(np.ones((6, POWER_WINDOW)), 50.0, 3.0), "exactly 9600"),
+    (lambda: compute_power(np.ones((6, HARMONIC_WINDOW)), 50.0, 1.0), "exactly 3200"),
+    (lambda: compute_pst(np.ones((2, 10)), 600.0), r"shape \(3, n\)"),
+    (lambda: compute_pst(np.ones((3, 0)), 600.0), r"shape \(3, n\)"),
+], ids=["thd-one-value", "thd-2d", "harmonics-1s", "power-3s", "pst-two-rows", "pst-empty"])
+def test_kernels_refuse_windows_of_another_shape(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 @given(
@@ -700,6 +729,35 @@ def test_non_finite_samples_are_refused_before_any_record_of_their_block(
         if detector is not None:
             assert detector.fed == list(range(0, len(result.rms) * RMS_WINDOW, RMS_WINDOW))
             assert detector.updates == [r.timestamp for r in result.rms]
+
+
+@pytest.mark.parametrize("scale", [1e76, 1e150])
+def test_power_whose_square_overflows_is_refused_before_any_record_of_its_block(scale):
+    # 230 V and 10 A levels times 1e76 give S = 2.3e155, past sqrt(max float);
+    # every RMS level stays finite.  Second 5 lies in the second block.
+    samples = np.vstack(gather(SignalConfig(duration=6.0)))
+    samples[:, 4 * POWER_WINDOW : 5 * POWER_WINDOW] *= scale
+    for detector in (None, RecordingDetector()):
+        pipeline = StreamPipeline(PipelineConfig(), detector=detector)
+        with pytest.raises(ValueError, match="samples 9600 to 19200: apparent power squared"):
+            for frame in frames_of(samples[:3], samples[3:], 1000):
+                pipeline.process_frame(frame)
+        result = pipeline.result
+        assert (len(result.rms), len(result.frequency), len(result.power)) == (15, 3, 3)
+        assert len(result.harmonics) == 1
+        if detector is not None:
+            assert detector.fed == list(range(0, HARMONIC_WINDOW, RMS_WINDOW))
+            assert detector.updates == [r.timestamp for r in result.rms]
+    with pytest.raises(ValueError, match="samples 0 to 3200: apparent power squared"):
+        compute_power(samples[:, 4 * POWER_WINDOW : 5 * POWER_WINDOW], 50.0, 5.0)
+
+
+def test_power_just_below_the_overflow_stays_finite():
+    samples = np.vstack(gather(SignalConfig(duration=3.0))) * 1e70
+    result = run_pipeline(frames_of(samples[:3], samples[3:], 1000), PipelineConfig())
+    assert len(result.power) == 3
+    for record in result.power:
+        assert all(map(math.isfinite, record.active + record.reactive + record.apparent))
 
 
 def test_run_pipeline_refuses_a_nan_sample_without_a_detector():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import runpy
 import shutil
 import subprocess
 import sys
@@ -366,6 +367,15 @@ def test_console_entry_point_runs():
     assert proc.stdout.strip() == "6990.533"
 
 
+def test_module_entry_point_runs_in_process(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["pqstream", "budget", "--without-events"])
+    monkeypatch.delitem(sys.modules, "pqstream.__main__", raising=False)
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("pqstream", run_name="__main__")
+    assert done.value.code == 0
+    assert capsys.readouterr().out.strip() == "6990.533"
+
+
 # -- sample files: checked before any output, moved one block at a time ------
 
 
@@ -488,6 +498,17 @@ def test_analyze_refuses_a_truncated_sample_file_before_writing(tmp_path, capsys
     (stream / "voltage.npy").write_bytes(b"not an array")
     assert main(["analyze", "--in", str(stream), "--out", str(tmp_path / "t")]) == 2
     assert "not a .npy array" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
+def test_analyze_refuses_a_npy_header_of_format_3(tmp_path, capsys):
+    stream = gen_stream(tmp_path, 3.1)
+    voltage = np.load(stream / "voltage.npy")
+    with (stream / "voltage.npy").open("wb") as f:
+        np.lib.format.write_array(f, voltage, version=(3, 0))
+    capsys.readouterr()
+    assert main(["analyze", "--in", str(stream), "--out", str(tmp_path / "t")]) == 2
+    assert ".npy format version (3, 0) is not supported" in capsys.readouterr().err
     assert not (tmp_path / "t").exists()
 
 

@@ -16,7 +16,6 @@ from pqstream.events import (
     HYSTERESIS,
     INTERRUPTION_THRESHOLD,
     PRE_TRIGGER_SAMPLES,
-    RMS_INTERVAL_S,
     SAG_THRESHOLD,
     SWELL_THRESHOLD,
     UNBALANCE_HYSTERESIS,
@@ -30,7 +29,7 @@ from pqstream.events import (
     encode_raw_capture,
     read_raw_capture,
 )
-from pqstream.analyzer import StreamPipeline, run_pipeline
+from pqstream.analyzer import RMS_WINDOW, StreamPipeline, run_pipeline
 from pqstream.siggen import SAMPLE_RATE, generate_stream, parse_script
 
 from conftest import V1_CAPTURE, unit_config, unit_pipeline_config, v1_capture_samples
@@ -328,7 +327,8 @@ class PerPhaseDetector(EventDetector):
         self._last_timestamp = timestamp
         nominal = self.thresholds.nominal_voltage_rms
         a, b, c = (float(x) / nominal for x in v_rms)
-        edge = timestamp - RMS_INTERVAL_S
+        end = round(timestamp * SAMPLE_RATE)
+        edge = end - RMS_WINDOW
 
         inter_was_active = self._active["interruption"] is not None
         if not inter_was_active:
@@ -375,7 +375,7 @@ class PerPhaseDetector(EventDetector):
         elif factor is not None and factor <= UNBALANCE_THRESHOLD - UNBALANCE_HYSTERESIS:
             self._exit("unbalance", edge)
 
-        self._trim_capture(timestamp)
+        self._trim_capture(end)
 
 
 # every threshold and hysteresis edge, and the third phase of (1, 1, x) whose
@@ -601,6 +601,22 @@ def test_capture_buffer_matches_the_stream_through_growth_and_moves():
         assert np.array_equal(block, stream[:, start:pos])
 
 
+def test_capture_buffer_refuses_a_feed_off_its_next_sample():
+    buffer = CaptureBuffer()
+    chunk = np.ones((3, 10))
+    buffer.feed(0, chunk, chunk)
+    for start in (0, 9, 11):
+        with pytest.raises(ValueError, match=f"capture feed at sample {start}, expected 10"):
+            buffer.feed(start, chunk, chunk)
+    assert buffer.next_sample == 10
+
+
+@pytest.mark.parametrize("shape", [(5, 10), (7, 10), (60,), (6, 10, 1)])
+def test_raw_capture_refuses_an_array_that_is_not_six_channels(shape):
+    with pytest.raises(ValueError, match=r"shape \(6, n\)"):
+        encode_raw_capture(1, 0, np.zeros(shape))
+
+
 def test_capture_buffer_trim_never_moves_back_or_past_the_newest_sample():
     buffer = CaptureBuffer()
     chunk = np.ones((3, 10))
@@ -688,6 +704,32 @@ def test_scripted_sag_exact_extent():
     assert event.start_time == pytest.approx(2.0)
     assert event.end_time == pytest.approx(3.0)
     assert event.size_in_samples == 3200
+
+
+def test_event_times_are_sample_indices_over_the_sample_rate():
+    # edges at 2.2 s, 11.6 s and 10.6 s read 2.1999999999999997,
+    # 11.600000000000001 and 10.600000000000001 when rebuilt from float seconds
+    script = (
+        "sag 2.2 3.4 A 0.6\nswell 5.0 6.2 B 1.2\ninterruption 7.4 10.6 ABC 0\n"
+        "unbalance 11.6 13.0 C 0.95\nsag 14.2 15.0 AB 0.5\n"
+    )
+    events = run_script(script, 15.6)
+    assert [e.event_type for e in events] == [
+        "sag", "swell", "interruption", "unbalance", "sag"
+    ]
+    for event in events:
+        start, end = (round(t * SAMPLE_RATE) for t in (event.start_time, event.end_time))
+        assert (event.start_time, event.end_time) == (start / SAMPLE_RATE, end / SAMPLE_RATE)
+        assert event.size_in_samples == end - start
+    assert [(e.start_time, e.end_time) for e in events] == [
+        (2.2, 3.4), (5.0, 6.2), (7.4, 10.6), (11.6, 13.0), (14.2, 15.0)
+    ]
+    # driven directly, with timestamps summed in float steps of 0.2 s
+    detector = make_detector()
+    drive(detector, [NOMINAL] * 10 + [0.5] * 48 + [NOMINAL] * 2)
+    detector.close()
+    [sag] = detector.records
+    assert (sag.start_time, sag.end_time, sag.size_in_samples) == (2.0, 11.6, 30720)
 
 
 def test_scripted_interruption_exact_extent():

@@ -653,6 +653,21 @@ def test_bar_chart_one_bar_per_group(db, tmp_path):
     assert out.read_text().count('class="bar"') == 2
 
 
+def test_bar_chart_skips_a_none_cell_and_refuses_a_table_without_numbers(tmp_path):
+    table = ResultTable(("load_type", "n"), (("Urban Only", 3), ("Heavy Industry", None)))
+    out = render_chart(table, ChartSpec(kind="bar"), tmp_path / "n.svg")
+    assert out.read_text().count('class="bar"') == 1
+    words = ResultTable(("load_type",), (("Urban Only",),))
+    with pytest.raises(ChartError, match="bar chart needs at least one numeric column"):
+        render_chart(words, ChartSpec(kind="bar"), tmp_path / "w.svg")
+    assert not (tmp_path / "w.svg").exists()
+
+
+def test_chart_spec_refuses_an_unknown_kind():
+    with pytest.raises(ChartError, match="unknown chart kind 'donut'"):
+        ChartSpec(kind="donut")
+
+
 def test_pie_chart_slice_per_group(db, tmp_path):
     spec = QuerySpec(group_by=("load_type",), aggregates=(("sum", "event_count"),))
     table = aggregate_events(db, spec)

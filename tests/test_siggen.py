@@ -16,6 +16,7 @@ from pqstream.siggen import (
     DisturbanceSpec,
     ScriptError,
     SignalConfig,
+    WaveformFrame,
     generate_stream,
     parse_script,
     serialize_script,
@@ -242,8 +243,59 @@ def test_spec_validation_direct_construction():
         )
 
 
+@pytest.mark.parametrize("text, match", [
+    ("sag x 1 A 0.5\n", "line 1: bad start time 'x'"),
+    ("sag 0 1 A half\n", "line 1: bad magnitude 'half'"),
+    ("harmonic 0 1 A 0.1 five\n", "line 1: bad harmonic order 'five'"),
+    ("\nsag 0 1 A 0.5 7\n", "line 2: sag takes exactly five fields"),
+])
+def test_parse_rejects_bad_fields(text, match):
+    with pytest.raises(ScriptError, match=match):
+        parse_script(text)
+
+
+@pytest.mark.parametrize("kind, phases, times, extra, match", [
+    ("dip", ("A",), (0.0, 1.0), {}, "unknown disturbance kind 'dip'"),
+    ("sag", (), (0.0, 1.0), {}, "no phases given"),
+    ("sag", ("D",), (0.0, 1.0), {}, "unknown phase 'D'"),
+    ("sag", ("A", "A"), (0.0, 1.0), {}, "duplicate phase in 'AA'"),
+    ("sag", ("A",), (2.0, 1.0), {}, "must be before end time"),
+    ("sag", ("A",), (-1.0, 1.0), {}, "start time must be >= 0"),
+    ("harmonic", ("A",), (0.0, 1.0), {}, "harmonic needs an order"),
+    ("harmonic", ("A",), (0.0, 1.0), {"harmonic_order": 40}, r"outside \[2, 33\]"),
+    ("sag", ("A",), (0.0, 1.0), {"harmonic_order": 5}, "sag takes no harmonic order"),
+    ("flicker_modulation", ("A",), (0.0, 1.0), {}, "needs a modulation frequency"),
+    ("flicker_modulation", ("A",), (0.0, 1.0), {"modulation_frequency": 0.0},
+     "modulation frequency must be positive"),
+    ("swell", ("A",), (0.0, 1.0), {"modulation_frequency": 8.8},
+     "swell takes no modulation frequency"),
+    ("frequency_drift", ("A", "B"), (0.0, 1.0), {}, "frequency_drift applies to all phases"),
+])
+def test_spec_refusals_when_built_directly(kind, phases, times, extra, match):
+    with pytest.raises(ScriptError, match=match):
+        DisturbanceSpec(kind, *times, phases, 0.5, **extra)
+
+
+def test_frame_refuses_samples_that_are_not_three_channels_alike():
+    with pytest.raises(ValueError, match="shapes differ"):
+        WaveformFrame(0, np.zeros((3, 10)), np.zeros((3, 9)))
+    with pytest.raises(ValueError, match=r"shape \(3, n\)"):
+        WaveformFrame(0, np.zeros((2, 10)), np.zeros((2, 10)))
+    with pytest.raises(ValueError, match=r"shape \(3, n\)"):
+        WaveformFrame(0, np.zeros(30), np.zeros(30))
+
+
+def test_generate_stream_refuses_a_frame_length_of_zero():
+    with pytest.raises(ValueError, match="frame_length must be positive"):
+        next(generate_stream(unit_config(1.0), frame_length=0))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SignalConfig(duration=0.0)
     with pytest.raises(ValueError):
         SignalConfig(nominal_voltage_rms=-1.0)
+    with pytest.raises(ValueError, match="nominal_frequency must be positive"):
+        SignalConfig(nominal_frequency=0.0)
+    with pytest.raises(ValueError, match="jitter_pu must be >= 0"):
+        SignalConfig(jitter_pu=-0.01)

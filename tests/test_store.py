@@ -149,6 +149,24 @@ def test_measurement_point_validation():
         make_point(load_type="Rural")
     with pytest.raises(ValueError):
         make_point(point_id="")
+    with pytest.raises(ValueError, match="voltage_level must be >= 0"):
+        replace(make_point(), voltage_level=-0.4)
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"parameter_type": "voltage"}, "unknown parameter_type 'voltage'"),
+    ({"measurement_date": datetime(2000, 1, 1, 0, 1, 1)}, "must not be after transfer_time"),
+    ({"row_count": -1}, "row_count must be >= 0"),
+])
+def test_transfer_file_invariants(change, match):
+    md = datetime(2000, 1, 1, 0, 1, 0)
+    fields = dict(
+        id=1, measurement_point_id="MP1", parameter_type="rms",
+        measurement_date=md, transfer_time=md, path="x", row_count=0, content_hash="h",
+    )
+    TransferFile(**fields)
+    with pytest.raises(ValueError, match=match):
+        TransferFile(**{**fields, **change})
 
 
 def test_event_stat_count_consistency():
@@ -463,7 +481,37 @@ def test_writer_refuses_records_that_do_not_fill_their_columns(tmp_path):
             writer.write_results(result)
 
 
+def test_writer_leaves_no_partial_file_when_a_record_is_refused(tmp_path):
+    # 700 good records fill more than one chunk before the bad one is reached
+    good = [RmsRecord(0.2 * (k + 1), (1.0,) * 3, (2.0,) * 3) for k in range(700)]
+    bad = RmsRecord(140.2, (1.0, 1.0), (2.0,) * 3)
+    writer = TransferFileWriter(tmp_path / "out", make_point(), BASE_TIME)
+    with pytest.raises(ValueError, match="rms records are not rows of numbers"):
+        writer.write_results(PipelineResult(rms=good + [bad]))
+    assert not any(p.is_file() for p in (tmp_path / "out" / "MP1").rglob("*.csv"))
+    with StreamDatabase(tmp_path / "pq.db") as db:
+        report = ingest_directory(tmp_path / "out", db)
+    assert report.files_malformed == []
+    assert report.files_ingested == 0
+
+
 # -- database and ingestion ---------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["a#b.sqlite", "c%20d.sqlite", "e?f.sqlite", "g h.sqlite"])
+def test_readonly_database_opens_a_path_holding_uri_characters(tmp_path, name):
+    path = tmp_path / name
+    with StreamDatabase(path) as db:
+        db.upsert_point(make_point())
+        db.conn.commit()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    with StreamDatabase(path, readonly=True) as db:
+        assert db.get_point("MP1") == make_point()
+        with pytest.raises(sqlite3.OperationalError, match="readonly"):
+            db.upsert_point(make_point("MP2"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    with StreamDatabase(path, readonly=True) as db:
+        assert db.get_point("MP2") is None
 
 
 def test_point_upsert_round_trip(tmp_path):
@@ -815,6 +863,18 @@ def test_ingest_records_transfer_file_metadata(written_sag_run, tmp_path):
         assert derive_timestamps(tf, tf.row_count - 1) == tf.measurement_date
         # content hash matches the bytes on disk
         assert tf.content_hash == hashlib.sha256(Path(tf.path).read_bytes()).hexdigest()
+
+
+def test_ingest_skips_a_blank_line_inside_a_transfer_file(written_sag_run, tmp_path):
+    out_root, _, _ = written_sag_run
+    path = out_root / "MP1" / "rms" / "rms_000.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:30] + ["\n", "   \n"] + lines[30:]))
+    with StreamDatabase(tmp_path / "pq.db") as db:
+        report = ingest_directory(out_root, db)
+    assert report.files_malformed == []
+    assert report.files_ingested == 5
+    assert report.rows_inserted["rms"] == 60
 
 
 def test_ingest_report_summary_lines(written_sag_run, tmp_path):
