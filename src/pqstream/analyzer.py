@@ -6,8 +6,9 @@ plus THD every 3 s, demand every 15 minutes, short-term flicker severity
 every 10 minutes and long-term flicker severity every 2 hours.  All record
 timestamps are seconds since stream start and mark the end of the window
 that produced them.  Incomplete windows at stream end are discarded and
-tallied, never emitted.  Demand and Pst intervals are whole 3 s blocks, so
-each closes at the block end whose sample index is a multiple of its length.
+tallied in :attr:`PipelineResult.discarded`, never emitted.  Demand, Pst
+and Plt intervals are whole 3 s blocks, so each closes at the block end
+whose sample index is a multiple of its length.
 
 Every record value is finite, or None where a ratio (THD, Pst) is
 undefined: a block whose RMS levels are not all finite (a NaN or infinite
@@ -37,6 +38,7 @@ not configuration.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -376,17 +378,11 @@ def compute_plt(
 
 
 @dataclass
-class PipelineDiagnostics:
-    """Counts of inputs that could not contribute to a full window."""
-
-    discarded: dict[str, int] = field(default_factory=dict)
-
-    def bump(self, key: str, amount: int = 1) -> None:
-        self.discarded[key] = self.discarded.get(key, 0) + amount
-
-
-@dataclass
 class PipelineResult:
+    """Records of each cadence, the detector's events, and ``discarded``:
+    per kind, the inputs that could not contribute to a full window, a kind
+    present only when its count is positive."""
+
     rms: list[RmsRecord] = field(default_factory=list)
     power: list[PowerRecord] = field(default_factory=list)
     harmonics: list[HarmonicsRecord] = field(default_factory=list)
@@ -395,7 +391,7 @@ class PipelineResult:
     flicker_pst: list[FlickerPstRecord] = field(default_factory=list)
     flicker_plt: list[FlickerPltRecord] = field(default_factory=list)
     events: list = field(default_factory=list)
-    diagnostics: PipelineDiagnostics = field(default_factory=PipelineDiagnostics)
+    discarded: Counter[str] = field(default_factory=Counter)
 
 
 class StreamPipeline:
@@ -422,7 +418,7 @@ class StreamPipeline:
         pst_len = round(PST_INTERVAL_S * SAMPLE_RATE / RMS_WINDOW) * (RMS_WINDOW // self._half_block)
         self._pst_series = np.empty((3, pst_len))
         self._pst_fill = 0
-        self._pst_window: list[FlickerPstRecord] = []
+        self._plt_window: list[OptionalTriple] = []  # Pst triples of the open Plt window
         self._currents: list[list[float]] = []  # per second of the open demand window
         self._finished = False
 
@@ -510,12 +506,18 @@ class StreamPipeline:
             v_floor=THD_FLOOR_FACTOR * self.config.nominal_voltage_rms,
             i_floor=THD_FLOOR_FACTOR * self.config.nominal_current_rms,
         ))
-        # Pst and demand intervals are whole blocks, so they close on a block end
+        # Pst, Plt and demand intervals are whole blocks, so they close on a block end
         if block_end % round(PST_INTERVAL_S * SAMPLE_RATE) == 0:
             rec = compute_pst(self._pst_series[:, : self._pst_fill], block_end / SAMPLE_RATE)
             self.result.flicker_pst.append(rec)
             self._pst_fill = 0
-            self._collect_plt(rec)
+            self._plt_window.append(rec.pst)
+        if block_end % round(PLT_PST_COUNT * PST_INTERVAL_S * SAMPLE_RATE) == 0:
+            window, self._plt_window = self._plt_window, []
+            if any(v is None for pst in window for v in pst):
+                self.result.discarded["plt_windows_with_undefined_pst"] += 1
+            else:
+                self.result.flicker_plt.append(compute_plt(window, block_end / SAMPLE_RATE))
         if block_end % round(DEMAND_INTERVAL_S * SAMPLE_RATE) == 0:
             series = np.array(self._currents).T
             self.result.demand.append(compute_demand(series, block_end / SAMPLE_RATE))
@@ -523,19 +525,6 @@ class StreamPipeline:
 
     def _feed_detector(self, lo: int, hi: int) -> None:
         self.detector.feed_samples(self._buf_base + lo, self._buf[:3, lo:hi], self._buf[3:, lo:hi])
-
-    def _collect_plt(self, rec: FlickerPstRecord) -> None:
-        self._pst_window.append(rec)
-        if len(self._pst_window) < PLT_PST_COUNT:
-            return
-        window = self._pst_window
-        self._pst_window = []
-        if any(v is None for r in window for v in r.pst):
-            self.result.diagnostics.bump("plt_windows_with_undefined_pst")
-            return
-        self.result.flicker_plt.append(
-            compute_plt([r.pst for r in window], window[-1].timestamp)
-        )
 
     # -- completion ------------------------------------------------------
 
@@ -545,24 +534,18 @@ class StreamPipeline:
         self._finished = True
         if self._fill >= RMS_WINDOW:
             self._analyze_block()
-        diag = self.result.diagnostics
         end_abs = self._buf_base + self._fill
-        if end_abs % RMS_WINDOW:
-            diag.bump("rms_samples_discarded", end_abs % RMS_WINDOW)
-        if end_abs % POWER_WINDOW:
-            diag.bump("power_samples_discarded", end_abs % POWER_WINDOW)
-        if end_abs % HARMONIC_WINDOW:
-            diag.bump("harmonic_samples_discarded", end_abs % HARMONIC_WINDOW)
-        # each RMS window's samples after its last whole half-cycle never reach Pst
-        skipped = end_abs // RMS_WINDOW * (RMS_WINDOW % self._half_block)
-        if skipped:
-            diag.bump("half_cycle_samples_skipped", skipped)
-        if self._pst_fill:
-            diag.bump("pst_half_cycles_discarded", self._pst_fill)
-        if self._pst_window:
-            diag.bump("plt_pst_records_discarded", len(self._pst_window))
-        if self._currents:
-            diag.bump("demand_windows_discarded")
+        counts = {
+            "rms_samples_discarded": end_abs % RMS_WINDOW,
+            "power_samples_discarded": end_abs % POWER_WINDOW,
+            "harmonic_samples_discarded": end_abs % HARMONIC_WINDOW,
+            # each RMS window's samples after its last whole half-cycle never reach Pst
+            "half_cycle_samples_skipped": end_abs // RMS_WINDOW * (RMS_WINDOW % self._half_block),
+            "pst_half_cycles_discarded": self._pst_fill,
+            "plt_pst_records_discarded": len(self._plt_window),
+            "demand_windows_discarded": int(bool(self._currents)),
+        }
+        self.result.discarded.update({k: n for k, n in counts.items() if n})
         if self.detector is not None:
             self._feed_detector(self._fill - self._fill % RMS_WINDOW, self._fill)
             self.detector.close(end_abs / SAMPLE_RATE)

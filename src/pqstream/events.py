@@ -311,7 +311,10 @@ class EventDetector:
     than one RMS interval is truncated at the stream position where the
     exit was observed.  Whatever the frame length, samples are kept from the
     window just judged (or an open event's start) minus the pre-trigger.  An
-    open event is held as its start sample alone.
+    open event is held as its start sample alone.  The one clock is ``_end``,
+    the sample where the last judged window ends (0 before any update): an
+    update whose window starts before it, and a ``close`` at an end before
+    it, raise ``ValueError`` and change nothing.
     """
 
     def __init__(
@@ -327,7 +330,7 @@ class EventDetector:
         self.capture = CaptureBuffer()
         # an open event's start sample, None when that type has no open event
         self._active: dict[str, int | None] = {t: None for t in EVENT_TYPES}
-        self._last_timestamp: float | None = None
+        self._end = 0  # the sample where the last judged window ends
         self._next_event_id = 1
 
     # -- raw sample intake ------------------------------------------------
@@ -347,24 +350,22 @@ class EventDetector:
         ``high >= 0.07``; a sag enters at ``low < 0.85`` and exits at ``low
         >= 0.87``; a swell enters at ``high > 1.10`` and exits at ``high <=
         1.08``; unbalance enters at a factor above 0.02 and exits at or
-        below 0.015.  A triple holding NaN or an infinity raises
-        ``ValueError`` before any state changes.
+        below 0.015.  A triple whose RMS window, the one ending at
+        ``timestamp``, starts before ``_end``, or that holds NaN or an
+        infinity, raises ``ValueError`` before any state changes.
         """
-        if self._last_timestamp is not None and timestamp <= self._last_timestamp:
-            raise ValueError(
-                f"RMS timestamps must increase strictly: {timestamp} after "
-                f"{self._last_timestamp}"
-            )
+        # events start, and end, where the window that shows the change starts
+        end = round(timestamp * SAMPLE_RATE)
+        edge = end - RMS_WINDOW
+        if edge < self._end:
+            raise ValueError(f"RMS window from sample {edge} starts before sample {self._end}")
         values = [float(x) for x in v_rms]
         if not all(map(math.isfinite, values)):
             raise ValueError(f"RMS triple must be finite, got {values}")
         factor = compute_unbalance(values)
-        self._last_timestamp = timestamp
+        self._end = end
         nominal = self.thresholds.nominal_voltage_rms
         low, high = min(values) / nominal, max(values) / nominal
-        # events start, and end, where the window that shows the change starts
-        end = round(timestamp * SAMPLE_RATE)
-        edge = end - RMS_WINDOW
         active = self._active
 
         # Interruption first: it governs the sag machine at this point.  Sag
@@ -445,11 +446,13 @@ class EventDetector:
         self.capture.trim(max(keep_from, 0))
 
     def close(self, end_timestamp: float | None = None) -> None:
-        """Finalize events still open at stream end at the last known time,
-        and let go of the raw samples, which no later event can use."""
-        if end_timestamp is None:
-            end_timestamp = self._last_timestamp or 0.0
-        end_sample = round(end_timestamp * SAMPLE_RATE)
+        """Finalize events still open at ``end_timestamp``, by default where
+        the last judged window ends, and let go of the raw samples, which no
+        later event can use.  An end before that window's end raises
+        ``ValueError`` and changes nothing."""
+        end_sample = self._end if end_timestamp is None else round(end_timestamp * SAMPLE_RATE)
+        if end_sample < self._end:
+            raise ValueError(f"close at sample {end_sample}, before sample {self._end}")
         for event_type, start_sample in self._active.items():
             if start_sample is not None:
                 self._exit(event_type, end_sample)

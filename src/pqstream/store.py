@@ -28,6 +28,7 @@ import hashlib
 import json
 import math
 import sqlite3
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -146,7 +147,8 @@ FILE_COLUMNS: dict[str, tuple[str, ...]] = {
 
 @dataclass(frozen=True)
 class MeasurementPoint:
-    """Identity and siting of one monitored busbar or feeder."""
+    """Identity and siting of one monitored busbar or feeder.  The id names
+    its transfer-tree directory, so it is a string of one path component."""
 
     id: str
     name: str
@@ -157,8 +159,9 @@ class MeasurementPoint:
     voltage_level: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("measurement point id must be non-empty")
+        bad_id = not isinstance(self.id, str) or self.id in ("", ".", "..")
+        if bad_id or "/" in self.id or "\\" in self.id:
+            raise ValueError(f"measurement point id {self.id!r} is not one path component")
         if self.point_kind not in POINT_KINDS:
             raise ValueError(f"point_kind must be one of {POINT_KINDS}")
         if self.load_type not in LOAD_TYPES:
@@ -538,10 +541,7 @@ class IngestReport:
     files_ingested: int = 0
     files_skipped_duplicate: int = 0
     files_malformed: list[tuple[str, str]] = field(default_factory=list)
-    rows_inserted: dict[str, int] = field(default_factory=dict)
-
-    def bump_rows(self, table: str, amount: int) -> None:
-        self.rows_inserted[table] = self.rows_inserted.get(table, 0) + amount
+    rows_inserted: Counter[str] = field(default_factory=Counter)
 
     @property
     def total_rows_inserted(self) -> int:
@@ -638,7 +638,7 @@ def _ingest_series_file(
     for index, cells in enumerate(parsed.rows):
         payload.append([point.id, transfer_file_id, index, *_row_to_sql(cells)])
     db.conn.executemany(sql, payload)
-    report.bump_rows(parameter_type, len(payload))
+    report.rows_inserted[parameter_type] += len(payload)
 
 
 def _ingest_event_file(
@@ -665,7 +665,7 @@ def _ingest_event_file(
         " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
         payload,
     )
-    report.bump_rows("event", db.conn.total_changes - before)
+    report.rows_inserted["event"] += db.conn.total_changes - before
 
 
 def ingest_directory(root: Path | str, db: StreamDatabase) -> IngestReport:

@@ -170,6 +170,7 @@ def test_criterion_5_two_hour_cadence():
     )
     assert counts == (36000, 7200, 2400, 7200, 8, 12, 1)
     assert result.flicker_plt[0].plt[0] is not None
+    assert result.flicker_plt[0].timestamp == 7200.0
     elapsed = time.perf_counter() - t0
     report(5, f"7200 s run emitted {counts} records, {elapsed:.1f}s")
 

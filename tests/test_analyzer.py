@@ -460,8 +460,8 @@ def test_pipeline_partial_windows_discarded_and_tallied():
     assert len(result.rms) == 6  # floor(1.3 / 0.2)
     assert len(result.power) == 1
     assert len(result.harmonics) == 0
-    assert result.diagnostics.discarded["power_samples_discarded"] == 4160 % 3200
-    assert result.diagnostics.discarded["harmonic_samples_discarded"] == 4160
+    assert result.discarded["power_samples_discarded"] == 4160 % 3200
+    assert result.discarded["harmonic_samples_discarded"] == 4160
 
 
 def test_pipeline_gap_detection():
@@ -505,7 +505,7 @@ def test_pipeline_demand_is_the_mean_of_per_second_fundamental_currents():
     assert [r.timestamp for r in result.demand] == [900.0]
     for p in range(3):
         assert result.demand[0].demand[p] == pytest.approx(10.0 * math.sqrt(2.0), rel=1e-9)
-    assert "demand_windows_discarded" not in result.diagnostics.discarded
+    assert "demand_windows_discarded" not in result.discarded
 
 
 def test_demand_window_open_at_stream_end_is_tallied():
@@ -514,7 +514,7 @@ def test_demand_window_open_at_stream_end_is_tallied():
         generate_stream(unit_config(901.0), frame_length=9600), unit_pipeline_config()
     )
     assert [r.timestamp for r in result.demand] == [900.0]
-    assert result.diagnostics.discarded["demand_windows_discarded"] == 1
+    assert result.discarded["demand_windows_discarded"] == 1
 
 
 def test_pipeline_homogeneity_under_input_scaling():
@@ -645,7 +645,7 @@ def test_block_step_matches_per_window_records(scripted_61s, frame_length):
     assert [e.event_type for e in events] == ["sag", "swell"]
     assert result.events == events
     assert got_blobs == blobs
-    assert result.diagnostics.discarded == {
+    assert result.discarded == {
         "rms_samples_discarded": 320,
         "power_samples_discarded": 960,
         "harmonic_samples_discarded": 4160,
@@ -662,7 +662,7 @@ def test_stream_shorter_than_a_block_emits_its_windows():
     assert (len(result.rms), len(result.power), len(result.frequency)) == (12, 2, 2)
     for name, expected in records.items():
         assert getattr(result, name) == expected, name
-    assert result.diagnostics.discarded == {
+    assert result.discarded == {
         "rms_samples_discarded": 320,
         "power_samples_discarded": 1600,
         "harmonic_samples_discarded": 8000,
@@ -689,8 +689,8 @@ def test_sixty_hertz_pst_groups_half_cycles_per_rms_window():
         for k in range(2)
     ]
     assert result.flicker_pst == expected
-    assert result.diagnostics.discarded["half_cycle_samples_skipped"] == len(per_window) * 19
-    assert result.diagnostics.discarded["pst_half_cycles_discarded"] == 6 * 23
+    assert result.discarded["half_cycle_samples_skipped"] == len(per_window) * 19
+    assert result.discarded["pst_half_cycles_discarded"] == 6 * 23
 
 
 class RecordingDetector:
@@ -779,7 +779,25 @@ def test_plt_window_with_an_undefined_pst_is_tallied_not_emitted():
     assert result.flicker_pst[0].pst[2] is None
     assert all(v is not None for r in result.flicker_pst[1:] for v in r.pst)
     assert result.flicker_plt == []
-    assert result.diagnostics.discarded == {"plt_windows_with_undefined_pst": 1}
+    assert result.discarded == {"plt_windows_with_undefined_pst": 1}
+
+
+def test_stream_ending_between_its_first_pst_and_plt_tallies_the_open_windows():
+    # 603.1 s: one Pst written, its record held by the open Plt window, and
+    # 3 s of half-cycles, 0.1 s of samples and the open demand window left
+    result = run_pipeline(
+        generate_stream(unit_config(603.1), frame_length=HARMONIC_WINDOW), unit_pipeline_config()
+    )
+    assert [r.timestamp for r in result.flicker_pst] == [600.0]
+    assert result.flicker_plt == result.demand == []
+    assert result.discarded == {
+        "rms_samples_discarded": 320,
+        "power_samples_discarded": 320,
+        "harmonic_samples_discarded": 320,
+        "pst_half_cycles_discarded": 15 * 20,
+        "plt_pst_records_discarded": 1,
+        "demand_windows_discarded": 1,
+    }
 
 
 def test_finish_twice_returns_the_same_result_and_refuses_more_frames():

@@ -131,6 +131,17 @@ def test_analyze_refuses_a_nominal_frequency_it_cannot_measure(tmp_path, capsys)
     assert capsys.readouterr().err.startswith("error: nominal_frequency")
 
 
+@pytest.mark.parametrize("point_id", ["../escaped", "ABS", 5])
+def test_analyze_refuses_a_point_id_that_is_not_one_path_component(tmp_path, capsys, point_id):
+    point_id = str(tmp_path / "abs") if point_id == "ABS" else point_id
+    (tmp_path / "config.json").write_text(json.dumps({"duration": 1.0, "point": {"id": point_id}}))
+    assert main(["gen", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "s")]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--in", str(tmp_path / "s"), "--out", str(tmp_path / "out" / "t")]) == 2
+    assert "is not one path component" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "s"]
+
+
 def test_ingest_summary_output(workspace, capsys):
     # a second ingest run of the same tree must change nothing
     assert main([

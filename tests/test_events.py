@@ -284,6 +284,34 @@ def test_timestamps_must_increase():
         detector.update(0.2, (NOMINAL,) * 3)
 
 
+def test_update_refuses_a_window_before_the_stream_start_or_the_previous_window_end():
+    # off the 0.2 s grid, 0.1 s would place an edge at -0.1 s and 0.25 s one
+    # at 0.05 s, inside the window judged at 0.2 s
+    detector = make_detector()
+    with pytest.raises(ValueError, match="starts before sample 0"):
+        detector.update(0.1, (0.5,) * 3)
+    assert _state(detector) == _state(make_detector())
+    detector.update(0.2, (0.5,) * 3)
+    before = _state(detector)
+    with pytest.raises(ValueError, match="starts before sample 640"):
+        detector.update(0.25, (NOMINAL,) * 3)
+    assert _state(detector) == before
+    detector.update(0.4, (NOMINAL,) * 3)
+    assert [(e.start_time, e.end_time) for e in detector.records] == [(0.0, 0.2)]
+
+
+def test_close_refuses_an_end_before_the_last_judged_window_end():
+    detector = make_detector()
+    drive(detector, [NOMINAL] * 5 + [0.5])  # a sag opens at 1.0 s
+    with pytest.raises(ValueError, match="before sample 3840"):
+        detector.close(0.4)
+    assert detector.records == []
+    detector.close()
+    assert [(e.start_time, e.end_time, e.size_in_samples) for e in detector.records] == [
+        (1.0, 1.2, 640)
+    ]
+
+
 @pytest.mark.parametrize(
     "entry_level,event_type",
     [(0.5, "sag"), (1.2, "swell"), (0.0, "interruption")],
@@ -322,13 +350,13 @@ class PerPhaseDetector(EventDetector):
     finite triples."""
 
     def update(self, timestamp, v_rms):
-        if self._last_timestamp is not None and timestamp <= self._last_timestamp:
-            raise ValueError("RMS timestamps must increase strictly")
-        self._last_timestamp = timestamp
-        nominal = self.thresholds.nominal_voltage_rms
-        a, b, c = (float(x) / nominal for x in v_rms)
         end = round(timestamp * SAMPLE_RATE)
         edge = end - RMS_WINDOW
+        if edge < self._end:
+            raise ValueError("RMS window starts before the previous one ends")
+        self._end = end
+        nominal = self.thresholds.nominal_voltage_rms
+        a, b, c = (float(x) / nominal for x in v_rms)
 
         inter_was_active = self._active["interruption"] is not None
         if not inter_was_active:
@@ -420,7 +448,7 @@ def _state(detector):
     return copy.deepcopy(
         (
             detector._active,
-            detector._last_timestamp,
+            detector._end,
             detector._next_event_id,
             detector.records,
             detector.capture.first_sample,

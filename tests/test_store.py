@@ -147,8 +147,9 @@ def test_measurement_point_validation():
         make_point(kind="transformer")
     with pytest.raises(ValueError):
         make_point(load_type="Rural")
-    with pytest.raises(ValueError):
-        make_point(point_id="")
+    for point_id in ("", ".", "..", "a/b", "a\\b", 5):
+        with pytest.raises(ValueError, match="is not one path component"):
+            make_point(point_id=point_id)
     with pytest.raises(ValueError, match="voltage_level must be >= 0"):
         replace(make_point(), voltage_level=-0.4)
 
@@ -735,7 +736,14 @@ def test_ingest_point_metadata_defaults(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "bad_meta", [[1, 2], "A", {"id": "A", "base_time": 5}, {"id": "A", "voltage_level": None}]
+    "bad_meta",
+    [
+        [1, 2],
+        "A",
+        {"id": "A", "base_time": 5},
+        {"id": "A", "voltage_level": None},
+        {"id": "../A"},
+    ],
 )
 def test_ingest_malformed_point_json_skips_only_that_point(tmp_path, bad_meta):
     root = tmp_path / "tree"
