@@ -401,7 +401,7 @@ class StreamPipeline:
     aggregates; raw samples are never retained beyond the harmonics window
     (the events module owns its own capture buffer).  Frames are copied into
     the block buffer; the records of a block, and the detector's samples and
-    updates (one RMS window at a time, in order), leave when the block is
+    then its updates (one per RMS window, in order), leave when the block is
     full, those of a trailing partial block at :meth:`finish`.  Feed frames
     with :meth:`process_frame` and collect records with :meth:`finish`.
     """
@@ -447,8 +447,8 @@ class StreamPipeline:
 
     def _analyze_block(self) -> None:
         """Records of every full window in the buffer, a full block or the
-        partial one at :meth:`finish`; the detector gets each RMS window's
-        samples and then its triple."""
+        partial one at :meth:`finish`; the detector gets the windows' samples
+        and then each window's triple."""
         windows = self._fill // RMS_WINDOW
         seconds = self._fill // POWER_WINDOW
         base = self._buf_base
@@ -483,10 +483,8 @@ class StreamPipeline:
         records = [RmsRecord(ts, tuple(v[:3]), tuple(v[3:])) for ts, v in zip(stamps, levels)]
         self.result.rms.extend(records)
         if self.detector is not None:
-            # each window's samples just before its update, so the capture
-            # buffer holds no more than with one frame per window
-            for k, rec in enumerate(records):
-                self._feed_detector(k * RMS_WINDOW, (k + 1) * RMS_WINDOW)
+            self._feed_detector(0, windows * RMS_WINDOW)
+            for rec in records:
                 self.detector.update(rec.timestamp, rec.v_rms)
         self.result.frequency.extend(freqs)
         self.result.power.extend(power)

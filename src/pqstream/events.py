@@ -14,19 +14,26 @@ amplitude event is open so a one-phase dip is not double reported as
 unbalance.  A triple holding NaN or an infinity is refused.
 
 Each finalized event yields a record plus a compressed raw capture of all
-six channels spanning the event with a pre and post trigger margin.  Raw
-samples are kept from the RMS window last judged (or an open event's start,
-if earlier) minus the pre-trigger.  The analyzer judges RMS windows at
-each 3 s block end and hands over each window's samples just before its
-triple, so with no event open the capture buffer holds at most the
-pre-trigger plus one RMS window, well under one block plus the
-pre-trigger.  A capture is a ``.pqz`` blob, version 2: one zlib level-1 stream holding a
-40-byte header, then the samples in one-second blocks, each channel of a
-block stored as the eight byte planes of its float64 samples (the shuffle
-filter of HDF5 and Blosc), which compresses better and about ten times
-faster than plain samples at level 6.  Version 1 captures (one
-channel-major block of plain samples) still decode, and both versions are
-read one block at a time, so a raw export holds one second of samples.  The
+six channels spanning the event with a pre and post trigger margin.  An
+open event's capture is compressed one second at a time as the windows that
+cover it are judged (:class:`CaptureEncoder`), so it holds compressed bytes,
+not samples.  Raw samples are kept from the RMS window last judged minus the
+pre-trigger, or, if earlier, from the first sample an open capture has not
+compressed yet: at most one second behind.  With no sink attached no
+capture is made and an open event holds no samples.  The analyzer hands
+over each 3 s block's samples at the block end, before judging its RMS
+windows, so the capture buffer holds at most the pre-trigger, or the second
+an open capture has yet to compress, plus one block.  A capture is a
+``.pqz`` blob, version 2: one zlib stream holding a 40-byte header, then
+the samples in one-second blocks, each channel of a block stored as the
+eight byte planes of its float64 samples (the shuffle filter of HDF5 and
+Blosc), which compresses better and about ten times faster than plain
+samples at level 6.  The header, which carries the sample count, is written
+last, into a stored deflate block ahead of the level-1 compressed blocks;
+the decompressed bytes are those of one level-1 stream over header and
+blocks, so no decoder needs to know.  Version 1 captures (one channel-major
+block of plain samples) still decode, and both versions are read one block
+at a time, so a raw export holds one second of samples.  The
 detector keeps time in samples: an event starts and ends at the first sample
 of the RMS window (``RMS_WINDOW``) that shows the change, or at the stream
 end, and its record's times are those samples over ``SAMPLE_RATE``.  The
@@ -67,6 +74,10 @@ RAW_VERSION = 2
 RAW_CHANNELS = 6
 _RAW_HEADER = struct.Struct("<4sIQIIdQ")
 _READ_CHUNK = 1 << 16  # compressed bytes read from a capture at a time
+_ZLIB_HEADER = b"\x78\x01"  # deflate, 32 KiB window, fastest level
+_STORED_BLOCK = struct.Struct("<BHH")  # not final, stored; length, its complement
+_PREFIX_SIZE = len(_ZLIB_HEADER) + _STORED_BLOCK.size + _RAW_HEADER.size
+_ADLER_BASE = 65521
 
 
 class RawCaptureError(ValueError):
@@ -117,6 +128,68 @@ class EventRecord:
     raw_write_error: bool = False
 
 
+def adler32_combine(adler1: int, adler2: int, len2: int) -> int:
+    """Adler-32 of ``a + b`` from ``adler32(a)``, ``adler32(b)`` and ``len(b)``,
+    as zlib's ``adler32_combine`` computes it."""
+    a1, b1 = adler1 & 0xFFFF, adler1 >> 16
+    a2, b2 = adler2 & 0xFFFF, adler2 >> 16
+    # every byte of b also adds the (a1 - 1) that b's own sum started without
+    a = (a1 + a2 - 1) % _ADLER_BASE
+    b = (b1 + b2 + len2 % _ADLER_BASE * (a1 - 1)) % _ADLER_BASE
+    return b << 16 | a
+
+
+class CaptureEncoder:
+    """One capture compressed as its samples arrive, a second at a time.
+
+    :meth:`push` takes the next samples from ``start_sample`` on; each
+    second of them becomes its byte planes, which go through a raw deflate
+    stream (level 1) and a running Adler-32, so only compressed bytes are
+    held.  Every push but the last must hold whole seconds.  :meth:`finish`
+    returns the blob as :func:`encode_raw_capture` documents it: the header
+    that carries the sample count, known only then, sits in a stored deflate
+    block ahead of the compressed planes, in space left for it at the start.
+    """
+
+    def __init__(self, start_sample: int) -> None:
+        self.start_sample = start_sample
+        self.count = 0
+        self._deflate = zlib.compressobj(1, zlib.DEFLATED, -15)
+        self._adler = zlib.adler32(b"")
+        self._blob = bytearray(_PREFIX_SIZE)
+
+    def push(self, samples: np.ndarray) -> None:
+        """Append a (6, m) channel block, a strided view too."""
+        if self.count % SAMPLE_RATE:
+            raise ValueError("the capture's last, partial second is already pushed")
+        for lo in range(0, samples.shape[1], SAMPLE_RATE):
+            block = np.ascontiguousarray(samples[:, lo : lo + SAMPLE_RATE], dtype="<f8")
+            planes = block.view(np.uint8).reshape(RAW_CHANNELS, -1, 8).transpose(0, 2, 1)
+            planes = np.ascontiguousarray(planes)
+            self._adler = zlib.adler32(planes, self._adler)
+            self._blob += self._deflate.compress(planes)
+            self.count += block.shape[1]
+
+    def finish(self, event_id: int) -> bytearray:
+        """The capture's blob; the encoder takes no more samples."""
+        header = _RAW_HEADER.pack(
+            RAW_MAGIC,
+            RAW_VERSION,
+            event_id,
+            RAW_CHANNELS,
+            SAMPLE_RATE,
+            self.start_sample / SAMPLE_RATE,
+            self.count,
+        )
+        stored = _STORED_BLOCK.pack(0, len(header), 0xFFFF ^ len(header))
+        blob = self._blob
+        blob[:_PREFIX_SIZE] = _ZLIB_HEADER + stored + header
+        blob += self._deflate.flush()
+        payload_bytes = RAW_CHANNELS * 8 * self.count
+        blob += struct.pack(">I", adler32_combine(zlib.adler32(header), self._adler, payload_bytes))
+        return blob
+
+
 def encode_raw_capture(event_id: int, start_sample: int, samples: np.ndarray) -> bytes:
     """Serialize a (6, n) channel block to the compressed capture format.
 
@@ -126,33 +199,19 @@ def encode_raw_capture(event_id: int, start_sample: int, samples: np.ndarray) ->
     ``SAMPLE_RATE`` samples (one second; the last block may be shorter).  A
     block holds the six channels in turn, and each channel as 8 byte planes
     of its little-endian float64 samples: byte 0 of every sample, then byte
-    1, up to byte 7.  One zlib level-1 stream covers the header and every
-    block, and each block's planes go straight into it.  Version 1 captures,
-    whose payload is one channel-major block of plain samples, still decode.
-    Any (6, n) array will do, a strided view too; one second is copied at a time.
+    1, up to byte 7.  One zlib stream covers the header and every block: the
+    header in a stored (uncompressed) deflate block, the blocks' planes
+    compressed at level 1, so the blob can be built one second at a time
+    (:class:`CaptureEncoder`) and still inflates with any zlib decoder to
+    the same bytes as before.  Version 1 captures, whose payload is one
+    channel-major block of plain samples, still decode.  Any (6, n) array
+    will do, a strided view too; one second is copied at a time.
     """
     if samples.ndim != 2 or samples.shape[0] != RAW_CHANNELS:
         raise ValueError(f"capture must have shape ({RAW_CHANNELS}, n)")
-    stream = zlib.compressobj(1)
-    parts = [
-        stream.compress(
-            _RAW_HEADER.pack(
-                RAW_MAGIC,
-                RAW_VERSION,
-                event_id,
-                RAW_CHANNELS,
-                SAMPLE_RATE,
-                start_sample / SAMPLE_RATE,
-                samples.shape[1],
-            )
-        )
-    ]
-    for lo in range(0, samples.shape[1], SAMPLE_RATE):
-        block = np.ascontiguousarray(samples[:, lo : lo + SAMPLE_RATE], dtype="<f8")
-        planes = block.view(np.uint8).reshape(RAW_CHANNELS, -1, 8).transpose(0, 2, 1)
-        parts.append(stream.compress(np.ascontiguousarray(planes)))
-    parts.append(stream.flush())
-    return b"".join(parts)
+    encoder = CaptureEncoder(start_sample)
+    encoder.push(samples)
+    return bytes(encoder.finish(event_id))
 
 
 class _Inflater:
@@ -257,7 +316,8 @@ class CaptureBuffer:
     :meth:`feed` writes in place, moving the retained samples to the front at
     the array's end and doubling it only when they do not fit; :meth:`trim`
     only moves ``first_sample``, which the detector sets to the window it last
-    judged (or an open event's start, if earlier) minus the pre-trigger.
+    judged minus the pre-trigger, or to the first sample an open capture has
+    not compressed yet, if earlier.
     """
 
     def __init__(self) -> None:
@@ -303,15 +363,18 @@ class EventDetector:
     """Runs the four event state machines over successive RMS points.
 
     ``raw_sink`` is called as ``sink(event_type, event_id, blob)`` at
-    finalization and must return the path it stored the capture under; a
-    sink failure is absorbed into the record's ``raw_write_error`` flag so
-    raw data loss never loses the event row.  With no sink attached the
+    finalization, with the blob as a ``bytearray`` so it is never copied,
+    and must return the path it stored the capture under; a sink failure is
+    absorbed into the record's ``raw_write_error`` flag so raw data loss
+    never loses the event row.  With no sink attached the
     capture is skipped entirely.  Captures span the event plus the trigger
     margins, clamped to the samples seen so far, so a post trigger longer
     than one RMS interval is truncated at the stream position where the
     exit was observed.  Whatever the frame length, samples are kept from the
-    window just judged (or an open event's start) minus the pre-trigger.  An
-    open event is held as its start sample alone.  The one clock is ``_end``,
+    window just judged minus the pre-trigger, or from the first sample an
+    open capture has not compressed yet.  An open event is held as its start
+    sample and, with a sink, its :class:`CaptureEncoder`, which takes each
+    whole second below the last judged window's end.  The one clock is ``_end``,
     the sample where the last judged window ends (0 before any update): an
     update whose window starts before it, and a ``close`` at an end before
     it, raise ``ValueError`` and change nothing.
@@ -330,6 +393,8 @@ class EventDetector:
         self.capture = CaptureBuffer()
         # an open event's start sample, None when that type has no open event
         self._active: dict[str, int | None] = {t: None for t in EVENT_TYPES}
+        # an open event's capture, compressed so far, when a sink is attached
+        self._encoders: dict[str, CaptureEncoder] = {}
         self._end = 0  # the sample where the last judged window ends
         self._next_event_id = 1
 
@@ -379,6 +444,7 @@ class EventDetector:
             # a sag the collapse opened on the way down is absorbed without
             # a record
             active["sag"] = None
+            self._encoders.pop("sag", None)
             self._enter("interruption", edge)
         elif active["sag"] is None:
             if low < SAG_THRESHOLD:
@@ -406,6 +472,9 @@ class EventDetector:
 
     def _enter(self, event_type: str, start_sample: int) -> None:
         self._active[event_type] = start_sample
+        if self.raw_sink is not None:
+            first = max(start_sample - PRE_TRIGGER_SAMPLES, self.capture.first_sample)
+            self._encoders[event_type] = CaptureEncoder(first)
 
     def _exit(self, event_type: str, end_sample: int) -> None:
         """End the open ``event_type`` event at ``end_sample`` and record it."""
@@ -415,11 +484,10 @@ class EventDetector:
         self._next_event_id += 1
         path: str | None = None
         failed = False
-        if self.raw_sink is not None:
-            first, samples = self.capture.extract(
-                start_sample - PRE_TRIGGER_SAMPLES, end_sample + POST_TRIGGER_SAMPLES
-            )
-            blob = encode_raw_capture(event_id, first, samples)
+        encoder = self._encoders.pop(event_type, None)
+        if encoder is not None:
+            self._push(encoder, min(end_sample + POST_TRIGGER_SAMPLES, self.capture.next_sample))
+            blob = encoder.finish(event_id)
             try:
                 path = self.raw_sink(event_type, event_id, blob)
             except OSError:
@@ -437,12 +505,21 @@ class EventDetector:
             )
         )
 
+    def _push(self, encoder: CaptureEncoder, stop: int) -> None:
+        """Push the samples from where ``encoder`` stands up to ``stop``."""
+        _, samples = self.capture.extract(encoder.start_sample + encoder.count, stop)
+        encoder.push(samples)
+
     def _trim_capture(self, end_sample: int) -> None:
-        # an event the next window opens starts where this window ends
+        # an event the next window opens starts where this window ends, and
+        # an open event's capture needs what it has not compressed yet
         keep_from = end_sample - PRE_TRIGGER_SAMPLES
-        for start_sample in self._active.values():
-            if start_sample is not None:
-                keep_from = min(keep_from, start_sample - PRE_TRIGGER_SAMPLES)
+        judged = min(end_sample, self.capture.next_sample)
+        for encoder in self._encoders.values():
+            pushed = encoder.start_sample + encoder.count
+            if judged - pushed >= SAMPLE_RATE:
+                self._push(encoder, judged - (judged - pushed) % SAMPLE_RATE)
+            keep_from = min(keep_from, encoder.start_sample + encoder.count)
         self.capture.trim(max(keep_from, 0))
 
     def close(self, end_timestamp: float | None = None) -> None:

@@ -727,7 +727,8 @@ def test_non_finite_samples_are_refused_before_any_record_of_their_block(
         assert len(result.rms) == 15 * (index // HARMONIC_WINDOW)
         assert len(result.frequency) == len(result.power) == 3 * (index // HARMONIC_WINDOW)
         if detector is not None:
-            assert detector.fed == list(range(0, len(result.rms) * RMS_WINDOW, RMS_WINDOW))
+            # one feed per block, before the block's updates
+            assert detector.fed == list(range(0, len(result.rms) * RMS_WINDOW, HARMONIC_WINDOW))
             assert detector.updates == [r.timestamp for r in result.rms]
 
 
@@ -746,7 +747,7 @@ def test_power_whose_square_overflows_is_refused_before_any_record_of_its_block(
         assert (len(result.rms), len(result.frequency), len(result.power)) == (15, 3, 3)
         assert len(result.harmonics) == 1
         if detector is not None:
-            assert detector.fed == list(range(0, HARMONIC_WINDOW, RMS_WINDOW))
+            assert detector.fed == [0]
             assert detector.updates == [r.timestamp for r in result.rms]
     with pytest.raises(ValueError, match="samples 0 to 3200: apparent power squared"):
         compute_power(samples[:, 4 * POWER_WINDOW : 5 * POWER_WINDOW], 50.0, 5.0)

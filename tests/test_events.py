@@ -13,23 +13,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqstream.events import (
+    EVENT_TYPES,
     HYSTERESIS,
     INTERRUPTION_THRESHOLD,
+    POST_TRIGGER_SAMPLES,
     PRE_TRIGGER_SAMPLES,
     SAG_THRESHOLD,
     SWELL_THRESHOLD,
     UNBALANCE_HYSTERESIS,
     UNBALANCE_THRESHOLD,
     CaptureBuffer,
+    CaptureEncoder,
     EventDetector,
     EventThresholds,
     RawCaptureError,
+    adler32_combine,
     compute_unbalance,
     decode_raw_capture,
     encode_raw_capture,
     read_raw_capture,
 )
-from pqstream.analyzer import RMS_WINDOW, StreamPipeline, run_pipeline
+from pqstream.analyzer import HARMONIC_WINDOW, RMS_WINDOW, StreamPipeline, run_pipeline
 from pqstream.siggen import SAMPLE_RATE, generate_stream, parse_script
 
 from conftest import V1_CAPTURE, unit_config, unit_pipeline_config, v1_capture_samples
@@ -672,6 +676,52 @@ def test_raw_capture_of_a_view_equals_that_of_its_copy(order):
     )
 
 
+# pieces around zlib's 5552-byte and 65521-byte (the modulus) boundaries
+_adler_pieces = st.binary(max_size=70_000) | st.integers(0, 3).flatmap(
+    lambda k: st.builds(
+        bytes.__mul__,
+        st.binary(min_size=1, max_size=4),
+        st.sampled_from([5552, 65521 // 2, 65521, 65521 * 2 + 7]).map(lambda n: n + k),
+    )
+)
+
+
+@given(_adler_pieces, _adler_pieces)
+@settings(max_examples=200, deadline=None)
+def test_adler32_combine_equals_the_adler32_of_the_joined_bytes(a, b):
+    assert adler32_combine(zlib.adler32(a), zlib.adler32(b), len(b)) == zlib.adler32(a + b)
+
+
+def test_adler32_combine_of_empty_pieces():
+    for a in (b"", b"x", bytes(65521), b"\xff" * 70_000):
+        assert adler32_combine(zlib.adler32(a), zlib.adler32(b""), 0) == zlib.adler32(a)
+        assert adler32_combine(zlib.adler32(b""), zlib.adler32(a), len(a)) == zlib.adler32(a)
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, SAMPLE_RATE - 1, SAMPLE_RATE, SAMPLE_RATE + 1, 2 * SAMPLE_RATE + 17]
+)
+def test_capture_pushed_by_seconds_inflates_to_the_whole_array_encoding(n):
+    samples = np.random.default_rng(n).normal(size=(6, n))
+    encoder = CaptureEncoder(640)
+    for lo in range(0, n, SAMPLE_RATE):
+        encoder.push(samples[:, lo : lo + SAMPLE_RATE])
+    blob = bytes(encoder.finish(5))
+    assert blob[:2] == b"\x78\x01"
+    assert zlib.decompress(blob) == zlib.decompress(encode_raw_capture(5, 640, samples))
+    header, out = decode_raw_capture(blob)
+    assert (header["sample_count"], header["start_time"]) == (n, 640 / SAMPLE_RATE)
+    assert out.tobytes() == samples.tobytes()
+
+
+def test_capture_encoder_refuses_samples_after_a_partial_second():
+    encoder = CaptureEncoder(0)
+    encoder.push(np.zeros((6, SAMPLE_RATE + 1)))
+    with pytest.raises(ValueError, match="partial second"):
+        encoder.push(np.zeros((6, 1)))
+    assert encoder.count == SAMPLE_RATE + 1
+
+
 # -- end-to-end detection through the pipeline --------------------------------
 
 
@@ -711,6 +761,101 @@ def test_capture_buffer_falls_back_after_a_long_sag():
     header, _ = decode_raw_capture(blobs[1])
     assert header["sample_count"] == round(120.4 * SAMPLE_RATE)
     assert capture.next_sample - capture.first_sample <= PRE_TRIGGER_SAMPLES + frame_length
+
+
+def held_capture_spans(script_text, duration, raw_sink):
+    """Per frame, the detector's (retained samples, capture array bytes)."""
+    detector = make_detector(raw_sink=raw_sink)
+    pipeline = StreamPipeline(unit_pipeline_config(), detector=detector)
+    spans = []
+    for frame in generate_stream(unit_config(duration), parse_script(script_text)):
+        pipeline.process_frame(frame)
+        capture = detector.capture
+        spans.append((capture.next_sample - capture.first_sample, capture._data.nbytes))
+    pipeline.finish()
+    return detector.records, spans
+
+
+def test_open_event_capture_array_stays_bounded():
+    # a 100 s sag once grew the array to 19.7 MB, and kept it to the end
+    blobs = {}
+
+    def sink(event_type, event_id, blob):
+        blobs[event_id] = blob
+        return f"raw_{event_id}.pqz"
+
+    records, spans = held_capture_spans("sag 10.0 110.0 A 0.5\n", 400.0, sink)
+    assert [r.event_type for r in records] == ["sag"]
+    assert max(nbytes for _, nbytes in spans) < 1 << 20
+    # the second a capture has yet to compress, plus one block
+    assert max(held for held, _ in spans) < SAMPLE_RATE + HARMONIC_WINDOW
+    header, _ = decode_raw_capture(blobs[1])
+    assert (header["start_time"], header["sample_count"]) == (9.8, round(100.4 * SAMPLE_RATE))
+
+
+def test_open_event_without_a_sink_holds_no_samples():
+    records, spans = held_capture_spans("sag 10.0 110.0 A 0.5\n", 120.0, None)
+    assert [(r.start_time, r.end_time) for r in records] == [(10.0, 110.0)]
+    assert max(held for held, _ in spans) <= PRE_TRIGGER_SAMPLES + HARMONIC_WINDOW
+
+
+# RMS triples that open every kind of event, and let them overlap: a sag
+# beside a swell, an interruption that absorbs an open sag, unbalance
+_LEVELS = [
+    (1.0, 1.0, 1.0),
+    (0.5, 1.0, 1.0),
+    (1.0, 1.0, 1.2),
+    (0.5, 1.0, 1.2),
+    (0.0, 0.0, 0.0),
+    (1.0, 1.0, 0.95),
+]
+
+
+def test_streamed_captures_equal_the_stream_slices_of_random_event_sequences():
+    rng = np.random.default_rng(20)
+    max_windows = 20
+    # every sample tells its channel and index apart
+    stream = np.arange(6)[:, None] * 1e6 + np.arange(max_windows * RMS_WINDOW + RMS_WINDOW)
+    kinds, absorbed, longest = set(), 0, 0
+    for _ in range(3000):
+        length = int(rng.integers(1, max_windows + 1))
+        levels = []
+        while len(levels) < length:
+            levels += [_LEVELS[rng.integers(len(_LEVELS))]] * int(rng.integers(1, 9))
+        levels = levels[:length]
+        total = len(levels) * RMS_WINDOW + int(rng.integers(0, RMS_WINDOW))
+        blobs = {}
+
+        def sink(event_type, event_id, blob):
+            blobs[event_id] = (blob, detector.capture.next_sample)
+            return "x.pqz"
+
+        detector = make_detector(raw_sink=sink)
+        fed = 0
+        for k, triple in enumerate(levels):
+            while fed < (k + 1) * RMS_WINDOW:  # fed ahead by up to 15 windows
+                n = min(int(rng.integers(1, 16)) * RMS_WINDOW, len(levels) * RMS_WINDOW - fed)
+                detector.feed_samples(fed, stream[:3, fed : fed + n], stream[3:, fed : fed + n])
+                fed += n
+            absorbed += detector._active["sag"] is not None and max(triple) == 0.0
+            detector.update((k + 1) * RMS_WINDOW / SAMPLE_RATE, triple)
+        detector.feed_samples(fed, stream[:3, fed:total], stream[3:, fed:total])
+        detector.close(total / SAMPLE_RATE)
+
+        assert sorted(blobs) == [r.event_id for r in detector.records]
+        for record in detector.records:
+            kinds.add(record.event_type)
+            blob, fed_at_exit = blobs[record.event_id]
+            start = round(record.start_time * SAMPLE_RATE)
+            end = round(record.end_time * SAMPLE_RATE)
+            lo = max(start - PRE_TRIGGER_SAMPLES, 0)
+            hi = min(end + POST_TRIGGER_SAMPLES, fed_at_exit)
+            header, samples = decode_raw_capture(blob)
+            assert header["start_time"] == lo / SAMPLE_RATE
+            assert samples.tobytes() == stream[:, lo:hi].tobytes()
+            longest = max(longest, hi - lo)
+    assert kinds == set(EVENT_TYPES)
+    assert absorbed > 100 and longest > 3 * SAMPLE_RATE
 
 
 def test_closed_detector_holds_no_samples():
