@@ -14,7 +14,13 @@ Every record value is finite, or None where a ratio (THD, Pst) is
 undefined: a block whose RMS levels are not all finite (a NaN or infinite
 sample, or a square that overflows), or one where a phase's voltage and
 current levels multiply past about 1e154 so that S * S overflows, raises
-ValueError before any of its records is made.
+ValueError before any of its rows is stored.
+
+Each cadence of :class:`PipelineResult` is a :class:`RecordSeries`: float64
+rows in the column layout of its transfer file, None stored as NaN.  The
+pipeline writes each block's levels, estimates and magnitudes straight into
+those rows; records are built only when read, and the ``compute_*``
+functions return records built from the same rows.
 
 The RMS, power and harmonics kernels take one six-channel block, voltage
 phases first and current phases after.  The pipeline analyzes its 3 s
@@ -22,7 +28,7 @@ buffer in one step when it is full, and a trailing partial block at
 :meth:`StreamPipeline.finish`: one reduction gives the levels of all 15 RMS
 windows, one their half-cycle RMS values, and one each the three seconds'
 levels, P and S.  The current phasors' magnitudes are the per-second
-fundamental currents that demand averages.  So records, and the detector's
+fundamental currents that demand averages.  So rows, and the detector's
 samples and updates, leave at each block end and at ``finish``, not per
 frame.  Harmonics and each second's power phasors go through one projector,
 :func:`_project`, at the exact frequency estimate on 640-sample sub-blocks;
@@ -38,9 +44,12 @@ not configuration.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
+from itertools import islice
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -56,6 +65,9 @@ HARMONIC_ORDERS = 33
 FREQUENCY_BAND = (40.0, 70.0)  # Hz; an estimate outside holds the previous value
 THD_FLOOR_FACTOR = 1e-9     # x nominal RMS: fundamental floor below which THD is undefined
 PST_CALIBRATION = 1.0
+#: Cells of one block of stored record rows, the timestamp not counted: 20
+#: harmonics rows, 682 RMS rows.  The transfer writer formats a block per write.
+BLOCK_CELLS = 4096
 
 Triple = tuple[float, float, float]
 OptionalTriple = tuple[Optional[float], Optional[float], Optional[float]]
@@ -121,6 +133,43 @@ class FlickerPltRecord:
     plt: Triple
 
 
+#: Per record type, each field after ``timestamp`` as it lies in a stored
+#: row: () one number, (3,) a triple, (3, orders) per phase the harmonic
+#: orders, ``bool`` one flag.
+_ROW_LAYOUT = {
+    RmsRecord: ((3,), (3,)),
+    PowerRecord: ((3,),) * 4,
+    HarmonicsRecord: ((3, HARMONIC_ORDERS),) * 2 + ((3,),) * 2,
+    FrequencyRecord: ((), bool),
+    DemandRecord: ((3,),),
+    FlickerPstRecord: ((3,),),
+    FlickerPltRecord: ((3,),),
+}
+
+
+def _record(record_type: type, row: list):
+    """The record of one stored row of floats, NaN read as None."""
+    values = [None if v != v else v for v in row]
+    args, pos = [values[0]], 1
+    for shape in _ROW_LAYOUT[record_type]:
+        if shape is bool:
+            args.append(bool(values[pos]))
+            pos += 1
+        elif shape == ():
+            args.append(values[pos])
+            pos += 1
+        elif len(shape) == 1:
+            args.append(tuple(values[pos : pos + shape[0]]))
+            pos += shape[0]
+        else:
+            phases, orders = shape
+            args.append(tuple(
+                tuple(values[pos + p * orders : pos + (p + 1) * orders]) for p in range(phases)
+            ))
+            pos += phases * orders
+    return record_type(*args)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Nominal levels of the monitored supply.
@@ -153,8 +202,7 @@ def compute_rms(window: np.ndarray, timestamp: float) -> RmsRecord:
     """RMS of one 0.2 s window (shape (6, 640), voltage rows first) per phase."""
     if window.shape[-1] != RMS_WINDOW:
         raise ValueError(f"RMS window must hold exactly {RMS_WINDOW} samples")
-    values = rms(window).tolist()
-    return RmsRecord(timestamp=timestamp, v_rms=tuple(values[:3]), i_rms=tuple(values[3:]))
+    return _record(RmsRecord, [timestamp, *rms(window).tolist()])
 
 
 def half_cycle_rms(window: np.ndarray, block: int) -> np.ndarray:
@@ -231,19 +279,18 @@ def compute_harmonics(
     """Harmonic magnitudes for orders 1..33 plus THD of one 3 s window (6, 9600)."""
     if window.shape[-1] != HARMONIC_WINDOW:
         raise ValueError(f"harmonics window must hold exactly {HARMONIC_WINDOW} samples")
+    row = _harmonics_row(window, fundamental, timestamp, v_floor, i_floor)
+    return _record(HarmonicsRecord, row.tolist())
+
+
+def _harmonics_row(
+    window: np.ndarray, fundamental: float, timestamp: float, v_floor: float, i_floor: float
+) -> np.ndarray:
+    """The stored row of :func:`compute_harmonics`: the timestamp, the six
+    channels' magnitudes, then their THD, NaN where undefined."""
     mags = harmonic_magnitudes(window, fundamental)
     thd = [compute_thd(row, floor) for row, floor in zip(mags, (v_floor,) * 3 + (i_floor,) * 3)]
-    return HarmonicsRecord(
-        timestamp=timestamp,
-        v_harmonics=tuple(map(tuple, mags[:3].tolist())),
-        i_harmonics=tuple(map(tuple, mags[3:].tolist())),
-        thd_v=tuple(thd[:3]),
-        thd_i=tuple(thd[3:]),
-    )
-
-
-def _wrap_angle(angle: float) -> float:
-    return (angle + math.pi) % (2.0 * math.pi) - math.pi
+    return np.hstack((timestamp, mags.ravel(), np.array(thd, dtype=np.float64)))
 
 
 def compute_power(window: np.ndarray, fundamental: float, timestamp: float) -> PowerRecord:
@@ -258,47 +305,43 @@ def compute_power(window: np.ndarray, fundamental: float, timestamp: float) -> P
     """
     if window.shape[-1] != POWER_WINDOW:
         raise ValueError(f"power window must hold exactly {POWER_WINDOW} samples")
-    return _power_records(window, 0, [fundamental], [timestamp])[0][0]
+    return _record(PowerRecord, _power_rows(window, 0, [fundamental], [timestamp])[0][0].tolist())
 
 
-def _power_records(
+def _power_rows(
     block: np.ndarray,
     first_sample: int,
     fundamentals: Sequence[float],
     timestamps: Sequence[float],
-) -> tuple[list[PowerRecord], list[list[float]]]:
-    """:func:`compute_power` of each consecutive second of a (6, m * 3200)
-    block, second s at ``fundamentals[s]``, and each second's three
-    fundamental current magnitudes: one reduction per quantity and one
-    :func:`_project` per second.  An S * S that overflows raises ValueError
-    naming the block's samples, from ``first_sample``, before any record."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The stored rows of :func:`compute_power` for each consecutive second
+    of a (6, m * 3200) block, second s at ``fundamentals[s]``, and each
+    second's three fundamental current magnitudes, shape (m, 3): one
+    reduction per quantity and one :func:`_project` per second.  An S * S
+    that overflows raises ValueError naming the block's samples, from
+    ``first_sample``, before any row is made."""
     m = len(fundamentals)
     seconds = block.reshape(6, m, POWER_WINDOW)
     with np.errstate(over="ignore"):
         levels = rms(seconds)
-        apparent = levels[:3] * levels[3:]
+        apparent = (levels[:3] * levels[3:]).T
         if not np.isfinite(np.square(apparent)).all():
             end = first_sample + m * POWER_WINDOW
             raise ValueError(f"samples {first_sample} to {end}: apparent power squared overflows")
-    active = np.mean(seconds[:3] * seconds[3:], axis=-1).T.tolist()
-    apparent = apparent.T.tolist()
-    phasors = np.array([_project(seconds[:, s], f, 1)[:, 0] for s, f in enumerate(fundamentals)])
-    magnitudes, angles = np.abs(phasors).tolist(), np.angle(phasors).tolist()
-    records = []
-    for ts, P3, S3, magnitude, angle in zip(timestamps, active, apparent, magnitudes, angles):
-        q_out, pf_out = [], []
-        for p in range(3):
-            P, S = P3[p], S3[p]
-            if S > 0.0 and magnitude[p] > 0.0 and magnitude[p + 3] > 0.0:
-                phi = _wrap_angle(angle[p] - angle[p + 3])
-                sign = math.copysign(1.0, phi) if phi != 0.0 else 0.0
-            else:
-                sign = 0.0
-            q_out.append(sign * math.sqrt(max(S * S - P * P, 0.0)) + 0.0)
-            # P <= S holds mathematically (Cauchy-Schwarz); clamp float rounding.
-            pf_out.append(min(1.0, max(-1.0, P / S)) if S > 0.0 else 0.0)
-        records.append(PowerRecord(ts, tuple(P3), tuple(q_out), tuple(S3), tuple(pf_out)))
-    return records, [magnitude[3:] for magnitude in magnitudes]
+    active = np.mean(seconds[:3] * seconds[3:], axis=-1).T
+    phasors = np.array(
+        [_project(seconds[:, s], f, 1)[:, 0] for s, f in enumerate(fundamentals)]
+    ).reshape(m, 6)
+    magnitudes, angles = np.abs(phasors), np.angle(phasors)
+    live = (apparent > 0.0) & (magnitudes[:, :3] > 0.0) & (magnitudes[:, 3:] > 0.0)
+    phi = (angles[:, :3] - angles[:, 3:] + math.pi) % (2.0 * math.pi) - math.pi
+    sign = np.where(live, np.sign(phi), 0.0)
+    reactive = sign * np.sqrt(np.maximum(apparent * apparent - active * active, 0.0)) + 0.0
+    # P <= S holds mathematically (Cauchy-Schwarz); clamp float rounding.
+    ratio = np.divide(active, apparent, out=np.zeros_like(active), where=apparent > 0.0)
+    factor = np.clip(ratio, -1.0, 1.0)
+    rows = np.column_stack((timestamps, active, reactive, apparent, factor))
+    return rows, magnitudes[:, 3:]
 
 
 def estimate_frequency(
@@ -310,16 +353,28 @@ def estimate_frequency(
     (k - 1) / (t_k - t_1).  Fewer than two crossings, or an estimate
     outside ``FREQUENCY_BAND``, holds ``previous`` and flags the record.
     """
+    return FrequencyRecord(timestamp, *_frequency(samples, previous))
+
+
+def _frequency(samples: np.ndarray, previous: float) -> tuple[float, bool]:
+    """The estimate of :func:`estimate_frequency` and whether it is held."""
     x = np.asarray(samples, dtype=np.float64)
     idx = np.nonzero((x[:-1] < 0.0) & (x[1:] >= 0.0))[0]
     if len(idx) < 2:
-        return FrequencyRecord(timestamp=timestamp, frequency=previous, held=True)
+        return previous, True
     frac = x[idx] / (x[idx] - x[idx + 1])
     crossings = (idx + frac) / SAMPLE_RATE
     freq = (len(crossings) - 1) / (crossings[-1] - crossings[0])
     if not FREQUENCY_BAND[0] <= freq <= FREQUENCY_BAND[1]:
-        return FrequencyRecord(timestamp=timestamp, frequency=previous, held=True)
-    return FrequencyRecord(timestamp=timestamp, frequency=float(freq), held=False)
+        return previous, True
+    return float(freq), False
+
+
+def _phase_series(series: np.ndarray) -> np.ndarray:
+    series = np.asarray(series, dtype=np.float64)
+    if series.ndim != 2 or series.shape[0] != 3 or series.shape[1] == 0:
+        raise ValueError("series must have shape (3, n) with n >= 1")
+    return series
 
 
 def compute_demand(series: np.ndarray, timestamp: float) -> DemandRecord:
@@ -328,13 +383,7 @@ def compute_demand(series: np.ndarray, timestamp: float) -> DemandRecord:
     ``series`` has shape (3, n); the cadence expects n = 900 (15 minutes)
     but any non-empty series is averaged so callers can test directly.
     """
-    series = np.asarray(series, dtype=np.float64)
-    if series.ndim != 2 or series.shape[0] != 3 or series.shape[1] == 0:
-        raise ValueError("series must have shape (3, n) with n >= 1")
-    return DemandRecord(
-        timestamp=timestamp,
-        demand=tuple(float(x) for x in np.mean(series, axis=-1)),
-    )
+    return _record(DemandRecord, [timestamp, *np.mean(_phase_series(series), axis=-1).tolist()])
 
 
 def compute_pst(series: np.ndarray, timestamp: float) -> FlickerPstRecord:
@@ -346,18 +395,20 @@ def compute_pst(series: np.ndarray, timestamp: float) -> FlickerPstRecord:
     linearly with modulation depth and is None (undefined) for a dead
     phase where m = 0.
     """
-    series = np.asarray(series, dtype=np.float64)
-    if series.ndim != 2 or series.shape[0] != 3 or series.shape[1] == 0:
-        raise ValueError("series must have shape (3, n) with n >= 1")
-    values: list[float | None] = []
-    for row in series:
+    return _record(FlickerPstRecord, [timestamp, *_pst(series).tolist()])
+
+
+def _pst(series: np.ndarray) -> np.ndarray:
+    """The three values of :func:`compute_pst`, NaN where undefined."""
+    values = []
+    for row in _phase_series(series):
         m = float(np.mean(row))
         if m == 0.0:
-            values.append(None)
+            values.append(math.nan)
             continue
         deviation = np.abs(row - m) / m
         values.append(PST_CALIBRATION * float(np.percentile(deviation, 95.0)))
-    return FlickerPstRecord(timestamp=timestamp, pst=tuple(values))
+    return np.array(values)
 
 
 def compute_plt(
@@ -373,25 +424,148 @@ def compute_plt(
     arr = np.asarray(pst_values, dtype=np.float64)  # (12, 3)
     if np.any(np.isnan(arr)):
         raise ValueError("undefined Pst value in Plt input")
-    plt = np.cbrt(np.mean(arr**3, axis=0))
-    return FlickerPltRecord(timestamp=timestamp, plt=tuple(float(x) for x in plt))
+    return _record(FlickerPltRecord, [timestamp, *_plt(arr).tolist()])
+
+
+def _plt(pst_values: np.ndarray) -> np.ndarray:
+    """The three values of :func:`compute_plt` from a (12, 3) array."""
+    return np.cbrt(np.mean(pst_values**3, axis=0))
+
+
+class RecordSeries(Sequence):
+    """One cadence's records, held as float64 rows.
+
+    A row is the record's timestamp, then each field after it with nested
+    tuples flattened in order: the columns of its transfer file.  None is
+    stored as NaN and a bool as 1.0 or 0.0.  Rows live in blocks of
+    ``BLOCK_CELLS // columns`` rows, each started at 16 rows and doubled as
+    it fills, so memory follows the rows held.  Records are built only when
+    read: iteration, indexing and ``==`` against a list of records or
+    another series all go through them.  ``name`` is the cadence's
+    :class:`PipelineResult` attribute.
+    """
+
+    def __init__(self, name: str, record_type: type, records: Iterable = ()) -> None:
+        self.name = name
+        self.record_type = record_type
+        self.columns = sum(1 if s is bool else math.prod(s) for s in _ROW_LAYOUT[record_type])
+        self.block_rows = max(1, BLOCK_CELLS // self.columns)
+        self._blocks: list[np.ndarray] = []
+        self._len = 0
+        self.extend(records)
+
+    def extend(self, records: Iterable) -> None:
+        """Append records, a block of them at a time.  A block whose records
+        do not fill the columns raises ValueError, and so does the series'
+        construction from it."""
+        names = [f.name for f in fields(self.record_type)]
+        it = iter(records)
+        while chunk := list(islice(it, self.block_rows)):
+            n = len(chunk)
+            try:
+                rows = np.hstack([
+                    np.array([getattr(r, name) for r in chunk], np.float64).reshape(n, -1)
+                    for name in names
+                ])
+            except ValueError as exc:
+                raise ValueError(f"{self.name} records are not rows of numbers: {exc}") from None
+            if rows.shape[1] != 1 + self.columns:
+                raise ValueError(
+                    f"{self.name} records hold {rows.shape[1] - 1} values, expected {self.columns}"
+                )
+            self.append_rows(rows)
+
+    def append_rows(self, rows: np.ndarray) -> None:
+        """Append stored rows: (n, 1 + columns) floats, or one row of them."""
+        rows = np.asarray(rows, dtype=np.float64).reshape(-1, 1 + self.columns)
+        done = 0
+        while done < len(rows):
+            used = self._len - (len(self._blocks) - 1) * self.block_rows
+            if not self._blocks or used == self.block_rows:
+                size = min(self.block_rows, max(16, len(rows) - done))
+                self._blocks.append(np.empty((size, 1 + self.columns)))
+                used = 0
+            elif used == len(self._blocks[-1]):
+                grown = np.empty((min(self.block_rows, 2 * used), 1 + self.columns))
+                grown[:used] = self._blocks[-1]
+                self._blocks[-1] = grown
+            block = self._blocks[-1]
+            take = min(len(block) - used, len(rows) - done)
+            block[used : used + take] = rows[done : done + take]
+            done += take
+            self._len += take
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The stored rows, a block at a time."""
+        for k, block in enumerate(self._blocks):
+            yield block[: self._len - k * self.block_rows]
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator:
+        for rows in self.blocks():
+            for row in rows.tolist():
+                yield _record(self.record_type, row)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(self._len))]
+        k = operator.index(index)
+        if k < 0:
+            k += self._len
+        if not 0 <= k < self._len:
+            raise IndexError(f"{self.name} record index {index} out of range")
+        block, row = divmod(k, self.block_rows)
+        return _record(self.record_type, self._blocks[block][row].tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (RecordSeries, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"RecordSeries({self.name!r}, {self.record_type.__name__}, {self._len} rows)"
+
+
+#: Each cadence's :class:`PipelineResult` attribute and record type.
+CADENCES = {
+    "rms": RmsRecord,
+    "power": PowerRecord,
+    "harmonics": HarmonicsRecord,
+    "frequency": FrequencyRecord,
+    "demand": DemandRecord,
+    "flicker_pst": FlickerPstRecord,
+    "flicker_plt": FlickerPltRecord,
+}
 
 
 @dataclass
 class PipelineResult:
     """Records of each cadence, the detector's events, and ``discarded``:
     per kind, the inputs that could not contribute to a full window, a kind
-    present only when its count is positive."""
+    present only when its count is positive.
 
-    rms: list[RmsRecord] = field(default_factory=list)
-    power: list[PowerRecord] = field(default_factory=list)
-    harmonics: list[HarmonicsRecord] = field(default_factory=list)
-    frequency: list[FrequencyRecord] = field(default_factory=list)
-    demand: list[DemandRecord] = field(default_factory=list)
-    flicker_pst: list[FlickerPstRecord] = field(default_factory=list)
-    flicker_plt: list[FlickerPltRecord] = field(default_factory=list)
+    Each cadence is a :class:`RecordSeries`; one given as a list of records
+    is stored as one, so records that do not fill their columns are refused
+    here.
+    """
+
+    rms: RecordSeries = ()
+    power: RecordSeries = ()
+    harmonics: RecordSeries = ()
+    frequency: RecordSeries = ()
+    demand: RecordSeries = ()
+    flicker_pst: RecordSeries = ()
+    flicker_plt: RecordSeries = ()
     events: list = field(default_factory=list)
     discarded: Counter[str] = field(default_factory=Counter)
+
+    def __post_init__(self) -> None:
+        for name, record_type in CADENCES.items():
+            records = getattr(self, name)
+            if not isinstance(records, RecordSeries):
+                setattr(self, name, RecordSeries(name, record_type, records))
 
 
 class StreamPipeline:
@@ -400,7 +574,7 @@ class StreamPipeline:
     Keeps at most one 3 s raw-sample block plus per-second and half-cycle
     aggregates; raw samples are never retained beyond the harmonics window
     (the events module owns its own capture buffer).  Frames are copied into
-    the block buffer; the records of a block, and the detector's samples and
+    the block buffer; the rows of a block, and the detector's samples and
     then its updates (one per RMS window, in order), leave when the block is
     full, those of a trailing partial block at :meth:`finish`.  Feed frames
     with :meth:`process_frame` and collect records with :meth:`finish`.
@@ -418,7 +592,7 @@ class StreamPipeline:
         pst_len = round(PST_INTERVAL_S * SAMPLE_RATE / RMS_WINDOW) * (RMS_WINDOW // self._half_block)
         self._pst_series = np.empty((3, pst_len))
         self._pst_fill = 0
-        self._plt_window: list[OptionalTriple] = []  # Pst triples of the open Plt window
+        self._plt_window: list[np.ndarray] = []  # Pst triples of the open Plt window
         self._currents: list[list[float]] = []  # per second of the open demand window
         self._finished = False
 
@@ -446,7 +620,7 @@ class StreamPipeline:
                 self._fill = 0
 
     def _analyze_block(self) -> None:
-        """Records of every full window in the buffer, a full block or the
+        """Rows of every full window in the buffer, a full block or the
         partial one at :meth:`finish`; the detector gets the windows' samples
         and then each window's triple."""
         windows = self._fill // RMS_WINDOW
@@ -457,38 +631,30 @@ class StreamPipeline:
         with np.errstate(over="ignore"):  # an overflowing square is refused below
             levels = rms(block)
         if not np.isfinite(levels).all():
-            # refused before any record is made or the detector fed, as
-            # _power_records refuses an overflowing S * S: the writer reads
-            # NaN as None
+            # refused before any row is stored or the detector fed, as
+            # _power_rows refuses an overflowing S * S: a stored NaN reads as None
             raise ValueError(
                 f"samples {base} to {base + windows * RMS_WINDOW} are not finite"
                 " or overflow their RMS"
             )
-        freqs = []
-        for end in range(POWER_WINDOW, seconds * POWER_WINDOW + 1, POWER_WINDOW):
-            freq = estimate_frequency(
-                self._buf[0, end - POWER_WINDOW : end],
-                previous=self._prev_frequency,
-                timestamp=(base + end) / SAMPLE_RATE,
+        ends = range(POWER_WINDOW, seconds * POWER_WINDOW + 1, POWER_WINDOW)
+        freqs = np.empty((seconds, 3))  # timestamp, estimate, held
+        for s, end in enumerate(ends):
+            self._prev_frequency, held = _frequency(
+                self._buf[0, end - POWER_WINDOW : end], self._prev_frequency
             )
-            self._prev_frequency = freq.frequency
-            freqs.append(freq)
-        power, currents = _power_records(
-            self._buf[:, : seconds * POWER_WINDOW],
-            base,
-            [f.frequency for f in freqs],
-            [f.timestamp for f in freqs],
+            freqs[s] = ((base + end) / SAMPLE_RATE, self._prev_frequency, held)
+        power, currents = _power_rows(
+            self._buf[:, : seconds * POWER_WINDOW], base, freqs[:, 1], freqs[:, 0]
         )
-        levels = levels.T.tolist()
-        records = [RmsRecord(ts, tuple(v[:3]), tuple(v[3:])) for ts, v in zip(stamps, levels)]
-        self.result.rms.extend(records)
+        self.result.rms.append_rows(np.column_stack((stamps, levels.T)))
         if self.detector is not None:
             self._feed_detector(0, windows * RMS_WINDOW)
-            for rec in records:
-                self.detector.update(rec.timestamp, rec.v_rms)
-        self.result.frequency.extend(freqs)
-        self.result.power.extend(power)
-        self._currents.extend(currents)
+            for ts, v in zip(stamps, levels[:3].T.tolist()):
+                self.detector.update(ts, tuple(v))
+        self.result.frequency.append_rows(freqs)
+        self.result.power.append_rows(power)
+        self._currents.extend(currents.tolist())
 
         # grouped per RMS window, so a half-cycle never spans two windows
         hc = half_cycle_rms(block[:3], self._half_block).reshape(3, -1)
@@ -497,28 +663,29 @@ class StreamPipeline:
         if self._fill < HARMONIC_WINDOW:
             return
         block_end = base + HARMONIC_WINDOW
-        self.result.harmonics.append(compute_harmonics(
+        stamp = block_end / SAMPLE_RATE
+        self.result.harmonics.append_rows(_harmonics_row(
             self._buf,
             self._prev_frequency,
-            block_end / SAMPLE_RATE,
+            stamp,
             v_floor=THD_FLOOR_FACTOR * self.config.nominal_voltage_rms,
             i_floor=THD_FLOOR_FACTOR * self.config.nominal_current_rms,
         ))
         # Pst, Plt and demand intervals are whole blocks, so they close on a block end
         if block_end % round(PST_INTERVAL_S * SAMPLE_RATE) == 0:
-            rec = compute_pst(self._pst_series[:, : self._pst_fill], block_end / SAMPLE_RATE)
-            self.result.flicker_pst.append(rec)
+            pst = _pst(self._pst_series[:, : self._pst_fill])
+            self.result.flicker_pst.append_rows(np.hstack((stamp, pst)))
             self._pst_fill = 0
-            self._plt_window.append(rec.pst)
+            self._plt_window.append(pst)
         if block_end % round(PLT_PST_COUNT * PST_INTERVAL_S * SAMPLE_RATE) == 0:
-            window, self._plt_window = self._plt_window, []
-            if any(v is None for pst in window for v in pst):
+            window, self._plt_window = np.array(self._plt_window), []
+            if np.isnan(window).any():
                 self.result.discarded["plt_windows_with_undefined_pst"] += 1
             else:
-                self.result.flicker_plt.append(compute_plt(window, block_end / SAMPLE_RATE))
+                self.result.flicker_plt.append_rows(np.hstack((stamp, _plt(window))))
         if block_end % round(DEMAND_INTERVAL_S * SAMPLE_RATE) == 0:
-            series = np.array(self._currents).T
-            self.result.demand.append(compute_demand(series, block_end / SAMPLE_RATE))
+            demand = np.mean(np.array(self._currents).T, axis=-1)
+            self.result.demand.append_rows(np.hstack((stamp, demand)))
             self._currents = []
 
     def _feed_detector(self, lo: int, hi: int) -> None:

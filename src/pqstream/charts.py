@@ -198,8 +198,10 @@ def _render_time_series(table: ResultTable, spec: ChartSpec) -> str:
         ys = y0 - (values - lo) / (hi - lo) * (y0 - y1)
         present = xstr
         if len(values) < len(times):
-            present = compress(xstr, [c is not None for c in columns[col]])
-        points = " ".join(map("%s%.2f".__mod__, zip(present, ys.tolist())))
+            present = list(compress(xstr, [c is not None for c in columns[col]]))
+        cells = [None, None] * len(values)
+        cells[::2], cells[1::2] = present, ys.tolist()
+        points = " ".join(["%s%.2f"] * len(values)) % tuple(cells)
         parts.append(
             f'<polyline class="series" fill="none" stroke="{color}" '
             f'stroke-width="1.5" points="{points}"/>'

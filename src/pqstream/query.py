@@ -4,7 +4,8 @@ Every function returns a :class:`ResultTable`, a plain column/row container
 that the chart renderer and the CLI share.  Queries never write to the
 database; identical inputs yield identical tables (rows are explicitly
 ordered) so rendered output is reproducible byte for byte.  Series reads date
-each transfer file once and select rows on ``(transfer_file_id, row_index)``.
+each transfer file once, select rows on ``(transfer_file_id, row_index)`` and
+date a file's rows with one datetime64 step.
 """
 
 from __future__ import annotations
@@ -125,6 +126,8 @@ def timeseries(
     step = PARAMETERS[parameter_type].interval
     col_sql = ", ".join(f'"{c}"' for c in columns)
     out: list[tuple] = []
+    cursor = db.conn.cursor()
+    cursor.row_factory = None  # plain tuples
     for row in db.conn.execute(
         "SELECT * FROM transfer_file WHERE measurement_point_id = ?"
         " AND parameter_type = ? AND row_count > 0 ORDER BY id",
@@ -133,12 +136,14 @@ def timeseries(
         first = derive_timestamps(TransferFile.from_row(row), 0)
         lo = 0 if start is None else -((first - start) // step)
         hi = row["row_count"] - 1 if end is None else (end - first) // step
-        for data in db.conn.execute(
+        data = cursor.execute(
             f"SELECT row_index, {col_sql} FROM {parameter_type} WHERE transfer_file_id = ?"
             " AND row_index BETWEEN ? AND ? ORDER BY row_index",
             (row["id"], lo, hi),
-        ):
-            out.append((first + data[0] * step, *data[1:]))
+        ).fetchall()
+        index = np.array([d[0] for d in data], dtype=np.int64)
+        times = (np.datetime64(first, "us") + index * np.timedelta64(step)).tolist()
+        out.extend((t, *d[1:]) for t, d in zip(times, data))
     out.sort(key=lambda r: r[0])
     return ResultTable(columns=("timestamp", *columns), rows=tuple(out))
 

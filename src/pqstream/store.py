@@ -34,8 +34,6 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .analyzer import (
     DEMAND_INTERVAL_S,
     HARMONIC_ORDERS,
@@ -45,6 +43,7 @@ from .analyzer import (
     PST_INTERVAL_S,
     RMS_WINDOW,
     PipelineResult,
+    RecordSeries,
 )
 from .events import EVENT_TYPES, EventRecord
 from .siggen import SAMPLE_RATE
@@ -57,8 +56,6 @@ RAW_DIR_NAMES = {t: t.capitalize() for t in EVENT_TYPES}
 
 POINT_METADATA_FILE = "point.json"
 ISO_TIMESPEC = "microseconds"
-#: Cells of CSV rows formatted before one write: 20 harmonics rows, 682 RMS rows.
-CSV_CHUNK_CELLS = 4096
 
 
 class StoreError(RuntimeError):
@@ -269,33 +266,14 @@ def format_value(value) -> str:
     return str(value)
 
 
-def _series_chunks(parameter: Parameter, records: list) -> Iterator[str]:
-    """CSV text of ``records``, a chunk of rows at a time.
-
-    Each field after ``timestamp`` becomes one float64 array, nested tuples
-    flattened in order, so None is NaN and a bool 1 or 0; the arrays side by
-    side go through one ``%.17g`` format call and NaN is left empty.  A
-    record whose values do not fill the parameter's columns raises ValueError.
-    """
-    names = [f.name for f in fields(type(records[0]))[1:]]
-    width = len(parameter.columns)
-    line = ",".join(["%.17g"] * width) + "\n"
-    step = max(1, CSV_CHUNK_CELLS // width)
-    for start in range(0, len(records), step):
-        chunk = records[start : start + step]
-        n = len(chunk)
-        try:
-            cells = np.hstack([
-                np.array([getattr(r, name) for r in chunk], np.float64).reshape(n, -1)
-                for name in names
-            ])
-        except ValueError as exc:
-            raise ValueError(f"{parameter.name} records are not rows of numbers: {exc}") from None
-        if cells.shape[1] != width:
-            raise ValueError(
-                f"{parameter.name} records hold {cells.shape[1]} values, expected {width}"
-            )
-        yield ((line * n) % tuple(cells.ravel().tolist())).replace("nan", "")
+def _series_chunks(parameter: Parameter, series: RecordSeries) -> Iterator[str]:
+    """CSV text of ``series``, one block of its stored rows at a time: the
+    cells after the timestamp go through one ``%.17g`` format call, and NaN
+    (None) is left empty."""
+    line = ",".join(["%.17g"] * len(parameter.columns)) + "\n"
+    for rows in series.blocks():
+        cells = rows[:, 1:].ravel().tolist()
+        yield ((line * len(rows)) % tuple(cells)).replace("nan", "")
 
 
 class TransferFileWriter:
@@ -359,12 +337,11 @@ class TransferFileWriter:
         """Write every non-empty record series plus the event log; returns paths."""
         written: list[Path] = []
         for name, parameter in PARAMETERS.items():
-            records = getattr(result, name)
-            if not records:
+            series = getattr(result, name)
+            if not series:
                 continue
-            chunks = _series_chunks(parameter, records)
-            last = self.timestamp(records[-1].timestamp)
-            written.append(self._write_csv(name, chunks, last, file_seq))
+            last = self.timestamp(series[-1].timestamp)
+            written.append(self._write_csv(name, _series_chunks(parameter, series), last, file_seq))
         if result.events:
             lines = (",".join(map(format_value, self._event_row(e))) + "\n" for e in result.events)
             last = self.timestamp(max(e.end_time for e in result.events))

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqstream.analyzer import (
+    BLOCK_CELLS,
+    CADENCES,
     FREQUENCY_BAND,
     HARMONIC_ORDERS,
     HARMONIC_WINDOW,
@@ -16,7 +19,11 @@ from pqstream.analyzer import (
     POWER_WINDOW,
     RMS_WINDOW,
     THD_FLOOR_FACTOR,
+    HarmonicsRecord,
     PipelineConfig,
+    PipelineResult,
+    RecordSeries,
+    RmsRecord,
     StreamGapError,
     StreamPipeline,
     _project,
@@ -35,6 +42,7 @@ from pqstream.analyzer import (
 )
 from pqstream.events import EventDetector, EventThresholds
 from pqstream.siggen import SAMPLE_RATE, SignalConfig, WaveformFrame, generate_stream, parse_script
+from pqstream.store import PARAMETERS
 
 from conftest import gather, unit_config, unit_pipeline_config
 
@@ -266,6 +274,42 @@ def test_power_in_phase_zero_reactive_is_never_negative_zero():
     zeros = [q for rec in result.power for q in rec.reactive if q == 0.0]
     assert zeros
     assert all(math.copysign(1.0, q) > 0 for q in zeros)
+
+
+def per_phase_power(window: np.ndarray, fundamental: float) -> list[float]:
+    """Q and power factor phase by phase in Python floats, the loop the
+    vectorized power step replaced, from the same P, S and phasors."""
+    P = np.mean(window[:3] * window[3:], axis=-1).tolist()
+    levels = rms(window).tolist()
+    phasors = _project(window, fundamental, 1)[:, 0]
+    magnitude, angle = np.abs(phasors).tolist(), np.angle(phasors).tolist()
+    q_out, pf_out = [], []
+    for p in range(3):
+        S = levels[p] * levels[p + 3]
+        sign = 0.0
+        if S > 0.0 and magnitude[p] > 0.0 and magnitude[p + 3] > 0.0:
+            phi = (angle[p] - angle[p + 3] + math.pi) % (2.0 * math.pi) - math.pi
+            sign = math.copysign(1.0, phi) if phi != 0.0 else 0.0
+        q_out.append(sign * math.sqrt(max(S * S - P[p] * P[p], 0.0)) + 0.0)
+        pf_out.append(min(1.0, max(-1.0, P[p] / S)) if S > 0.0 else 0.0)
+    return q_out + pf_out
+
+
+@given(
+    st.lists(st.sampled_from([0.0, -0.0, 1e-300, 1.0, 325.0]), min_size=6, max_size=6),
+    st.lists(st.sampled_from([0.0, 1e-17, -1e-17, 0.5, -2.0, math.pi]), min_size=3, max_size=3),
+    st.floats(45.0, 55.0),
+)
+@settings(max_examples=200)
+def test_power_q_and_power_factor_equal_the_per_phase_loop_bit_for_bit(amplitudes, lags, f):
+    t = np.arange(POWER_WINDOW) / SAMPLE_RATE
+    window = np.array([
+        amplitudes[c] * np.sin(2 * np.pi * f * t + c - (lags[c - 3] if c >= 3 else 0.0))
+        for c in range(6)
+    ])
+    record = compute_power(window, f, timestamp=1.0)
+    got = [x.hex() for x in record.reactive + record.power_factor]
+    assert got == [x.hex() for x in per_phase_power(window, f)]
 
 
 # -- frequency ----------------------------------------------------------------
@@ -812,3 +856,62 @@ def test_finish_twice_returns_the_same_result_and_refuses_more_frames():
     assert result.rms == rms_records
     with pytest.raises(RuntimeError, match="already finished"):
         pipeline.process_frame(frames[-1])
+
+
+# -- record rows -----------------------------------------------------------------
+
+
+def test_each_cadence_stores_the_columns_of_its_transfer_file():
+    result = PipelineResult()
+    assert set(CADENCES) == set(PARAMETERS)
+    for name, parameter in PARAMETERS.items():
+        series = getattr(result, name)
+        assert (series.name, series.record_type) == (name, CADENCES[name])
+        assert series.columns == len(parameter.columns)
+        assert series.block_rows == max(1, BLOCK_CELLS // len(parameter.columns))
+
+
+def test_record_series_blocks_fill_to_their_size_and_index_across_them():
+    records = [RmsRecord(0.2 * (k + 1), (k, -0.0, 1.5), (2.0, 5e-324, -k)) for k in range(1500)]
+    series = RecordSeries("rms", RmsRecord, records[:1])
+    series.extend(records[1:700])
+    for k in range(700, 1500, 15):  # as the pipeline stores a block's RMS windows
+        series.append_rows(np.array([(r.timestamp, *r.v_rms, *r.i_rms) for r in records[k : k + 15]]))
+    sizes = [len(rows) for rows in series.blocks()]
+    assert sizes == [682, 682, 136]
+    assert len(series) == 1500 and series == records and list(series) == records
+    assert series[0] == records[0] and series[-1] == records[-1] and series[-818] == records[682]
+    assert series[680:684] == records[680:684] and series[::-500] == records[::-500]
+    assert math.copysign(1.0, series[681].v_rms[1]) == -1.0
+    for index in (1500, -1501):
+        with pytest.raises(IndexError):
+            series[index]
+    assert series != records[:-1] and series != 5
+
+
+def test_record_series_of_one_row_per_block_end_keeps_its_timestamps():
+    series = RecordSeries("harmonics", HarmonicsRecord)
+    row = np.arange(1.0, 2.0 + series.columns)
+    for k in range(45):
+        row[0] = 3.0 * (k + 1)
+        series.append_rows(row)
+    assert [len(rows) for rows in series.blocks()] == [20, 20, 5]
+    assert [r.timestamp for r in series] == [3.0 * (k + 1) for k in range(45)]
+    assert series[44].thd_i == tuple(row[-3:].tolist())
+
+
+def test_result_holds_about_its_float_payload():
+    # rows * (timestamp + columns) float64 cells, against the bytes the
+    # result keeps once the pipeline that filled it is gone
+    tracemalloc.start()
+    try:
+        result = run_pipeline(generate_stream(unit_config(120.0)), unit_pipeline_config())
+        held = tracemalloc.get_traced_memory()[0]
+        payload = sum(len(getattr(result, name)) * (1 + len(p.columns)) * 8
+                      for name, p in PARAMETERS.items())
+        del result
+        retained = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert payload == (600 * 7 + 120 * 13 + 40 * 205 + 120 * 3) * 8
+    assert retained <= 1.5 * payload, (retained, payload)

@@ -247,22 +247,28 @@ ORDERS = st.lists(FINITE, min_size=1, max_size=6).map(
 )
 
 
-@given(result=st.builds(
-    PipelineResult,
-    rms=st.lists(st.builds(RmsRecord, st.just(0.2), triples(), triples())),
-    harmonics=st.lists(
+#: Lists of records per cadence, as a PipelineResult is built from them.
+RECORD_LISTS = {
+    "rms": st.lists(st.builds(RmsRecord, st.just(0.2), triples(), triples())),
+    "harmonics": st.lists(
         st.builds(HarmonicsRecord, st.just(3.0), ORDERS, ORDERS,
                   triples(UNDEFINED_OR_FINITE), triples(UNDEFINED_OR_FINITE)),
         max_size=25,
     ),
-    frequency=st.lists(st.builds(FrequencyRecord, st.just(1.0), FINITE, st.booleans())),
-    flicker_pst=st.lists(st.builds(FlickerPstRecord, st.just(600.0), triples(UNDEFINED_OR_FINITE))),
-))
-@example(result=PipelineResult(
-    rms=[RmsRecord(0.2, (-0.0, 5e-324, 2.2250738585072014e-308), (1e308, -1e308, 0.1))],
-    frequency=[FrequencyRecord(1.0, 50.0, True), FrequencyRecord(2.0, -0.0, False)],
-    flicker_pst=[FlickerPstRecord(600.0, (None, -0.0, None))],
-))
+    "frequency": st.lists(st.builds(FrequencyRecord, st.just(1.0), FINITE, st.booleans())),
+    "flicker_pst": st.lists(
+        st.builds(FlickerPstRecord, st.just(600.0), triples(UNDEFINED_OR_FINITE))
+    ),
+}
+EDGE_RECORDS = {
+    "rms": [RmsRecord(0.2, (-0.0, 5e-324, 2.2250738585072014e-308), (1e308, -1e308, 0.1))],
+    "frequency": [FrequencyRecord(1.0, 50.0, True), FrequencyRecord(2.0, -0.0, False)],
+    "flicker_pst": [FlickerPstRecord(600.0, (None, -0.0, None))],
+}
+
+
+@given(result=st.builds(PipelineResult, **RECORD_LISTS))
+@example(result=PipelineResult(**EDGE_RECORDS))
 @settings(max_examples=200)
 def test_csv_lines_equal_the_per_cell_format(tmp_path_factory, result):
     writer = TransferFileWriter(tmp_path_factory.mktemp("csv"), make_point(), BASE_TIME)
@@ -276,6 +282,28 @@ def test_csv_lines_equal_the_per_cell_format(tmp_path_factory, result):
         assert lines[1:-2] == [
             ",".join(format_value(v) for v in FLATTEN[name](r)) for r in getattr(result, name)
         ]
+
+
+def bit_cells(name: str, record) -> list:
+    """The values of a ``name`` record, floats by their exact bits and bools kept apart."""
+    values = (record.timestamp, *FLATTEN[name](record))
+    return [v.hex() if type(v) is float else (type(v), v) for v in values]
+
+
+@given(lists=st.fixed_dictionaries(RECORD_LISTS))
+@example(lists=EDGE_RECORDS)
+@settings(max_examples=200)
+def test_pipeline_result_rows_give_back_the_records_it_was_built_from(lists):
+    result = PipelineResult(**lists)
+    for name in PARAMETERS:
+        series, records = getattr(result, name), lists.get(name, [])
+        assert series == records
+        assert [bit_cells(name, r) for r in series] == [bit_cells(name, r) for r in records]
+        assert len(series) == len(records)
+        assert bool(series) == bool(records)
+        if records:  # an empty series is falsy and == [] above
+            assert bit_cells(name, series[-1]) == bit_cells(name, records[-1])
+            assert series[0] == records[0]
 
 
 def test_writer_tree_layout(written_sag_run):
@@ -466,20 +494,21 @@ def test_writer_memory_does_not_grow_with_the_rows_written(tmp_path):
 
 
 def test_writer_refuses_records_that_do_not_fill_their_columns(tmp_path):
+    # the refusal fires where the records enter their series, before any write
     orders = tuple((1.0,) * HARMONIC_ORDERS for _ in PHASES)
     writer = TransferFileWriter(tmp_path / "out", make_point(), BASE_TIME)
-    for result, match in (
+    for name, records, match in (
         # thd_v holding 33 values instead of 3: 234 cells for 204 columns
-        (PipelineResult(harmonics=[HarmonicsRecord(3.0, orders, orders, orders[0], (1.0,) * 3)]),
+        ("harmonics", [HarmonicsRecord(3.0, orders, orders, orders[0], (1.0,) * 3)],
          "harmonics records hold 234 values, expected 204"),
-        (PipelineResult(rms=[RmsRecord(0.2, (1.0, 2.0), (3.0, 4.0))]),
+        ("rms", [RmsRecord(0.2, (1.0, 2.0), (3.0, 4.0))],
          "rms records hold 4 values, expected 6"),
-        (PipelineResult(rms=[RmsRecord(0.2, (1.0,) * 3, (1.0,) * 3),
-                             RmsRecord(0.4, (1.0,) * 3, (1.0,) * 4)]),
+        ("rms", [RmsRecord(0.2, (1.0,) * 3, (1.0,) * 3), RmsRecord(0.4, (1.0,) * 3, (1.0,) * 4)],
          "rms records are not rows of numbers"),
     ):
         with pytest.raises(ValueError, match=match):
-            writer.write_results(result)
+            writer.write_results(PipelineResult(**{name: records}))
+    assert not any(p.is_file() for p in (tmp_path / "out" / "MP1").rglob("*.csv"))
 
 
 def test_writer_leaves_no_partial_file_when_a_record_is_refused(tmp_path):
