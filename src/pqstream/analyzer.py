@@ -16,8 +16,11 @@ sample, or a square that overflows), or one where a phase's voltage and
 current levels multiply past about 1e154 so that S * S overflows, raises
 ValueError before any of its rows is stored.
 
-Each cadence of :class:`PipelineResult` is a :class:`RecordSeries`: float64
-rows in the column layout of its transfer file, None stored as NaN.  The
+:data:`PARAMETERS` is the one registry of the cadences: each entry names
+its record type, its row interval and, per record field, its column prefix
+and shape, from which the stored columns follow.  Each cadence of
+:class:`PipelineResult` is a :class:`RecordSeries`: float64 rows in that
+column layout, the layout of its transfer file, None stored as NaN.  The
 pipeline writes each block's levels, estimates and magnitudes straight into
 those rows; records are built only when read, and the ``compute_*``
 functions return records built from the same rows.
@@ -48,6 +51,7 @@ import operator
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
+from datetime import timedelta
 from itertools import islice
 from typing import Iterable, Iterator, Optional
 
@@ -65,6 +69,7 @@ HARMONIC_ORDERS = 33
 FREQUENCY_BAND = (40.0, 70.0)  # Hz; an estimate outside holds the previous value
 THD_FLOOR_FACTOR = 1e-9     # x nominal RMS: fundamental floor below which THD is undefined
 PST_CALIBRATION = 1.0
+PHASES = ("a", "b", "c")    # as stored column names spell them
 #: Cells of one block of stored record rows, the timestamp not counted: 20
 #: harmonics rows, 682 RMS rows.  The transfer writer formats a block per write.
 BLOCK_CELLS = 4096
@@ -133,25 +138,63 @@ class FlickerPltRecord:
     plt: Triple
 
 
-#: Per record type, each field after ``timestamp`` as it lies in a stored
-#: row: () one number, (3,) a triple, (3, orders) per phase the harmonic
-#: orders, ``bool`` one flag.
-_ROW_LAYOUT = {
-    RmsRecord: ((3,), (3,)),
-    PowerRecord: ((3,),) * 4,
-    HarmonicsRecord: ((3, HARMONIC_ORDERS),) * 2 + ((3,),) * 2,
-    FrequencyRecord: ((), bool),
-    DemandRecord: ((3,),),
-    FlickerPstRecord: ((3,),),
-    FlickerPltRecord: ((3,),),
-}
+@dataclass(frozen=True)
+class Parameter:
+    """One cadence: its records, their row interval and their stored columns.
+
+    ``name`` is its :class:`PipelineResult` attribute, transfer directory
+    and table.  ``fields`` pairs each record field after ``timestamp``, in
+    order, with its column prefix and its shape in a stored row: () one
+    number, (3,) a triple, (3, HARMONIC_ORDERS) per phase the harmonic
+    orders, ``bool`` one flag.  ``columns`` names the cells these give:
+    ``prefix``, ``prefix_<phase>`` or ``prefix_<phase>_h<order>``.
+    """
+
+    name: str
+    record_type: type
+    interval: timedelta
+    fields: tuple[tuple[str, object], ...]
+    columns: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        names = []
+        for prefix, shape in self.fields:
+            if shape is bool or shape == ():
+                names.append(prefix)
+            elif len(shape) == 1:
+                names += [f"{prefix}_{p}" for p in PHASES]
+            else:
+                names += [f"{prefix}_{p}_h{h}" for p in PHASES for h in range(1, shape[1] + 1)]
+        object.__setattr__(self, "columns", tuple(names))
 
 
-def _record(record_type: type, row: list):
+_TRIPLE, _ORDERS = (3,), (3, HARMONIC_ORDERS)
+
+#: The one registry of the cadences, in the order their files are written
+#: and ingested.  The pipeline's rows, the writer, the schema, ingestion,
+#: queries, the CLI and the traffic budget all read it.
+PARAMETERS: dict[str, Parameter] = {p.name: p for p in (
+    Parameter("power", PowerRecord, timedelta(seconds=POWER_WINDOW / SAMPLE_RATE),
+              (("p", _TRIPLE), ("q", _TRIPLE), ("s", _TRIPLE), ("pf", _TRIPLE))),
+    Parameter("rms", RmsRecord, timedelta(seconds=RMS_WINDOW / SAMPLE_RATE),
+              (("v", _TRIPLE), ("i", _TRIPLE))),
+    Parameter("harmonics", HarmonicsRecord, timedelta(seconds=HARMONIC_WINDOW / SAMPLE_RATE),
+              (("v", _ORDERS), ("i", _ORDERS), ("thd_v", _TRIPLE), ("thd_i", _TRIPLE))),
+    Parameter("frequency", FrequencyRecord, timedelta(seconds=POWER_WINDOW / SAMPLE_RATE),
+              (("frequency", ()), ("held", bool))),
+    Parameter("demand", DemandRecord, timedelta(seconds=DEMAND_INTERVAL_S), (("d", _TRIPLE),)),
+    Parameter("flicker_pst", FlickerPstRecord, timedelta(seconds=PST_INTERVAL_S),
+              (("pst", _TRIPLE),)),
+    Parameter("flicker_plt", FlickerPltRecord, timedelta(seconds=PLT_PST_COUNT * PST_INTERVAL_S),
+              (("plt", _TRIPLE),)),
+)}
+
+
+def _record(parameter: Parameter, row: list):
     """The record of one stored row of floats, NaN read as None."""
     values = [None if v != v else v for v in row]
     args, pos = [values[0]], 1
-    for shape in _ROW_LAYOUT[record_type]:
+    for _, shape in parameter.fields:
         if shape is bool:
             args.append(bool(values[pos]))
             pos += 1
@@ -167,7 +210,7 @@ def _record(record_type: type, row: list):
                 tuple(values[pos + p * orders : pos + (p + 1) * orders]) for p in range(phases)
             ))
             pos += phases * orders
-    return record_type(*args)
+    return parameter.record_type(*args)
 
 
 @dataclass(frozen=True)
@@ -202,7 +245,7 @@ def compute_rms(window: np.ndarray, timestamp: float) -> RmsRecord:
     """RMS of one 0.2 s window (shape (6, 640), voltage rows first) per phase."""
     if window.shape[-1] != RMS_WINDOW:
         raise ValueError(f"RMS window must hold exactly {RMS_WINDOW} samples")
-    return _record(RmsRecord, [timestamp, *rms(window).tolist()])
+    return _record(PARAMETERS["rms"], [timestamp, *rms(window).tolist()])
 
 
 def half_cycle_rms(window: np.ndarray, block: int) -> np.ndarray:
@@ -280,7 +323,7 @@ def compute_harmonics(
     if window.shape[-1] != HARMONIC_WINDOW:
         raise ValueError(f"harmonics window must hold exactly {HARMONIC_WINDOW} samples")
     row = _harmonics_row(window, fundamental, timestamp, v_floor, i_floor)
-    return _record(HarmonicsRecord, row.tolist())
+    return _record(PARAMETERS["harmonics"], row.tolist())
 
 
 def _harmonics_row(
@@ -305,7 +348,8 @@ def compute_power(window: np.ndarray, fundamental: float, timestamp: float) -> P
     """
     if window.shape[-1] != POWER_WINDOW:
         raise ValueError(f"power window must hold exactly {POWER_WINDOW} samples")
-    return _record(PowerRecord, _power_rows(window, 0, [fundamental], [timestamp])[0][0].tolist())
+    rows, _ = _power_rows(window, 0, [fundamental], [timestamp])
+    return _record(PARAMETERS["power"], rows[0].tolist())
 
 
 def _power_rows(
@@ -383,7 +427,8 @@ def compute_demand(series: np.ndarray, timestamp: float) -> DemandRecord:
     ``series`` has shape (3, n); the cadence expects n = 900 (15 minutes)
     but any non-empty series is averaged so callers can test directly.
     """
-    return _record(DemandRecord, [timestamp, *np.mean(_phase_series(series), axis=-1).tolist()])
+    demand = np.mean(_phase_series(series), axis=-1)
+    return _record(PARAMETERS["demand"], [timestamp, *demand.tolist()])
 
 
 def compute_pst(series: np.ndarray, timestamp: float) -> FlickerPstRecord:
@@ -395,7 +440,7 @@ def compute_pst(series: np.ndarray, timestamp: float) -> FlickerPstRecord:
     linearly with modulation depth and is None (undefined) for a dead
     phase where m = 0.
     """
-    return _record(FlickerPstRecord, [timestamp, *_pst(series).tolist()])
+    return _record(PARAMETERS["flicker_pst"], [timestamp, *_pst(series).tolist()])
 
 
 def _pst(series: np.ndarray) -> np.ndarray:
@@ -424,7 +469,7 @@ def compute_plt(
     arr = np.asarray(pst_values, dtype=np.float64)  # (12, 3)
     if np.any(np.isnan(arr)):
         raise ValueError("undefined Pst value in Plt input")
-    return _record(FlickerPltRecord, [timestamp, *_plt(arr).tolist()])
+    return _record(PARAMETERS["flicker_plt"], [timestamp, *_plt(arr).tolist()])
 
 
 def _plt(pst_values: np.ndarray) -> np.ndarray:
@@ -441,14 +486,14 @@ class RecordSeries(Sequence):
     ``BLOCK_CELLS // columns`` rows, each started at 16 rows and doubled as
     it fills, so memory follows the rows held.  Records are built only when
     read: iteration, indexing and ``==`` against a list of records or
-    another series all go through them.  ``name`` is the cadence's
-    :class:`PipelineResult` attribute.
+    another series all go through them.  ``parameter`` is the cadence's
+    entry in :data:`PARAMETERS`, and ``columns`` counts its stored columns.
     """
 
-    def __init__(self, name: str, record_type: type, records: Iterable = ()) -> None:
-        self.name = name
-        self.record_type = record_type
-        self.columns = sum(1 if s is bool else math.prod(s) for s in _ROW_LAYOUT[record_type])
+    def __init__(self, parameter: Parameter, records: Iterable = ()) -> None:
+        self.parameter = parameter
+        self.name = parameter.name
+        self.columns = len(parameter.columns)
         self.block_rows = max(1, BLOCK_CELLS // self.columns)
         self._blocks: list[np.ndarray] = []
         self._len = 0
@@ -458,7 +503,7 @@ class RecordSeries(Sequence):
         """Append records, a block of them at a time.  A block whose records
         do not fill the columns raises ValueError, and so does the series'
         construction from it."""
-        names = [f.name for f in fields(self.record_type)]
+        names = [f.name for f in fields(self.parameter.record_type)]
         it = iter(records)
         while chunk := list(islice(it, self.block_rows)):
             n = len(chunk)
@@ -506,7 +551,7 @@ class RecordSeries(Sequence):
     def __iter__(self) -> Iterator:
         for rows in self.blocks():
             for row in rows.tolist():
-                yield _record(self.record_type, row)
+                yield _record(self.parameter, row)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -517,7 +562,7 @@ class RecordSeries(Sequence):
         if not 0 <= k < self._len:
             raise IndexError(f"{self.name} record index {index} out of range")
         block, row = divmod(k, self.block_rows)
-        return _record(self.record_type, self._blocks[block][row].tolist())
+        return _record(self.parameter, self._blocks[block][row].tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (RecordSeries, list)):
@@ -525,19 +570,7 @@ class RecordSeries(Sequence):
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     def __repr__(self) -> str:
-        return f"RecordSeries({self.name!r}, {self.record_type.__name__}, {self._len} rows)"
-
-
-#: Each cadence's :class:`PipelineResult` attribute and record type.
-CADENCES = {
-    "rms": RmsRecord,
-    "power": PowerRecord,
-    "harmonics": HarmonicsRecord,
-    "frequency": FrequencyRecord,
-    "demand": DemandRecord,
-    "flicker_pst": FlickerPstRecord,
-    "flicker_plt": FlickerPltRecord,
-}
+        return f"RecordSeries({self.name!r}, {self._len} rows)"
 
 
 @dataclass
@@ -562,10 +595,10 @@ class PipelineResult:
     discarded: Counter[str] = field(default_factory=Counter)
 
     def __post_init__(self) -> None:
-        for name, record_type in CADENCES.items():
+        for name, parameter in PARAMETERS.items():
             records = getattr(self, name)
             if not isinstance(records, RecordSeries):
-                setattr(self, name, RecordSeries(name, record_type, records))
+                setattr(self, name, RecordSeries(parameter, records))
 
 
 class StreamPipeline:

@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from . import __version__
-from .analyzer import HARMONIC_WINDOW, PipelineConfig, run_pipeline
+from .analyzer import HARMONIC_WINDOW, PARAMETERS, PipelineConfig, run_pipeline
 from .charts import ChartError, ChartSpec, format_text_table, render_chart
 from .events import EventDetector, EventThresholds
 from .query import (
@@ -42,7 +42,6 @@ from .siggen import (
     parse_script,
 )
 from .store import (
-    PARAMETERS,
     MeasurementPoint,
     StoreError,
     StreamDatabase,
@@ -61,24 +60,33 @@ SAMPLE_DTYPE = np.dtype(np.float64)  # of the streams gen writes
 
 def _load_gen_config(path: Path) -> dict:
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        meta = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise StoreError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise StoreError(f"config {path} is not a JSON object")
+    return meta
 
 
 def _signal_config(meta: dict) -> SignalConfig:
     """The :class:`SignalConfig` of the fields ``meta`` holds, each cast to
-    the type of its default; the others keep their defaults."""
+    the type of its default; the others keep their defaults.  A value the
+    cast refuses is refused, and so is a bool or a number the cast would
+    change (a fractional seed, say); a numeric string such as "2.5" is cast."""
     values = {}
     for f in fields(SignalConfig):
-        if f.name in meta:
-            kind = type(f.default)
-            try:
-                values[f.name] = kind(meta[f.name])
-            except (TypeError, ValueError) as exc:
-                raise StoreError(
-                    f"{f.name} must be a {kind.__name__}, not {meta[f.name]!r}"
-                ) from exc
+        if f.name not in meta:
+            continue
+        value, kind = meta[f.name], type(f.default)
+        try:
+            cast = kind(value)
+        except (TypeError, ValueError, OverflowError):
+            cast = None
+        if cast is None or isinstance(value, bool) or (
+            isinstance(value, (int, float)) and cast != value
+        ):
+            raise StoreError(f"{f.name} must be a {kind.__name__}, not {value!r}")
+        values[f.name] = cast
     return SignalConfig(**values)
 
 
@@ -210,9 +218,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             f"{VOLTAGE_FILE} holds {voltage.samples} samples per channel, "
             f"{CURRENT_FILE} {current.samples}"
         )
-    point = MeasurementPoint.from_dict({"id": "MP1", **meta.get("point", {})})
-    base_time = datetime.fromisoformat(meta.get("base_time", DEFAULT_BASE_TIME))
-    writer = TransferFileWriter(args.out, point, base_time)
+    point_meta, base_time = meta.get("point", {}), meta.get("base_time", DEFAULT_BASE_TIME)
+    if not isinstance(point_meta, dict):
+        raise StoreError(f"{META_FILE}: point must be a JSON object, not {point_meta!r}")
+    if not isinstance(base_time, str):
+        raise StoreError(f"{META_FILE}: base_time must be a string, not {base_time!r}")
+    point = MeasurementPoint.from_dict({"id": "MP1", **point_meta})
+    writer = TransferFileWriter(args.out, point, datetime.fromisoformat(base_time))
     detector = EventDetector(
         EventThresholds(nominal_voltage_rms=nominal_v),
         measurement_point_id=point.id,

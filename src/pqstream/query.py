@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .analyzer import PARAMETERS
 from .events import RawCaptureError, read_raw_capture
 from .store import (
-    PARAMETERS,
     EventStat,
     MeasurementPoint,
     StreamDatabase,
@@ -122,7 +122,7 @@ def timeseries(
         raise QueryError("time bounds must not carry a UTC offset; stored times have none")
     if db.get_point(point_id) is None:
         raise NotFoundError(f"measurement point {point_id!r} not in the database")
-    columns = PARAMETERS[parameter_type].column_names
+    columns = PARAMETERS[parameter_type].columns
     step = PARAMETERS[parameter_type].interval
     col_sql = ", ".join(f'"{c}"' for c in columns)
     out: list[tuple] = []

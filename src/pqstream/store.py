@@ -9,10 +9,9 @@ timestamp is derived by stepping the parameter interval backwards.  Floats
 are serialized with 17 significant digits so a write / ingest / query round
 trip is bit exact.
 
-:data:`PARAMETERS` is the one registry of the interval-typed parameters:
-each entry's name is its ``PipelineResult`` attribute, transfer directory
-and table, and the entry holds the row interval and the stored columns.
-Writing, the schema, ingestion, queries and the traffic budget read it.
+Each interval-typed parameter's directory, table, row interval and
+columns come from ``analyzer.PARAMETERS``, the one registry of the
+cadences, which writing, the schema, ingestion and the traffic budget read.
 
 Ingestion walks such trees into an embedded SQLite database, skipping
 files whose content hash is already present.  The per-point event counters
@@ -34,23 +33,12 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .analyzer import (
-    DEMAND_INTERVAL_S,
-    HARMONIC_ORDERS,
-    HARMONIC_WINDOW,
-    PLT_PST_COUNT,
-    POWER_WINDOW,
-    PST_INTERVAL_S,
-    RMS_WINDOW,
-    PipelineResult,
-    RecordSeries,
-)
+from .analyzer import PARAMETERS, PHASES, Parameter, PipelineResult, RecordSeries
 from .events import EVENT_TYPES, EventRecord
 from .siggen import SAMPLE_RATE
 
 POINT_KINDS = ("busbar", "feeder")
 LOAD_TYPES = ("Heavy Industry", "Industry+Urban", "Urban Only")
-PHASES = ("a", "b", "c")
 
 RAW_DIR_NAMES = {t: t.capitalize() for t in EVENT_TYPES}
 
@@ -61,68 +49,6 @@ ISO_TIMESPEC = "microseconds"
 class StoreError(RuntimeError):
     """Raised for unusable trees, rows or store configurations."""
 
-
-@dataclass(frozen=True)
-class Parameter:
-    """One interval-typed parameter as written, stored and budgeted.
-
-    ``name`` is the ``PipelineResult`` attribute holding its records, its
-    transfer directory and its table.  ``columns`` pairs each stored column
-    with its SQL type, in the order of the record's fields after
-    ``timestamp``, nested tuples flattened.
-    """
-
-    name: str
-    interval: timedelta
-    columns: tuple[tuple[str, str], ...]
-
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.columns)
-
-
-def _phase_columns(*prefixes: str) -> tuple[tuple[str, str], ...]:
-    return tuple((f"{prefix}_{p}", "REAL") for prefix in prefixes for p in PHASES)
-
-
-def _harmonic_columns(*prefixes: str) -> tuple[tuple[str, str], ...]:
-    return tuple(
-        (f"{prefix}_{p}_h{h}", "REAL")
-        for prefix in prefixes
-        for p in PHASES
-        for h in range(1, HARMONIC_ORDERS + 1)
-    )
-
-
-#: Every interval-typed parameter, in the order files are written and ingested.
-PARAMETERS: dict[str, Parameter] = {
-    p.name: p
-    for p in (
-        Parameter(
-            "power",
-            timedelta(seconds=POWER_WINDOW / SAMPLE_RATE),
-            _phase_columns("p", "q", "s", "pf"),
-        ),
-        Parameter("rms", timedelta(seconds=RMS_WINDOW / SAMPLE_RATE), _phase_columns("v", "i")),
-        Parameter(
-            "harmonics",
-            timedelta(seconds=HARMONIC_WINDOW / SAMPLE_RATE),
-            _harmonic_columns("v", "i") + _phase_columns("thd_v", "thd_i"),
-        ),
-        Parameter(
-            "frequency",
-            timedelta(seconds=POWER_WINDOW / SAMPLE_RATE),
-            (("frequency", "REAL"), ("held", "INTEGER")),
-        ),
-        Parameter("demand", timedelta(seconds=DEMAND_INTERVAL_S), _phase_columns("d")),
-        Parameter("flicker_pst", timedelta(seconds=PST_INTERVAL_S), _phase_columns("pst")),
-        Parameter(
-            "flicker_plt",
-            timedelta(seconds=PLT_PST_COUNT * PST_INTERVAL_S),
-            _phase_columns("plt"),
-        ),
-    )
-}
 
 #: The event log is a transfer file without a fixed row interval.
 EVENT_LOG = "event"
@@ -137,7 +63,7 @@ EVENT_COLUMNS = (
 
 #: Columns of every transfer-file type, in ingestion order.
 FILE_COLUMNS: dict[str, tuple[str, ...]] = {
-    **{name: p.column_names for name, p in PARAMETERS.items()},
+    **{name: p.columns for name, p in PARAMETERS.items()},
     EVENT_LOG: EVENT_COLUMNS,
 }
 
@@ -145,7 +71,8 @@ FILE_COLUMNS: dict[str, tuple[str, ...]] = {
 @dataclass(frozen=True)
 class MeasurementPoint:
     """Identity and siting of one monitored busbar or feeder.  The id names
-    its transfer-tree directory, so it is a string of one path component."""
+    its transfer-tree directory, so it is a string of one path component;
+    the name, city and region are strings too."""
 
     id: str
     name: str
@@ -159,6 +86,9 @@ class MeasurementPoint:
         bad_id = not isinstance(self.id, str) or self.id in ("", ".", "..")
         if bad_id or "/" in self.id or "\\" in self.id:
             raise ValueError(f"measurement point id {self.id!r} is not one path component")
+        for key in ("name", "city_name", "region_name"):
+            if not isinstance(getattr(self, key), str):
+                raise ValueError(f"{key} must be a string, not {getattr(self, key)!r}")
         if self.point_kind not in POINT_KINDS:
             raise ValueError(f"point_kind must be one of {POINT_KINDS}")
         if self.load_type not in LOAD_TYPES:
@@ -266,11 +196,11 @@ def format_value(value) -> str:
     return str(value)
 
 
-def _series_chunks(parameter: Parameter, series: RecordSeries) -> Iterator[str]:
+def _series_chunks(series: RecordSeries) -> Iterator[str]:
     """CSV text of ``series``, one block of its stored rows at a time: the
     cells after the timestamp go through one ``%.17g`` format call, and NaN
     (None) is left empty."""
-    line = ",".join(["%.17g"] * len(parameter.columns)) + "\n"
+    line = ",".join(["%.17g"] * series.columns) + "\n"
     for rows in series.blocks():
         cells = rows[:, 1:].ravel().tolist()
         yield ((line * len(rows)) % tuple(cells)).replace("nan", "")
@@ -336,12 +266,12 @@ class TransferFileWriter:
     def write_results(self, result: PipelineResult, file_seq: int = 0) -> list[Path]:
         """Write every non-empty record series plus the event log; returns paths."""
         written: list[Path] = []
-        for name, parameter in PARAMETERS.items():
+        for name in PARAMETERS:
             series = getattr(result, name)
             if not series:
                 continue
             last = self.timestamp(series[-1].timestamp)
-            written.append(self._write_csv(name, _series_chunks(parameter, series), last, file_seq))
+            written.append(self._write_csv(name, _series_chunks(series), last, file_seq))
         if result.events:
             lines = (",".join(map(format_value, self._event_row(e))) + "\n" for e in result.events)
             last = self.timestamp(max(e.end_time for e in result.events))
@@ -405,7 +335,11 @@ FROM event GROUP BY measurement_point_id;
 
 
 def _series_table_sql(parameter: Parameter) -> str:
-    cols = ",\n    ".join(f'"{name}" {sql_type}' for name, sql_type in parameter.columns)
+    """A bool field's column is INTEGER, every other column REAL."""
+    flags = {prefix for prefix, shape in parameter.fields if shape is bool}
+    cols = ",\n    ".join(
+        f'"{name}" {"INTEGER" if name in flags else "REAL"}' for name in parameter.columns
+    )
     return (
         f"CREATE TABLE IF NOT EXISTS {parameter.name} (\n"
         "    measurement_point_id TEXT NOT NULL REFERENCES measurement_point(id),\n"
@@ -604,7 +538,7 @@ def _ingest_series_file(
     parsed: _ParsedFile,
     transfer_file_id: int,
 ) -> None:
-    columns = PARAMETERS[parameter_type].column_names
+    columns = PARAMETERS[parameter_type].columns
     col_sql = ", ".join(f'"{c}"' for c in columns)
     placeholders = ", ".join("?" for _ in range(len(columns) + 3))
     sql = (
@@ -776,28 +710,30 @@ def compute_traffic_budget() -> TrafficBudget:
     streams; the event length and type bookkeeping rates stay in both totals.
     """
     bits = float(SAMPLE_BITS)
-    phases = float(len(PHASES))
 
-    def rate(values: float, parameter: str) -> float:
-        """Bits per second of ``values`` numbers sent once per row interval."""
-        return bits * values / PARAMETERS[parameter].interval.total_seconds()
+    def rate(parameter: str, *prefixes: str) -> float:
+        """Bits per second of the values of the fields with these column
+        prefixes, sent once per row interval."""
+        p = PARAMETERS[parameter]
+        values = sum(math.prod(shape) for prefix, shape in p.fields if prefix in prefixes)
+        return bits * values / p.interval.total_seconds()
 
-    raw_stream = bits * phases * SAMPLE_RATE
+    raw_stream = bits * len(PHASES) * SAMPLE_RATE
     rows = (
-        BudgetRow("Active Power", rate(phases, "power")),
-        BudgetRow("Reactive Power", rate(phases, "power")),
-        BudgetRow("Apparent Power", rate(phases, "power")),
-        BudgetRow("Power Factor", rate(phases, "power")),
-        BudgetRow("33 Voltage Harmonics", rate(phases * HARMONIC_ORDERS, "harmonics")),
-        BudgetRow("33 Current Harmonics", rate(phases * HARMONIC_ORDERS, "harmonics")),
-        BudgetRow("RMS Voltage and Current", rate(phases * 2.0, "rms")),
+        BudgetRow("Active Power", rate("power", "p")),
+        BudgetRow("Reactive Power", rate("power", "q")),
+        BudgetRow("Apparent Power", rate("power", "s")),
+        BudgetRow("Power Factor", rate("power", "pf")),
+        BudgetRow("33 Voltage Harmonics", rate("harmonics", "v")),
+        BudgetRow("33 Current Harmonics", rate("harmonics", "i")),
+        BudgetRow("RMS Voltage and Current", rate("rms", "v", "i")),
         BudgetRow("Event Length", EVENT_LENGTH_BPS),
         BudgetRow("Event Type", EVENT_TYPE_BPS),
         BudgetRow("Event Raw Data (Current)", raw_stream, raw_event_stream=True),
         BudgetRow("Event Raw Data (Voltage)", raw_stream, raw_event_stream=True),
-        BudgetRow("Short Term Flicker", rate(phases, "flicker_pst")),
-        BudgetRow("Demand", rate(phases, "demand")),
-        BudgetRow("Frequency", rate(1.0, "frequency")),
+        BudgetRow("Short Term Flicker", rate("flicker_pst", "pst")),
+        BudgetRow("Demand", rate("demand", "d")),
+        BudgetRow("Frequency", rate("frequency", "frequency")),
     )
     return TrafficBudget(rows=rows)
 

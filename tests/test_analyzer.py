@@ -11,15 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 from pqstream.analyzer import (
     BLOCK_CELLS,
-    CADENCES,
     FREQUENCY_BAND,
     HARMONIC_ORDERS,
     HARMONIC_WINDOW,
+    PARAMETERS,
     PLT_PST_COUNT,
     POWER_WINDOW,
     RMS_WINDOW,
     THD_FLOOR_FACTOR,
-    HarmonicsRecord,
     PipelineConfig,
     PipelineResult,
     RecordSeries,
@@ -42,7 +41,6 @@ from pqstream.analyzer import (
 )
 from pqstream.events import EventDetector, EventThresholds
 from pqstream.siggen import SAMPLE_RATE, SignalConfig, WaveformFrame, generate_stream, parse_script
-from pqstream.store import PARAMETERS
 
 from conftest import gather, unit_config, unit_pipeline_config
 
@@ -863,17 +861,15 @@ def test_finish_twice_returns_the_same_result_and_refuses_more_frames():
 
 def test_each_cadence_stores_the_columns_of_its_transfer_file():
     result = PipelineResult()
-    assert set(CADENCES) == set(PARAMETERS)
     for name, parameter in PARAMETERS.items():
         series = getattr(result, name)
-        assert (series.name, series.record_type) == (name, CADENCES[name])
-        assert series.columns == len(parameter.columns)
+        assert series.parameter is parameter
         assert series.block_rows == max(1, BLOCK_CELLS // len(parameter.columns))
 
 
 def test_record_series_blocks_fill_to_their_size_and_index_across_them():
     records = [RmsRecord(0.2 * (k + 1), (k, -0.0, 1.5), (2.0, 5e-324, -k)) for k in range(1500)]
-    series = RecordSeries("rms", RmsRecord, records[:1])
+    series = RecordSeries(PARAMETERS["rms"], records[:1])
     series.extend(records[1:700])
     for k in range(700, 1500, 15):  # as the pipeline stores a block's RMS windows
         series.append_rows(np.array([(r.timestamp, *r.v_rms, *r.i_rms) for r in records[k : k + 15]]))
@@ -890,7 +886,7 @@ def test_record_series_blocks_fill_to_their_size_and_index_across_them():
 
 
 def test_record_series_of_one_row_per_block_end_keeps_its_timestamps():
-    series = RecordSeries("harmonics", HarmonicsRecord)
+    series = RecordSeries(PARAMETERS["harmonics"])
     row = np.arange(1.0, 2.0 + series.columns)
     for k in range(45):
         row[0] = 3.0 * (k + 1)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import runpy
 import shutil
 import subprocess
@@ -21,7 +22,7 @@ from pqstream.analyzer import PipelineConfig, PipelineResult, run_pipeline
 from pqstream.cli import _signal_config, main
 from pqstream.events import EventDetector, EventRecord, EventThresholds
 from pqstream.siggen import SignalConfig, WaveformFrame, parse_script
-from pqstream.store import MeasurementPoint, TransferFileWriter
+from pqstream.store import MeasurementPoint, StoreError, TransferFileWriter
 
 from conftest import gather
 
@@ -94,6 +95,18 @@ def test_signal_config_takes_the_fields_meta_holds(tmp_path, capsys):
     (tmp_path / "config.json").write_text(json.dumps({"duration": "long"}))
     assert main(["gen", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "s")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    # a bool, or a number the cast would change, is refused rather than cast
+    for meta in ({"seed": 2.5, "jitter_pu": 0.01}, {"duration": True}, {"seed": False},
+                 {"seed": float("inf")}, {"duration": float("nan")}, {"duration": 10 ** 400},
+                 {"duration": 2 ** 53 + 1}):
+        (key, value), *_ = meta.items()
+        kind = type(getattr(SignalConfig(), key)).__name__
+        with pytest.raises(StoreError, match=rf"^{key} must be a {kind}, not {re.escape(repr(value))}$"):
+            _signal_config(meta)
+    (tmp_path / "config.json").write_text(json.dumps({"seed": 2.5}))
+    assert main(["gen", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err == "error: seed must be a int, not 2.5\n"
+    assert not (tmp_path / "s").exists()
 
 
 @pytest.mark.parametrize("command", ["gen", "analyze"])
@@ -107,6 +120,26 @@ def test_a_null_config_field_is_named_and_exits_2(tmp_path, capsys, command):
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: duration must be a float, not None\n"
     assert not (tmp_path / "s").exists() and not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("meta, message", [
+    ({"point": [1]}, "meta.json: point must be a JSON object, not [1]"),
+    ({"base_time": 5}, "meta.json: base_time must be a string, not 5"),
+    ({"point": {"id": "A", "name": ["x"]}}, "name must be a string, not ['x']"),
+])
+def test_analyze_refuses_badly_typed_meta_fields_before_writing(tmp_path, capsys, meta, message):
+    (tmp_path / "meta.json").write_text(json.dumps({"duration": 1.0, **meta}))
+    np.save(tmp_path / "voltage.npy", np.zeros((3, 3200)))
+    np.save(tmp_path / "current.npy", np.zeros((3, 3200)))
+    assert main(["analyze", "--in", str(tmp_path), "--out", str(tmp_path / "t")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "t").exists()
+
+
+def test_a_config_that_is_not_a_json_object_exits_2(tmp_path, capsys):
+    (tmp_path / "config.json").write_text("[1]")
+    assert main(["gen", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err == f"error: config {tmp_path / 'config.json'} is not a JSON object\n"
 
 
 def test_analyze_nominal_v_overrides_the_stream_nominal(tmp_path, capsys):

@@ -173,7 +173,7 @@ def write_series_file(point_dir: Path, parameter: str, seq: int, rows, last_samp
     """Lay down one transfer CSV by hand, as the writer formats it."""
     directory = point_dir / parameter
     directory.mkdir(exist_ok=True)
-    lines = [f"# columns: {','.join(PARAMETERS[parameter].column_names)}"]
+    lines = [f"# columns: {','.join(PARAMETERS[parameter].columns)}"]
     lines += [",".join(repr(float(v)) for v in row) for row in rows]
     lines.append(f"#last_sample={last_sample.isoformat(timespec='microseconds')}")
     (directory / f"{parameter}_{seq:03d}.csv").write_text("\n".join(lines) + "\n")
@@ -209,7 +209,7 @@ def overlap_db(tmp_path_factory):
 
 def reference_timeseries(db, point_id, parameter, start, end):
     """Date every stored row on its own, filter, then stable-sort by time."""
-    columns = PARAMETERS[parameter].column_names
+    columns = PARAMETERS[parameter].columns
     rows = []
     for data in db.conn.execute(
         f"SELECT * FROM {parameter} WHERE measurement_point_id = ?"

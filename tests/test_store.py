@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import sqlite3
 import tracemalloc
 from dataclasses import replace
@@ -152,6 +153,9 @@ def test_measurement_point_validation():
             make_point(point_id=point_id)
     with pytest.raises(ValueError, match="voltage_level must be >= 0"):
         replace(make_point(), voltage_level=-0.4)
+    for key, value in (("name", ["x"]), ("city_name", 5), ("region_name", None)):
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be a string, not {value!r}")):
+            replace(make_point(), **{key: value})
 
 
 @pytest.mark.parametrize("change, match", [
@@ -456,7 +460,7 @@ def test_writer_output_equals_the_whole_file_join(tmp_path):
     for name, parameter in PARAMETERS.items():
         records = getattr(result, name)
         expected = joined(
-            parameter.column_names,
+            parameter.columns,
             [FLATTEN[name](r) for r in records],
             writer.timestamp(records[-1].timestamp),
         )
@@ -583,6 +587,23 @@ def test_event_stat_view_counts_the_event_table(tmp_path):
             "SELECT type FROM sqlite_master WHERE name = 'event_stat'"
         ).fetchone()
         assert tuple(kind) == ("view",)
+
+
+def test_stored_layout_is_the_version_1_layout(tmp_path):
+    # a new database's schema and every transfer file's header, as version 1
+    # laid them down; a change to either needs a new SCHEMA_VERSION
+    data = Path(__file__).parent / "data"
+    with StreamDatabase(tmp_path / "pq.db") as db:
+        sql = db.conn.execute(
+            "SELECT sql FROM sqlite_master WHERE sql IS NOT NULL ORDER BY rowid"
+        ).fetchall()
+    assert "".join(f"{row[0]};\n" for row in sql) == (data / "schema_v1.sql").read_text()
+    result = hand_built_result()
+    result.events = [EventRecord(1, "MP1", "sag", 1.0, 2.5, 4800, "Sag/raw_1.pqz")]
+    paths = TransferFileWriter(tmp_path / "out", make_point(), BASE_TIME).write_results(result)
+    headers = [path.read_text().split("\n", 1)[0] + "\n" for path in paths]
+    assert [path.parent.name for path in paths] == [*PARAMETERS, "event"]
+    assert "".join(headers) == (data / "headers_v1.txt").read_text()
 
 
 def test_database_of_another_schema_version_is_refused(tmp_path):
@@ -772,6 +793,8 @@ def test_ingest_point_metadata_defaults(tmp_path):
         {"id": "A", "base_time": 5},
         {"id": "A", "voltage_level": None},
         {"id": "../A"},
+        {"id": "A", "name": ["x"]},
+        {"id": "A", "region_name": 5},
     ],
 )
 def test_ingest_malformed_point_json_skips_only_that_point(tmp_path, bad_meta):
