@@ -5,22 +5,24 @@ window: RMS every 0.2 s, power and frequency every second, 33 harmonics
 plus THD every 3 s, demand every 15 minutes, short-term flicker severity
 every 10 minutes and long-term flicker severity every 2 hours.  All record
 timestamps are seconds since stream start and mark the end of the window
-that produced them.  Incomplete windows at stream end are discarded and
-tallied in :attr:`PipelineResult.discarded`, never emitted.  Demand, Pst
-and Plt intervals are whole 3 s blocks, so each closes at the block end
-whose sample index is a multiple of its length.
+that produced them.  Only incomplete windows at stream end are discarded,
+tallied per kind in :attr:`PipelineResult.discarded`: every closed window
+stores its row.  Demand, Pst and Plt intervals are whole 3 s blocks, so
+each closes at the block end whose sample index is a multiple of its length.
 
-Every record value is finite, or None where a ratio (THD, Pst) is
-undefined: a block whose RMS levels are not all finite (a NaN or infinite
-sample, or a square that overflows), or one where a phase's voltage and
-current levels multiply past about 1e154 so that S * S overflows, raises
-ValueError before any of its rows is stored.
+Every record value is finite, or None where it is undefined: THD, Pst, and
+a phase's Plt whose window holds an undefined Pst.  A block whose RMS
+levels are not all finite (a NaN or infinite sample, or a square that
+overflows), or one where a phase's voltage and current levels multiply
+past about 1e154 so that S * S overflows, raises ValueError before any of
+its rows is stored.
 
 :data:`PARAMETERS` is the one registry of the cadences: each entry names
-its record type, its row interval and, per record field, its column prefix
-and shape, from which the stored columns follow.  Each cadence of
-:class:`PipelineResult` is a :class:`RecordSeries`: float64 rows in that
-column layout, the layout of its transfer file, None stored as NaN.  The
+its record type, its window length in samples and, per record field, its
+column prefix and shape, from which the stored columns follow.  Each
+cadence of :class:`PipelineResult` is a :class:`RecordSeries`: float64 rows
+of exactly the columns of its transfer file, None stored as NaN, and no
+timestamp: record k ends at ``(k + 1) * samples / SAMPLE_RATE``.  The
 pipeline writes each block's levels, estimates and magnitudes straight into
 those rows; records are built only when read, and the ``compute_*``
 functions return records built from the same rows.
@@ -70,8 +72,8 @@ FREQUENCY_BAND = (40.0, 70.0)  # Hz; an estimate outside holds the previous valu
 THD_FLOOR_FACTOR = 1e-9     # x nominal RMS: fundamental floor below which THD is undefined
 PST_CALIBRATION = 1.0
 PHASES = ("a", "b", "c")    # as stored column names spell them
-#: Cells of one block of stored record rows, the timestamp not counted: 20
-#: harmonics rows, 682 RMS rows.  The transfer writer formats a block per write.
+#: Cells of one block of stored record rows: 20 harmonics rows, 682 RMS rows.
+#: The transfer writer formats a block per write.
 BLOCK_CELLS = 4096
 
 Triple = tuple[float, float, float]
@@ -135,26 +137,30 @@ class FlickerPstRecord:
 @dataclass(frozen=True)
 class FlickerPltRecord:
     timestamp: float
-    plt: Triple
+    plt: OptionalTriple
 
 
 @dataclass(frozen=True)
 class Parameter:
-    """One cadence: its records, their row interval and their stored columns.
+    """One cadence: its records, their window length and their stored columns.
 
     ``name`` is its :class:`PipelineResult` attribute, transfer directory
-    and table.  ``fields`` pairs each record field after ``timestamp``, in
-    order, with its column prefix and its shape in a stored row: () one
-    number, (3,) a triple, (3, HARMONIC_ORDERS) per phase the harmonic
-    orders, ``bool`` one flag.  ``columns`` names the cells these give:
-    ``prefix``, ``prefix_<phase>`` or ``prefix_<phase>_h<order>``.
+    and table.  ``samples`` is the window one record closes; windows tile the
+    stream from its start, so record k ends at ``end(k + 1)`` seconds and
+    rows are ``interval`` apart.  ``fields`` pairs each record field after
+    ``timestamp``, in order, with its column prefix and its shape in a
+    stored row: () one number, (3,) a triple, (3, HARMONIC_ORDERS) per
+    phase the harmonic orders, ``bool`` one flag.  ``columns`` names the
+    cells these give: ``prefix``, ``prefix_<phase>`` or
+    ``prefix_<phase>_h<order>``.
     """
 
     name: str
     record_type: type
-    interval: timedelta
+    samples: int
     fields: tuple[tuple[str, object], ...]
     columns: tuple[str, ...] = field(init=False)
+    interval: timedelta = field(init=False)
 
     def __post_init__(self) -> None:
         names = []
@@ -166,34 +172,36 @@ class Parameter:
             else:
                 names += [f"{prefix}_{p}_h{h}" for p in PHASES for h in range(1, shape[1] + 1)]
         object.__setattr__(self, "columns", tuple(names))
+        object.__setattr__(self, "interval", timedelta(seconds=self.samples / SAMPLE_RATE))
+
+    def end(self, windows: int) -> float:
+        """Seconds from the stream start to the end of its first ``windows``."""
+        return windows * self.samples / SAMPLE_RATE
 
 
+_PST_SAMPLES = round(PST_INTERVAL_S * SAMPLE_RATE)
 _TRIPLE, _ORDERS = (3,), (3, HARMONIC_ORDERS)
 
 #: The one registry of the cadences, in the order their files are written
 #: and ingested.  The pipeline's rows, the writer, the schema, ingestion,
 #: queries, the CLI and the traffic budget all read it.
 PARAMETERS: dict[str, Parameter] = {p.name: p for p in (
-    Parameter("power", PowerRecord, timedelta(seconds=POWER_WINDOW / SAMPLE_RATE),
+    Parameter("power", PowerRecord, POWER_WINDOW,
               (("p", _TRIPLE), ("q", _TRIPLE), ("s", _TRIPLE), ("pf", _TRIPLE))),
-    Parameter("rms", RmsRecord, timedelta(seconds=RMS_WINDOW / SAMPLE_RATE),
-              (("v", _TRIPLE), ("i", _TRIPLE))),
-    Parameter("harmonics", HarmonicsRecord, timedelta(seconds=HARMONIC_WINDOW / SAMPLE_RATE),
+    Parameter("rms", RmsRecord, RMS_WINDOW, (("v", _TRIPLE), ("i", _TRIPLE))),
+    Parameter("harmonics", HarmonicsRecord, HARMONIC_WINDOW,
               (("v", _ORDERS), ("i", _ORDERS), ("thd_v", _TRIPLE), ("thd_i", _TRIPLE))),
-    Parameter("frequency", FrequencyRecord, timedelta(seconds=POWER_WINDOW / SAMPLE_RATE),
-              (("frequency", ()), ("held", bool))),
-    Parameter("demand", DemandRecord, timedelta(seconds=DEMAND_INTERVAL_S), (("d", _TRIPLE),)),
-    Parameter("flicker_pst", FlickerPstRecord, timedelta(seconds=PST_INTERVAL_S),
-              (("pst", _TRIPLE),)),
-    Parameter("flicker_plt", FlickerPltRecord, timedelta(seconds=PLT_PST_COUNT * PST_INTERVAL_S),
-              (("plt", _TRIPLE),)),
+    Parameter("frequency", FrequencyRecord, POWER_WINDOW, (("frequency", ()), ("held", bool))),
+    Parameter("demand", DemandRecord, round(DEMAND_INTERVAL_S * SAMPLE_RATE), (("d", _TRIPLE),)),
+    Parameter("flicker_pst", FlickerPstRecord, _PST_SAMPLES, (("pst", _TRIPLE),)),
+    Parameter("flicker_plt", FlickerPltRecord, PLT_PST_COUNT * _PST_SAMPLES, (("plt", _TRIPLE),)),
 )}
 
 
-def _record(parameter: Parameter, row: list):
-    """The record of one stored row of floats, NaN read as None."""
+def _record(parameter: Parameter, timestamp: float, row: list):
+    """The record of one stored row of floats ending at ``timestamp``, NaN read as None."""
     values = [None if v != v else v for v in row]
-    args, pos = [values[0]], 1
+    args, pos = [timestamp], 0
     for _, shape in parameter.fields:
         if shape is bool:
             args.append(bool(values[pos]))
@@ -245,7 +253,7 @@ def compute_rms(window: np.ndarray, timestamp: float) -> RmsRecord:
     """RMS of one 0.2 s window (shape (6, 640), voltage rows first) per phase."""
     if window.shape[-1] != RMS_WINDOW:
         raise ValueError(f"RMS window must hold exactly {RMS_WINDOW} samples")
-    return _record(PARAMETERS["rms"], [timestamp, *rms(window).tolist()])
+    return _record(PARAMETERS["rms"], timestamp, rms(window).tolist())
 
 
 def half_cycle_rms(window: np.ndarray, block: int) -> np.ndarray:
@@ -322,18 +330,18 @@ def compute_harmonics(
     """Harmonic magnitudes for orders 1..33 plus THD of one 3 s window (6, 9600)."""
     if window.shape[-1] != HARMONIC_WINDOW:
         raise ValueError(f"harmonics window must hold exactly {HARMONIC_WINDOW} samples")
-    row = _harmonics_row(window, fundamental, timestamp, v_floor, i_floor)
-    return _record(PARAMETERS["harmonics"], row.tolist())
+    row = _harmonics_row(window, fundamental, v_floor, i_floor)
+    return _record(PARAMETERS["harmonics"], timestamp, row.tolist())
 
 
 def _harmonics_row(
-    window: np.ndarray, fundamental: float, timestamp: float, v_floor: float, i_floor: float
+    window: np.ndarray, fundamental: float, v_floor: float, i_floor: float
 ) -> np.ndarray:
-    """The stored row of :func:`compute_harmonics`: the timestamp, the six
-    channels' magnitudes, then their THD, NaN where undefined."""
+    """The stored row of :func:`compute_harmonics`: the six channels'
+    magnitudes, then their THD, NaN where undefined."""
     mags = harmonic_magnitudes(window, fundamental)
     thd = [compute_thd(row, floor) for row, floor in zip(mags, (v_floor,) * 3 + (i_floor,) * 3)]
-    return np.hstack((timestamp, mags.ravel(), np.array(thd, dtype=np.float64)))
+    return np.hstack((mags.ravel(), np.array(thd, dtype=np.float64)))
 
 
 def compute_power(window: np.ndarray, fundamental: float, timestamp: float) -> PowerRecord:
@@ -348,15 +356,12 @@ def compute_power(window: np.ndarray, fundamental: float, timestamp: float) -> P
     """
     if window.shape[-1] != POWER_WINDOW:
         raise ValueError(f"power window must hold exactly {POWER_WINDOW} samples")
-    rows, _ = _power_rows(window, 0, [fundamental], [timestamp])
-    return _record(PARAMETERS["power"], rows[0].tolist())
+    rows, _ = _power_rows(window, 0, [fundamental])
+    return _record(PARAMETERS["power"], timestamp, rows[0].tolist())
 
 
 def _power_rows(
-    block: np.ndarray,
-    first_sample: int,
-    fundamentals: Sequence[float],
-    timestamps: Sequence[float],
+    block: np.ndarray, first_sample: int, fundamentals: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The stored rows of :func:`compute_power` for each consecutive second
     of a (6, m * 3200) block, second s at ``fundamentals[s]``, and each
@@ -384,7 +389,7 @@ def _power_rows(
     # P <= S holds mathematically (Cauchy-Schwarz); clamp float rounding.
     ratio = np.divide(active, apparent, out=np.zeros_like(active), where=apparent > 0.0)
     factor = np.clip(ratio, -1.0, 1.0)
-    rows = np.column_stack((timestamps, active, reactive, apparent, factor))
+    rows = np.hstack((active, reactive, apparent, factor))
     return rows, magnitudes[:, 3:]
 
 
@@ -428,7 +433,7 @@ def compute_demand(series: np.ndarray, timestamp: float) -> DemandRecord:
     but any non-empty series is averaged so callers can test directly.
     """
     demand = np.mean(_phase_series(series), axis=-1)
-    return _record(PARAMETERS["demand"], [timestamp, *demand.tolist()])
+    return _record(PARAMETERS["demand"], timestamp, demand.tolist())
 
 
 def compute_pst(series: np.ndarray, timestamp: float) -> FlickerPstRecord:
@@ -440,7 +445,7 @@ def compute_pst(series: np.ndarray, timestamp: float) -> FlickerPstRecord:
     linearly with modulation depth and is None (undefined) for a dead
     phase where m = 0.
     """
-    return _record(PARAMETERS["flicker_pst"], [timestamp, *_pst(series).tolist()])
+    return _record(PARAMETERS["flicker_pst"], timestamp, _pst(series).tolist())
 
 
 def _pst(series: np.ndarray) -> np.ndarray:
@@ -461,28 +466,27 @@ def compute_plt(
 ) -> FlickerPltRecord:
     """Long-term flicker severity: cube root of the mean cubed Pst.
 
-    Requires exactly 12 defined short-term values per phase (12 x 10 min
-    covering the 2 h window).
+    Requires exactly 12 short-term values per phase (12 x 10 min covering
+    the 2 h window).  A phase holding an undefined Pst has a None Plt.
     """
     if len(pst_values) != PLT_PST_COUNT:
         raise ValueError(f"need exactly {PLT_PST_COUNT} Pst values, got {len(pst_values)}")
     arr = np.asarray(pst_values, dtype=np.float64)  # (12, 3)
-    if np.any(np.isnan(arr)):
-        raise ValueError("undefined Pst value in Plt input")
-    return _record(PARAMETERS["flicker_plt"], [timestamp, *_plt(arr).tolist()])
+    return _record(PARAMETERS["flicker_plt"], timestamp, _plt(arr).tolist())
 
 
 def _plt(pst_values: np.ndarray) -> np.ndarray:
-    """The three values of :func:`compute_plt` from a (12, 3) array."""
+    """The three values of :func:`compute_plt` from a (12, 3) array, NaN where undefined."""
     return np.cbrt(np.mean(pst_values**3, axis=0))
 
 
 class RecordSeries(Sequence):
     """One cadence's records, held as float64 rows.
 
-    A row is the record's timestamp, then each field after it with nested
-    tuples flattened in order: the columns of its transfer file.  None is
-    stored as NaN and a bool as 1.0 or 0.0.  Rows live in blocks of
+    A row is each record field after the timestamp, nested tuples flattened
+    in order: exactly the columns of its transfer file.  None is stored as
+    NaN and a bool as 1.0 or 0.0.  Record k's timestamp is its window's end,
+    ``parameter.end(k + 1)``, so none is stored.  Rows live in blocks of
     ``BLOCK_CELLS // columns`` rows, each started at 16 rows and doubled as
     it fills, so memory follows the rows held.  Records are built only when
     read: iteration, indexing and ``==`` against a list of records or
@@ -501,9 +505,9 @@ class RecordSeries(Sequence):
 
     def extend(self, records: Iterable) -> None:
         """Append records, a block of them at a time.  A block whose records
-        do not fill the columns raises ValueError, and so does the series'
-        construction from it."""
-        names = [f.name for f in fields(self.parameter.record_type)]
+        do not fill the columns, or do not end at the next windows, raises
+        ValueError, and so does the series' construction from it."""
+        names = [f.name for f in fields(self.parameter.record_type)][1:]
         it = iter(records)
         while chunk := list(islice(it, self.block_rows)):
             n = len(chunk)
@@ -514,24 +518,28 @@ class RecordSeries(Sequence):
                 ])
             except ValueError as exc:
                 raise ValueError(f"{self.name} records are not rows of numbers: {exc}") from None
-            if rows.shape[1] != 1 + self.columns:
+            if rows.shape[1] != self.columns:
                 raise ValueError(
-                    f"{self.name} records hold {rows.shape[1] - 1} values, expected {self.columns}"
+                    f"{self.name} records hold {rows.shape[1]} values, expected {self.columns}"
                 )
+            for k, record in enumerate(chunk, self._len):
+                if record.timestamp != self.parameter.end(k + 1):
+                    raise ValueError(f"{self.name} record {k} ends at {record.timestamp!r} s, not"
+                                     f" at {self.parameter.end(k + 1)!r} s, its window's end")
             self.append_rows(rows)
 
     def append_rows(self, rows: np.ndarray) -> None:
-        """Append stored rows: (n, 1 + columns) floats, or one row of them."""
-        rows = np.asarray(rows, dtype=np.float64).reshape(-1, 1 + self.columns)
+        """Append stored rows: (n, columns) floats, or one row of them."""
+        rows = np.asarray(rows, dtype=np.float64).reshape(-1, self.columns)
         done = 0
         while done < len(rows):
             used = self._len - (len(self._blocks) - 1) * self.block_rows
             if not self._blocks or used == self.block_rows:
                 size = min(self.block_rows, max(16, len(rows) - done))
-                self._blocks.append(np.empty((size, 1 + self.columns)))
+                self._blocks.append(np.empty((size, self.columns)))
                 used = 0
             elif used == len(self._blocks[-1]):
-                grown = np.empty((min(self.block_rows, 2 * used), 1 + self.columns))
+                grown = np.empty((min(self.block_rows, 2 * used), self.columns))
                 grown[:used] = self._blocks[-1]
                 self._blocks[-1] = grown
             block = self._blocks[-1]
@@ -549,9 +557,9 @@ class RecordSeries(Sequence):
         return self._len
 
     def __iter__(self) -> Iterator:
-        for rows in self.blocks():
-            for row in rows.tolist():
-                yield _record(self.parameter, row)
+        rows = (row for block in self.blocks() for row in block.tolist())
+        for k, row in enumerate(rows, 1):
+            yield _record(self.parameter, self.parameter.end(k), row)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -561,8 +569,8 @@ class RecordSeries(Sequence):
             k += self._len
         if not 0 <= k < self._len:
             raise IndexError(f"{self.name} record index {index} out of range")
-        block, row = divmod(k, self.block_rows)
-        return _record(self.parameter, self._blocks[block][row].tolist())
+        row = self._blocks[k // self.block_rows][k % self.block_rows].tolist()
+        return _record(self.parameter, self.parameter.end(k + 1), row)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (RecordSeries, list)):
@@ -580,8 +588,8 @@ class PipelineResult:
     present only when its count is positive.
 
     Each cadence is a :class:`RecordSeries`; one given as a list of records
-    is stored as one, so records that do not fill their columns are refused
-    here.
+    is stored as one, so records that do not fill their columns, or that do
+    not end at successive windows, are refused here.
     """
 
     rms: RecordSeries = ()
@@ -622,7 +630,7 @@ class StreamPipeline:
         self._buf_base = 0           # absolute index of buffer start
         self._prev_frequency = config.nominal_frequency
         self._half_block = config.half_cycle_samples
-        pst_len = round(PST_INTERVAL_S * SAMPLE_RATE / RMS_WINDOW) * (RMS_WINDOW // self._half_block)
+        pst_len = PARAMETERS["flicker_pst"].samples // RMS_WINDOW * (RMS_WINDOW // self._half_block)
         self._pst_series = np.empty((3, pst_len))
         self._pst_fill = 0
         self._plt_window: list[np.ndarray] = []  # Pst triples of the open Plt window
@@ -660,7 +668,6 @@ class StreamPipeline:
         seconds = self._fill // POWER_WINDOW
         base = self._buf_base
         block = self._buf[:, : windows * RMS_WINDOW].reshape(6, windows, RMS_WINDOW)
-        stamps = [(base + RMS_WINDOW * k) / SAMPLE_RATE for k in range(1, windows + 1)]
         with np.errstate(over="ignore"):  # an overflowing square is refused below
             levels = rms(block)
         if not np.isfinite(levels).all():
@@ -671,20 +678,18 @@ class StreamPipeline:
                 " or overflow their RMS"
             )
         ends = range(POWER_WINDOW, seconds * POWER_WINDOW + 1, POWER_WINDOW)
-        freqs = np.empty((seconds, 3))  # timestamp, estimate, held
+        freqs = np.empty((seconds, 2))  # estimate, held
         for s, end in enumerate(ends):
             self._prev_frequency, held = _frequency(
                 self._buf[0, end - POWER_WINDOW : end], self._prev_frequency
             )
-            freqs[s] = ((base + end) / SAMPLE_RATE, self._prev_frequency, held)
-        power, currents = _power_rows(
-            self._buf[:, : seconds * POWER_WINDOW], base, freqs[:, 1], freqs[:, 0]
-        )
-        self.result.rms.append_rows(np.column_stack((stamps, levels.T)))
+            freqs[s] = (self._prev_frequency, held)
+        power, currents = _power_rows(self._buf[:, : seconds * POWER_WINDOW], base, freqs[:, 0])
+        self.result.rms.append_rows(levels.T)
         if self.detector is not None:
             self._feed_detector(0, windows * RMS_WINDOW)
-            for ts, v in zip(stamps, levels[:3].T.tolist()):
-                self.detector.update(ts, tuple(v))
+            for k, v in enumerate(levels[:3].T.tolist(), 1):
+                self.detector.update((base + RMS_WINDOW * k) / SAMPLE_RATE, tuple(v))
         self.result.frequency.append_rows(freqs)
         self.result.power.append_rows(power)
         self._currents.extend(currents.tolist())
@@ -695,30 +700,24 @@ class StreamPipeline:
         self._pst_fill += hc.shape[1]
         if self._fill < HARMONIC_WINDOW:
             return
-        block_end = base + HARMONIC_WINDOW
-        stamp = block_end / SAMPLE_RATE
         self.result.harmonics.append_rows(_harmonics_row(
             self._buf,
             self._prev_frequency,
-            stamp,
             v_floor=THD_FLOOR_FACTOR * self.config.nominal_voltage_rms,
             i_floor=THD_FLOOR_FACTOR * self.config.nominal_current_rms,
         ))
         # Pst, Plt and demand intervals are whole blocks, so they close on a block end
-        if block_end % round(PST_INTERVAL_S * SAMPLE_RATE) == 0:
+        block_end = base + HARMONIC_WINDOW
+        if block_end % PARAMETERS["flicker_pst"].samples == 0:
             pst = _pst(self._pst_series[:, : self._pst_fill])
-            self.result.flicker_pst.append_rows(np.hstack((stamp, pst)))
+            self.result.flicker_pst.append_rows(pst)
             self._pst_fill = 0
             self._plt_window.append(pst)
-        if block_end % round(PLT_PST_COUNT * PST_INTERVAL_S * SAMPLE_RATE) == 0:
+        if block_end % PARAMETERS["flicker_plt"].samples == 0:
             window, self._plt_window = np.array(self._plt_window), []
-            if np.isnan(window).any():
-                self.result.discarded["plt_windows_with_undefined_pst"] += 1
-            else:
-                self.result.flicker_plt.append_rows(np.hstack((stamp, _plt(window))))
-        if block_end % round(DEMAND_INTERVAL_S * SAMPLE_RATE) == 0:
-            demand = np.mean(np.array(self._currents).T, axis=-1)
-            self.result.demand.append_rows(np.hstack((stamp, demand)))
+            self.result.flicker_plt.append_rows(_plt(window))
+        if block_end % PARAMETERS["demand"].samples == 0:
+            self.result.demand.append_rows(np.mean(np.array(self._currents).T, axis=-1))
             self._currents = []
 
     def _feed_detector(self, lo: int, hi: int) -> None:

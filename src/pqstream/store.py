@@ -72,7 +72,8 @@ FILE_COLUMNS: dict[str, tuple[str, ...]] = {
 class MeasurementPoint:
     """Identity and siting of one monitored busbar or feeder.  The id names
     its transfer-tree directory, so it is a string of one path component;
-    the name, city and region are strings too."""
+    the name, city and region are strings too, and the voltage level is a
+    finite int or float >= 0, held as a float."""
 
     id: str
     name: str
@@ -93,8 +94,12 @@ class MeasurementPoint:
             raise ValueError(f"point_kind must be one of {POINT_KINDS}")
         if self.load_type not in LOAD_TYPES:
             raise ValueError(f"load_type must be one of {LOAD_TYPES}")
-        if self.voltage_level < 0:
+        level = self.voltage_level
+        if type(level) is bool or not isinstance(level, (int, float)) or not math.isfinite(level):
+            raise ValueError(f"voltage_level must be a finite number, not {level!r}")
+        if level < 0:
             raise ValueError("voltage_level must be >= 0")
+        object.__setattr__(self, "voltage_level", float(level))
 
     @classmethod
     def from_dict(cls, meta: dict) -> "MeasurementPoint":
@@ -108,7 +113,6 @@ class MeasurementPoint:
         values.setdefault("name", meta["id"])
         values.setdefault("point_kind", "busbar")
         values.setdefault("load_type", "Urban Only")
-        values["voltage_level"] = float(values.get("voltage_level", 0.0))
         return cls(**values)
 
 
@@ -198,12 +202,10 @@ def format_value(value) -> str:
 
 def _series_chunks(series: RecordSeries) -> Iterator[str]:
     """CSV text of ``series``, one block of its stored rows at a time: the
-    cells after the timestamp go through one ``%.17g`` format call, and NaN
-    (None) is left empty."""
+    cells go through one ``%.17g`` format call, and NaN (None) is left empty."""
     line = ",".join(["%.17g"] * series.columns) + "\n"
     for rows in series.blocks():
-        cells = rows[:, 1:].ravel().tolist()
-        yield ((line * len(rows)) % tuple(cells)).replace("nan", "")
+        yield ((line * len(rows)) % tuple(rows.ravel().tolist())).replace("nan", "")
 
 
 class TransferFileWriter:
@@ -215,6 +217,9 @@ class TransferFileWriter:
     """
 
     def __init__(self, out_root: Path | str, point: MeasurementPoint, base_time: datetime) -> None:
+        if base_time.utcoffset() is not None:
+            raise StoreError(f"base_time {base_time.isoformat()} carries a UTC offset, which"
+                             " transfer-file times cannot hold")
         self.out_root = Path(out_root)
         self.point = point
         self.base_time = base_time
@@ -270,7 +275,7 @@ class TransferFileWriter:
             series = getattr(result, name)
             if not series:
                 continue
-            last = self.timestamp(series[-1].timestamp)
+            last = self.timestamp(series.parameter.end(len(series)))
             written.append(self._write_csv(name, _series_chunks(series), last, file_seq))
         if result.events:
             lines = (",".join(map(format_value, self._event_row(e))) + "\n" for e in result.events)
@@ -716,7 +721,7 @@ def compute_traffic_budget() -> TrafficBudget:
         prefixes, sent once per row interval."""
         p = PARAMETERS[parameter]
         values = sum(math.prod(shape) for prefix, shape in p.fields if prefix in prefixes)
-        return bits * values / p.interval.total_seconds()
+        return bits * values / (p.samples / SAMPLE_RATE)
 
     raw_stream = bits * len(PHASES) * SAMPLE_RATE
     rows = (

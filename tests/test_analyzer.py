@@ -443,10 +443,13 @@ def test_plt_requires_twelve_values():
         compute_plt([(1.0, 1.0, 1.0)] * 11, timestamp=7200.0)
 
 
-def test_plt_refuses_an_undefined_pst():
-    values = [(1.0, 1.0, 1.0)] * (PLT_PST_COUNT - 1) + [(1.0, math.nan, 1.0)]
-    with pytest.raises(ValueError, match="undefined Pst"):
-        compute_plt(values, timestamp=7200.0)
+def test_plt_of_a_phase_with_an_undefined_pst_is_undefined():
+    # each phase's Plt comes from that phase's own 12 Pst values
+    for undefined in (math.nan, None):
+        values = [(1.0, 1.0, 1.0)] * (PLT_PST_COUNT - 1) + [(1.0, undefined, 0.5)]
+        record = compute_plt(values, timestamp=7200.0)
+        assert record.plt[0] == 1.0 and record.plt[1] is None
+        assert record.plt[2] == pytest.approx(((11 + 0.125) / 12) ** (1 / 3), rel=1e-15)
 
 
 @pytest.mark.parametrize("call, match", [
@@ -810,9 +813,10 @@ def test_run_pipeline_refuses_a_nan_sample_without_a_detector():
         run_pipeline(frames_of(samples[:3], samples[3:], 1000), unit_pipeline_config())
 
 
-def test_plt_window_with_an_undefined_pst_is_tallied_not_emitted():
+def test_plt_window_with_an_undefined_pst_stores_that_phase_as_none():
     # phase C at 0 for the first 10 min leaves that Pst interval's C value
-    # undefined, so the one 2 h Plt window has no defined value for C
+    # undefined, so the one 2 h Plt window has no defined value for C; A and
+    # B keep theirs, and the row still ends its window
     config = unit_config(7200.0)
     script = parse_script("interruption 0 600 C 0\n")
     result = run_pipeline(
@@ -821,8 +825,11 @@ def test_plt_window_with_an_undefined_pst_is_tallied_not_emitted():
     assert len(result.flicker_pst) == PLT_PST_COUNT
     assert result.flicker_pst[0].pst[2] is None
     assert all(v is not None for r in result.flicker_pst[1:] for v in r.pst)
-    assert result.flicker_plt == []
-    assert result.discarded == {"plt_windows_with_undefined_pst": 1}
+    (plt,) = result.flicker_plt
+    assert plt.timestamp == 7200.0
+    assert plt.plt[2] is None
+    assert all(math.isfinite(v) for v in plt.plt[:2])
+    assert result.discarded == {}
 
 
 def test_stream_ending_between_its_first_pst_and_plt_tallies_the_open_windows():
@@ -868,11 +875,14 @@ def test_each_cadence_stores_the_columns_of_its_transfer_file():
 
 
 def test_record_series_blocks_fill_to_their_size_and_index_across_them():
-    records = [RmsRecord(0.2 * (k + 1), (k, -0.0, 1.5), (2.0, 5e-324, -k)) for k in range(1500)]
+    records = [
+        RmsRecord((k + 1) * RMS_WINDOW / SAMPLE_RATE, (k, -0.0, 1.5), (2.0, 5e-324, -k))
+        for k in range(1500)
+    ]
     series = RecordSeries(PARAMETERS["rms"], records[:1])
     series.extend(records[1:700])
     for k in range(700, 1500, 15):  # as the pipeline stores a block's RMS windows
-        series.append_rows(np.array([(r.timestamp, *r.v_rms, *r.i_rms) for r in records[k : k + 15]]))
+        series.append_rows(np.array([(*r.v_rms, *r.i_rms) for r in records[k : k + 15]]))
     sizes = [len(rows) for rows in series.blocks()]
     assert sizes == [682, 682, 136]
     assert len(series) == 1500 and series == records and list(series) == records
@@ -887,9 +897,8 @@ def test_record_series_blocks_fill_to_their_size_and_index_across_them():
 
 def test_record_series_of_one_row_per_block_end_keeps_its_timestamps():
     series = RecordSeries(PARAMETERS["harmonics"])
-    row = np.arange(1.0, 2.0 + series.columns)
+    row = np.arange(1.0, 1.0 + series.columns)
     for k in range(45):
-        row[0] = 3.0 * (k + 1)
         series.append_rows(row)
     assert [len(rows) for rows in series.blocks()] == [20, 20, 5]
     assert [r.timestamp for r in series] == [3.0 * (k + 1) for k in range(45)]
@@ -897,17 +906,17 @@ def test_record_series_of_one_row_per_block_end_keeps_its_timestamps():
 
 
 def test_result_holds_about_its_float_payload():
-    # rows * (timestamp + columns) float64 cells, against the bytes the
-    # result keeps once the pipeline that filled it is gone
+    # rows * columns float64 cells, against the bytes the result keeps once
+    # the pipeline that filled it is gone
     tracemalloc.start()
     try:
         result = run_pipeline(generate_stream(unit_config(120.0)), unit_pipeline_config())
         held = tracemalloc.get_traced_memory()[0]
-        payload = sum(len(getattr(result, name)) * (1 + len(p.columns)) * 8
+        payload = sum(len(getattr(result, name)) * len(p.columns) * 8
                       for name, p in PARAMETERS.items())
         del result
         retained = held - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert payload == (600 * 7 + 120 * 13 + 40 * 205 + 120 * 3) * 8
+    assert payload == (600 * 6 + 120 * 12 + 40 * 204 + 120 * 2) * 8
     assert retained <= 1.5 * payload, (retained, payload)

@@ -126,6 +126,10 @@ def test_a_null_config_field_is_named_and_exits_2(tmp_path, capsys, command):
     ({"point": [1]}, "meta.json: point must be a JSON object, not [1]"),
     ({"base_time": 5}, "meta.json: base_time must be a string, not 5"),
     ({"point": {"id": "A", "name": ["x"]}}, "name must be a string, not ['x']"),
+    # ingest would refuse every file of such a tree by its footer
+    ({"base_time": "2000-01-01T00:00:00+02:00"},
+     "base_time 2000-01-01T00:00:00+02:00 carries a UTC offset,"
+     " which transfer-file times cannot hold"),
 ])
 def test_analyze_refuses_badly_typed_meta_fields_before_writing(tmp_path, capsys, meta, message):
     (tmp_path / "meta.json").write_text(json.dumps({"duration": 1.0, **meta}))

@@ -156,6 +156,13 @@ def test_measurement_point_validation():
     for key, value in (("name", ["x"]), ("city_name", 5), ("region_name", None)):
         with pytest.raises(ValueError, match=re.escape(f"{key} must be a string, not {value!r}")):
             replace(make_point(), **{key: value})
+    for level in (True, "5", math.nan, math.inf, -math.inf, None):
+        match = re.escape(f"voltage_level must be a finite number, not {level!r}")
+        with pytest.raises(ValueError, match=match):
+            replace(make_point(), voltage_level=level)
+        with pytest.raises(ValueError, match=match):
+            MeasurementPoint.from_dict({"id": "A", "voltage_level": level})
+    assert repr(MeasurementPoint.from_dict({"id": "A", "voltage_level": 11}).voltage_level) == "11.0"
 
 
 @pytest.mark.parametrize("change, match", [
@@ -251,18 +258,23 @@ ORDERS = st.lists(FINITE, min_size=1, max_size=6).map(
 )
 
 
+def windowed_records(name, record_type, *cells, **size):
+    """Lists of ``name`` records, record k ending at window k's end from the stream start."""
+    samples = PARAMETERS[name].samples
+    return st.lists(st.tuples(*cells), **size).map(lambda rows: [
+        record_type((k + 1) * samples / SAMPLE_RATE, *row) for k, row in enumerate(rows)
+    ])
+
+
 #: Lists of records per cadence, as a PipelineResult is built from them.
 RECORD_LISTS = {
-    "rms": st.lists(st.builds(RmsRecord, st.just(0.2), triples(), triples())),
-    "harmonics": st.lists(
-        st.builds(HarmonicsRecord, st.just(3.0), ORDERS, ORDERS,
-                  triples(UNDEFINED_OR_FINITE), triples(UNDEFINED_OR_FINITE)),
-        max_size=25,
+    "rms": windowed_records("rms", RmsRecord, triples(), triples()),
+    "harmonics": windowed_records(
+        "harmonics", HarmonicsRecord, ORDERS, ORDERS,
+        triples(UNDEFINED_OR_FINITE), triples(UNDEFINED_OR_FINITE), max_size=25,
     ),
-    "frequency": st.lists(st.builds(FrequencyRecord, st.just(1.0), FINITE, st.booleans())),
-    "flicker_pst": st.lists(
-        st.builds(FlickerPstRecord, st.just(600.0), triples(UNDEFINED_OR_FINITE))
-    ),
+    "frequency": windowed_records("frequency", FrequencyRecord, FINITE, st.booleans()),
+    "flicker_pst": windowed_records("flicker_pst", FlickerPstRecord, triples(UNDEFINED_OR_FINITE)),
 }
 EDGE_RECORDS = {
     "rms": [RmsRecord(0.2, (-0.0, 5e-324, 2.2250738585072014e-308), (1e308, -1e308, 0.1))],
@@ -430,9 +442,8 @@ def long_result() -> PipelineResult:
     base = hand_built_result()
     repeated = {
         name: [
-            replace(rec, timestamp=rec.timestamp + k * 2 * PARAMETERS[name].interval.total_seconds())
-            for k in range(count)
-            for rec in getattr(base, name)
+            replace(rec, timestamp=(k + 1) * PARAMETERS[name].samples / SAMPLE_RATE)
+            for k, rec in enumerate(list(getattr(base, name)) * count)
         ]
         for name, count in (("rms", 1500), ("power", 700), ("harmonics", 45), ("frequency", 2100),
                             ("demand", 3), ("flicker_pst", 300), ("flicker_plt", 1))
@@ -515,9 +526,25 @@ def test_writer_refuses_records_that_do_not_fill_their_columns(tmp_path):
     assert not any(p.is_file() for p in (tmp_path / "out" / "MP1").rglob("*.csv"))
 
 
+def test_writer_refuses_records_that_do_not_end_at_successive_windows(tmp_path):
+    # a row's time is its index, so a repeated or skipped window cannot be stored
+    writer = TransferFileWriter(tmp_path / "out", make_point(), BASE_TIME)
+    triple = (1.0, 2.0, 3.0)
+    for name, records, match in (
+        ("rms", [RmsRecord(0.2, triple, triple), RmsRecord(0.2, triple, triple)],
+         r"rms record 1 ends at 0.2 s, not at 0.4 s"),
+        ("demand", [DemandRecord(1800.0, triple)],
+         r"demand record 0 ends at 1800.0 s, not at 900.0 s"),
+        ("power", [PowerRecord(1.0 + 1e-15, triple, triple, triple, triple)], "power record 0"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            writer.write_results(PipelineResult(**{name: records}))
+    assert [p.name for p in (tmp_path / "out" / "MP1").rglob("*")] == ["point.json"]
+
+
 def test_writer_leaves_no_partial_file_when_a_record_is_refused(tmp_path):
     # 700 good records fill more than one chunk before the bad one is reached
-    good = [RmsRecord(0.2 * (k + 1), (1.0,) * 3, (2.0,) * 3) for k in range(700)]
+    good = [RmsRecord((k + 1) * 640 / SAMPLE_RATE, (1.0,) * 3, (2.0,) * 3) for k in range(700)]
     bad = RmsRecord(140.2, (1.0, 1.0), (2.0,) * 3)
     writer = TransferFileWriter(tmp_path / "out", make_point(), BASE_TIME)
     with pytest.raises(ValueError, match="rms records are not rows of numbers"):
@@ -795,6 +822,10 @@ def test_ingest_point_metadata_defaults(tmp_path):
         {"id": "../A"},
         {"id": "A", "name": ["x"]},
         {"id": "A", "region_name": 5},
+        {"id": "A", "voltage_level": True},
+        {"id": "A", "voltage_level": "5"},
+        {"id": "A", "voltage_level": math.nan},
+        {"id": "A", "voltage_level": -math.inf},
     ],
 )
 def test_ingest_malformed_point_json_skips_only_that_point(tmp_path, bad_meta):
