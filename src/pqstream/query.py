@@ -120,7 +120,8 @@ def timeseries(
         raise QueryError(f"parameter type must be one of {tuple(PARAMETERS)}")
     if any(b is not None and b.utcoffset() is not None for b in (start, end)):
         raise QueryError("time bounds must not carry a UTC offset; stored times have none")
-    if db.get_point(point_id) is None:
+    known = db.conn.execute("SELECT 1 FROM measurement_point WHERE id = ?", (point_id,))
+    if known.fetchone() is None:
         raise NotFoundError(f"measurement point {point_id!r} not in the database")
     columns = PARAMETERS[parameter_type].columns
     step = PARAMETERS[parameter_type].interval

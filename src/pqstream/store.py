@@ -13,8 +13,9 @@ Each interval-typed parameter's directory, table, row interval and
 columns come from ``analyzer.PARAMETERS``, the one registry of the
 cadences, which writing, the schema, ingestion and the traffic budget read.
 
-Ingestion walks such trees into an embedded SQLite database, skipping
-files whose content hash is already present.  The per-point event counters
+Ingestion walks such trees into an embedded SQLite database, reading each
+file a block at a time and skipping files whose content hash is already
+present.  The per-point event counters
 are the ``event_stat`` view over the event table, so nothing keeps them in
 step.  Raw capture files are never loaded into the database; only their
 absolute paths are stored.  The schema carries :data:`SCHEMA_VERSION` in
@@ -23,6 +24,7 @@ absolute paths are stored.  The schema carries :data:`SCHEMA_VERSION` in
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import json
 import math
@@ -31,7 +33,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 from .analyzer import PARAMETERS, PHASES, Parameter, PipelineResult, RecordSeries
 from .events import EVENT_TYPES, EventRecord
@@ -477,38 +479,108 @@ class IngestReport:
         return "\n".join(lines)
 
 
+#: Bytes read from a transfer file at a time: ingest holds the rows of one
+#: such block, whatever the length of the file.
+READ_BLOCK = 64 * 1024
+
+#: Every character ``str.splitlines`` breaks a line at.
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 @dataclass(frozen=True)
 class _ParsedFile:
-    rows: list[list[str]]
+    row_count: int
     measurement_date: datetime
 
 
-def _parse_transfer_csv(lines: list[str], expected_columns: int) -> _ParsedFile:
-    rows: list[list[str]] = []
-    measurement_date: datetime | None = None
-    for raw in lines:
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#last_sample="):
+def _line_blocks(f: BinaryIO, digest=None) -> Iterator[list[str]]:
+    """The lines of an open UTF-8 file, a list for each ``READ_BLOCK`` read that ends one.
+
+    A line that runs across a block edge comes whole in the later list, so
+    the lines are those of ``str.splitlines`` on the whole text, except that
+    a CRLF split by the edge gives one more empty line.  Each block goes to
+    ``digest`` first, if given.  Invalid UTF-8 raises StoreError with the
+    message that decoding the whole file gives: positions count from its start.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    carry, offset = "", 0
+    while True:
+        block = f.read(READ_BLOCK)
+        if digest is not None:
+            digest.update(block)
+        try:
+            text = carry + decoder.decode(block, final=not block)
+        except UnicodeDecodeError as exc:
+            # exc counts from the bytes the decoder still held before this block
+            shift = offset - len(decoder.getstate()[0])
+            start, end = shift + exc.start, shift + exc.end
+            where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+                     if end == start + 1 else f"bytes in position {start}-{end - 1}")
+            raise StoreError(f"'{exc.encoding}' codec can't decode {where}: {exc.reason}") from None
+        offset += len(block)
+        lines = text.splitlines()
+        carry = lines.pop() if block and text and text[-1] not in _LINE_BREAKS else ""
+        if lines:
+            yield lines
+        if not block:
+            return
+
+
+def _scan_transfer_csv(f: BinaryIO, expected_columns: int) -> tuple[str, _ParsedFile | str]:
+    """Pass 1 over an open transfer file: its SHA-256 hex digest, and its row
+    count and footer date or the reason it is malformed.
+
+    Every byte is hashed, also after an error, so a malformed copy of an
+    ingested file is still found to be a duplicate.  The last footer wins.
+    Invalid UTF-8 anywhere outranks a structural error before it, as it did
+    when the whole file was decoded before any line was read.
+    """
+    digest = hashlib.sha256()
+    rows, measurement_date, error = 0, None, None
+    try:
+        for lines in _line_blocks(f, digest):
+            if error is not None:
+                continue  # decode on, for the outranking UTF-8 error
             try:
-                measurement_date = datetime.fromisoformat(line.split("=", 1)[1])
-            except ValueError as exc:
-                raise StoreError(f"bad footer timestamp: {exc}") from None
-            if measurement_date.tzinfo is not None:
-                raise StoreError("bad footer timestamp: it carries a UTC offset")
-            continue
-        if line.startswith("#"):
-            continue
-        cells = line.split(",")
-        if len(cells) != expected_columns:
-            raise StoreError(
-                f"row {len(rows) + 1} holds {len(cells)} cells, expected {expected_columns}"
-            )
-        rows.append(cells)
-    if measurement_date is None:
-        raise StoreError("missing #last_sample footer")
-    return _ParsedFile(rows=rows, measurement_date=measurement_date)
+                for line in lines:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    if line[0] == "#":
+                        if line.startswith("#last_sample="):
+                            measurement_date = _footer_date(line)
+                        continue
+                    cells = line.count(",") + 1
+                    if cells != expected_columns:
+                        raise StoreError(
+                            f"row {rows + 1} holds {cells} cells, expected {expected_columns}"
+                        )
+                    rows += 1
+            except StoreError as exc:
+                error = str(exc)
+    except StoreError as exc:
+        error = str(exc)
+        while block := f.read(READ_BLOCK):
+            digest.update(block)
+    if error is None and measurement_date is None:
+        error = "missing #last_sample footer"
+    return digest.hexdigest(), error or _ParsedFile(rows, measurement_date)
+
+
+def _footer_date(line: str) -> datetime:
+    try:
+        measurement_date = datetime.fromisoformat(line.split("=", 1)[1])
+    except ValueError as exc:
+        raise StoreError(f"bad footer timestamp: {exc}") from None
+    if measurement_date.tzinfo is not None:
+        raise StoreError("bad footer timestamp: it carries a UTC offset")
+    return measurement_date
+
+
+def _row_blocks(f: BinaryIO) -> Iterator[list[list[str]]]:
+    """Pass 2: the cells of each data row of an open transfer file, one list per read block."""
+    for lines in _line_blocks(f):
+        yield [line.split(",") for line in map(str.strip, lines) if line and line[0] != "#"]
 
 
 def _load_point_metadata(path: Path) -> tuple[MeasurementPoint, datetime]:
@@ -535,14 +607,14 @@ def _row_to_sql(cells: list[str]) -> list[float | None]:
     return values
 
 
-def _ingest_series_file(
+def _insert_series_rows(
     db: StreamDatabase,
-    report: IngestReport,
     point: MeasurementPoint,
     parameter_type: str,
-    parsed: _ParsedFile,
+    blocks: Iterable[list[list[str]]],
     transfer_file_id: int,
-) -> None:
+) -> int:
+    """One ``executemany`` per block of rows; returns the rows read."""
     columns = PARAMETERS[parameter_type].columns
     col_sql = ", ".join(f'"{c}"' for c in columns)
     placeholders = ", ".join("?" for _ in range(len(columns) + 3))
@@ -550,38 +622,44 @@ def _ingest_series_file(
         f"INSERT INTO {parameter_type} (measurement_point_id, transfer_file_id,"
         f" row_index, {col_sql}) VALUES ({placeholders})"
     )
-    payload = []
-    for index, cells in enumerate(parsed.rows):
-        payload.append([point.id, transfer_file_id, index, *_row_to_sql(cells)])
-    db.conn.executemany(sql, payload)
-    report.rows_inserted[parameter_type] += len(payload)
+    index = 0
+    for rows in blocks:
+        if set(map(len, rows)) - {len(columns)}:
+            raise StoreError(f"file changed while it was read: a row no longer holds"
+                             f" {len(columns)} cells")
+        db.conn.executemany(sql, [[point.id, transfer_file_id, i, *_row_to_sql(cells)]
+                                  for i, cells in enumerate(rows, index)])
+        index += len(rows)
+    return index
 
 
-def _ingest_event_file(
+def _insert_event_rows(
     db: StreamDatabase,
-    report: IngestReport,
     point: MeasurementPoint,
     point_dir: Path,
-    parsed: _ParsedFile,
+    blocks: Iterable[list[list[str]]],
     transfer_file_id: int,
-) -> None:
-    payload = []
-    for event_id, event_type, start, end, size, raw in parsed.rows:
-        event_id = int(event_id)
-        if event_type not in EVENT_TYPES:
-            raise StoreError(f"unknown event type {event_type!r}")
-        raw_path = str((point_dir / raw).resolve()) if raw else None
-        payload.append(
-            (point.id, event_id, event_type, start, end, int(size), raw_path, transfer_file_id)
+) -> int:
+    """One ``executemany`` per block of events; returns the rows read."""
+    count = 0
+    for rows in blocks:
+        payload = []
+        for event_id, event_type, start, end, size, raw in rows:
+            event_id = int(event_id)
+            if event_type not in EVENT_TYPES:
+                raise StoreError(f"unknown event type {event_type!r}")
+            raw_path = str((point_dir / raw).resolve()) if raw else None
+            payload.append(
+                (point.id, event_id, event_type, start, end, int(size), raw_path, transfer_file_id)
+            )
+        db.conn.executemany(
+            "INSERT OR IGNORE INTO event (measurement_point_id, event_id, event_type,"
+            " start_time, end_time, size_in_samples, raw_path, transfer_file_id)"
+            " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+            payload,
         )
-    before = db.conn.total_changes
-    db.conn.executemany(
-        "INSERT OR IGNORE INTO event (measurement_point_id, event_id, event_type,"
-        " start_time, end_time, size_in_samples, raw_path, transfer_file_id)"
-        " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-        payload,
-    )
-    report.rows_inserted["event"] += db.conn.total_changes - before
+        count += len(payload)
+    return count
 
 
 def ingest_directory(root: Path | str, db: StreamDatabase) -> IngestReport:
@@ -627,52 +705,58 @@ def _ingest_one_file(
     parameter_type: str,
     path: Path,
 ) -> None:
-    content = path.read_bytes()
-    content_hash = hashlib.sha256(content).hexdigest()
-    exists = db.conn.execute(
-        "SELECT 1 FROM transfer_file WHERE content_hash = ?", (content_hash,)
-    ).fetchone()
-    if exists is not None:
-        report.files_skipped_duplicate += 1
-        return
-    try:
-        lines = content.decode("utf-8").splitlines()
-        del content  # parse with only the lines alive, not the bytes or text too
-        parsed = _parse_transfer_csv(lines, len(FILE_COLUMNS[parameter_type]))
-    except (UnicodeDecodeError, StoreError) as exc:
-        report.files_malformed.append((str(path), str(exc)))
-        return
-    transfer_time = datetime.now(timezone.utc).replace(tzinfo=None)
-    if parsed.measurement_date > transfer_time:
-        # TransferFile would refuse the stored row on every later read
-        report.files_malformed.append(
-            (str(path), f"last sample {parsed.measurement_date} is after the transfer time")
+    """Ingest one transfer file in two passes over one open handle, a
+    ``READ_BLOCK`` at a time: the first hashes and checks it, the second,
+    for a new and well-formed file only, inserts its rows."""
+    with path.open("rb") as f:
+        content_hash, parsed = _scan_transfer_csv(f, len(FILE_COLUMNS[parameter_type]))
+        exists = db.conn.execute(
+            "SELECT 1 FROM transfer_file WHERE content_hash = ?", (content_hash,)
+        ).fetchone()
+        if exists is not None:
+            report.files_skipped_duplicate += 1
+            return
+        if isinstance(parsed, str):
+            report.files_malformed.append((str(path), parsed))
+            return
+        transfer_time = datetime.now(timezone.utc).replace(tzinfo=None)
+        if parsed.measurement_date > transfer_time:
+            # TransferFile would refuse the stored row on every later read
+            report.files_malformed.append(
+                (str(path), f"last sample {parsed.measurement_date} is after the transfer time")
+            )
+            return
+        cursor = db.conn.execute(
+            "INSERT INTO transfer_file (measurement_point_id, parameter_type,"
+            " measurement_date, transfer_time, path, row_count, content_hash)"
+            " VALUES (?, ?, ?, ?, ?, ?, ?)",
+            (
+                point.id,
+                parameter_type,
+                parsed.measurement_date.isoformat(timespec=ISO_TIMESPEC),
+                transfer_time.isoformat(timespec=ISO_TIMESPEC),
+                str(path.resolve()),
+                parsed.row_count,
+                content_hash,
+            ),
         )
-        return
-    cursor = db.conn.execute(
-        "INSERT INTO transfer_file (measurement_point_id, parameter_type,"
-        " measurement_date, transfer_time, path, row_count, content_hash)"
-        " VALUES (?, ?, ?, ?, ?, ?, ?)",
-        (
-            point.id,
-            parameter_type,
-            parsed.measurement_date.isoformat(timespec=ISO_TIMESPEC),
-            transfer_time.isoformat(timespec=ISO_TIMESPEC),
-            str(path.resolve()),
-            len(parsed.rows),
-            content_hash,
-        ),
-    )
-    transfer_file_id = cursor.lastrowid
-    try:
-        if parameter_type == EVENT_LOG:
-            _ingest_event_file(db, report, point, point_dir, parsed, transfer_file_id)
-        else:
-            _ingest_series_file(db, report, point, parameter_type, parsed, transfer_file_id)
-    except (StoreError, ValueError) as exc:
-        db.conn.rollback()
-        report.files_malformed.append((str(path), str(exc)))
-        return
+        before = db.conn.total_changes
+        f.seek(0)
+        blocks = _row_blocks(f)
+        try:
+            if parameter_type == EVENT_LOG:
+                rows = _insert_event_rows(db, point, point_dir, blocks, cursor.lastrowid)
+            else:
+                rows = _insert_series_rows(db, point, parameter_type, blocks, cursor.lastrowid)
+            if rows != parsed.row_count:
+                raise StoreError(
+                    f"file changed while it was read: {parsed.row_count} rows, then {rows}"
+                )
+        except (StoreError, ValueError) as exc:
+            db.conn.rollback()
+            report.files_malformed.append((str(path), str(exc)))
+            return
+    report.rows_inserted[parameter_type] += db.conn.total_changes - before
     report.files_ingested += 1
 
 

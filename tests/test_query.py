@@ -143,7 +143,7 @@ def test_timeseries_empty_range(db):
 
 
 def test_timeseries_unknown_point(db):
-    with pytest.raises(NotFoundError):
+    with pytest.raises(NotFoundError, match=r"^measurement point 'nope' not in the database$"):
         timeseries(db, "nope", "rms")
 
 

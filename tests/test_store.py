@@ -8,14 +8,18 @@ import math
 import random
 import re
 import sqlite3
+import tempfile
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timedelta
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pqstream import store
 from pqstream.analyzer import (
     HARMONIC_ORDERS,
     DemandRecord,
@@ -35,6 +39,7 @@ from pqstream.store import (
     FILE_COLUMNS,
     PARAMETERS,
     PHASES,
+    READ_BLOCK,
     EventStat,
     IngestReport,
     MeasurementPoint,
@@ -966,6 +971,218 @@ def test_ingest_skips_a_blank_line_inside_a_transfer_file(written_sag_run, tmp_p
     assert report.files_malformed == []
     assert report.files_ingested == 5
     assert report.rows_inserted["rms"] == 60
+
+
+# -- block-wise ingest against the whole-file parse ----------------------------
+
+
+def whole_file_outcome(data: bytes, width: int):
+    """What ingest made of a transfer file when it decoded and split the whole
+    of it at once: the cells of its rows and its footer date, or the reason
+    it is malformed."""
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        return str(exc)
+    rows, date = [], None
+    for line in map(str.strip, lines):
+        if line.startswith("#last_sample="):
+            try:
+                date = datetime.fromisoformat(line.split("=", 1)[1])
+            except ValueError as exc:
+                return f"bad footer timestamp: {exc}"
+            if date.tzinfo is not None:
+                return "bad footer timestamp: it carries a UTC offset"
+        elif line and not line.startswith("#"):
+            cells = line.split(",")
+            if len(cells) != width:
+                return f"row {len(rows) + 1} holds {len(cells)} cells, expected {width}"
+            rows.append(cells)
+    return (rows, date) if date is not None else "missing #last_sample footer"
+
+
+def assert_ingested_as_the_whole_file(root: Path, data: bytes) -> None:
+    """Ingest ``data`` as the one rms file of a new point into a new database:
+    the report and the stored rows must be what the whole-file parse gives."""
+    (root / "P" / "rms").mkdir(parents=True, exist_ok=True)
+    (root / "P" / "point.json").write_text(json.dumps({"id": "P"}))
+    path = root / "P" / "rms" / "rms_000.csv"
+    path.write_bytes(data)
+    with StreamDatabase(":memory:") as db:
+        report = ingest_directory(root, db)
+        stored = db.conn.execute(
+            f"SELECT {', '.join(FILE_COLUMNS['rms'])} FROM rms ORDER BY row_index"
+        ).fetchall()
+        files = db.conn.execute("SELECT id FROM transfer_file").fetchall()
+        tf = db.get_transfer_file(files[0][0]) if files else None
+    outcome = whole_file_outcome(data, len(FILE_COLUMNS["rms"]))
+    if isinstance(outcome, str):
+        assert (report.files_ingested, report.files_malformed) == (0, [(str(path), outcome)])
+        assert (stored, tf, report.rows_inserted) == ([], None, Counter())
+        return
+    rows, date = outcome
+    assert (report.files_ingested, report.files_malformed) == (1, [])
+    assert report.rows_inserted == Counter(rms=len(rows))
+    assert [tuple(r) for r in stored] == [tuple(float(c) if c else None for c in r) for r in rows]
+    assert (tf.row_count, tf.measurement_date) == (len(rows), date)
+
+
+def rms_text(rows: int) -> str:
+    rng = random.Random(rows)
+    lines = [f"# columns: {','.join(FILE_COLUMNS['rms'])}"]
+    lines += [
+        ",".join("" if rng.random() < 0.05 else format_value(rng.uniform(0, 300)) for _ in range(6))
+        for _ in range(rows)
+    ]
+    lines.append("#last_sample=2000-01-01T00:10:00.000000")
+    return "\n".join(lines) + "\n"
+
+
+def straddling_comment(data: bytes) -> bytes:
+    """``data`` with a comment line whose 4-byte character spans the first block edge."""
+    start = data.rfind(b"\n", 0, READ_BLOCK - 100) + 1
+    comment = b"# " + b"x" * (READ_BLOCK - 2 - start - 2) + "\U0001F600 ☃\n".encode()
+    out = data[:start] + comment + data[start:]
+    assert out[READ_BLOCK - 2:READ_BLOCK + 2] == "\U0001F600".encode()
+    return out
+
+
+def moved_footer(text: str) -> str:
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:4] + lines[-1:] + lines[4:-1])
+
+
+def with_spacers(text: str) -> str:
+    lines = text.splitlines(keepends=True)
+    spacers = ("\n", "   \n", "# note\n", "\t#last_sample\n")  # the last is a comment, no footer
+    return "".join(line + spacers[k % 4] for k, line in enumerate(lines))
+
+
+def widened_row(text: str, row: int) -> str:
+    lines = text.splitlines(keepends=True)
+    lines[row] = "1," + lines[row]  # line 0 is the header
+    return "".join(lines)
+
+
+LONG = rms_text(2000)
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(LONG.encode(), id="rows-beyond-one-block"),
+    pytest.param(LONG.replace("\n", "\r\n").encode(), id="crlf"),
+    pytest.param(LONG.replace("\n", "\r").encode(), id="lone-cr"),
+    pytest.param(straddling_comment(LONG.encode()), id="multibyte-across-a-block-edge"),
+    pytest.param(straddling_comment(LONG.replace("\n", "\r\n").encode()), id="multibyte-crlf"),
+    pytest.param(LONG.encode()[:READ_BLOCK + 99] + b"\xff" + LONG.encode()[READ_BLOCK + 99:],
+                 id="invalid-utf8-after-the-first-block"),
+    pytest.param(LONG.encode()[:2 * READ_BLOCK - 1] + b"\xe2" + LONG.encode()[2 * READ_BLOCK - 1:],
+                 id="invalid-continuation-across-a-block-edge"),
+    pytest.param(LONG.encode() + b"\xe2\x98", id="truncated-utf8-at-the-end"),
+    pytest.param(with_spacers(LONG).encode(), id="blank-and-comment-lines"),
+    pytest.param(moved_footer(LONG).encode(), id="footer-not-on-the-last-line"),
+    pytest.param(LONG.replace("\n#last", "\n#last_sample=2000-01-01T00:05:00\n#last").encode(),
+                 id="the-last-footer-wins"),
+    pytest.param(LONG.encode()[:-41], id="no-footer"),
+    pytest.param(widened_row(LONG, 1900).encode(), id="row-of-another-width-late"),
+])
+def test_block_wise_ingest_equals_the_whole_file_parse(tmp_path, data):
+    assert len(data) > 3 * READ_BLOCK
+    assert_ingested_as_the_whole_file(tmp_path, data)
+
+
+LINE_TEXTS = st.sampled_from([
+    "1.5,2,,4e-3,5,6", ",,,,,", "\t7,8,9,10,11,12 ", "1,2,3", "", "   ", "# note ☃\U0001F600",
+    "#last_sample=2000-01-01T00:00:01", "#last_sample=2000-01-01T00:00:02+00:00",
+    "#last_sample=soon",
+])
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r", "\x85", " ", "\x0c", ""])
+STRAY_BYTES = st.sampled_from([b""] * 12 + [b"\xff", b"\xe2\x98", b"\xc3", b"\xed\xa0\x80"])
+
+
+@given(
+    lines=st.lists(st.tuples(LINE_TEXTS, STRAY_BYTES, LINE_ENDS), max_size=25),
+    block=st.integers(1, 24),
+)
+@settings(max_examples=300)
+def test_any_block_size_gives_the_whole_file_parse(lines, block):
+    data = b"".join(text.encode() + stray + end.encode() for text, stray, end in lines)
+    with tempfile.TemporaryDirectory() as root, patch.object(store, "READ_BLOCK", block):
+        assert_ingested_as_the_whole_file(Path(root), data)
+
+
+def test_rms_file_copied_under_power_is_a_duplicate(written_sag_run, tmp_path):
+    # the copy is hashed to its end although its rows are too narrow for power
+    out_root, _, _ = written_sag_run
+    with StreamDatabase(tmp_path / "pq.db") as db:
+        ingest_directory(out_root, db)
+        point_dir = out_root / "MP1"
+        (point_dir / "power" / "power_000.csv").write_bytes(
+            (point_dir / "rms" / "rms_000.csv").read_bytes()
+        )
+        again = ingest_directory(out_root, db)
+    assert (again.files_ingested, again.files_skipped_duplicate) == (0, 5)
+    assert again.files_malformed == []
+
+
+def harmonics_tree(root: Path, rows: int) -> Path:
+    rng = random.Random(5)
+    columns = FILE_COLUMNS["harmonics"]
+    distinct = [",".join(format_value(rng.random()) for _ in columns) + "\n" for _ in range(7)]
+    (root / "H" / "harmonics").mkdir(parents=True)
+    (root / "H" / "point.json").write_text(json.dumps({"id": "H"}))
+    with (root / "H" / "harmonics" / "harmonics_000.csv").open("w") as f:
+        f.write(f"# columns: {','.join(columns)}\n")
+        for k in range(rows):
+            f.write(distinct[k % len(distinct)])
+        f.write("#last_sample=2000-01-01T01:00:00.000000\n")
+    return root
+
+
+def test_ingest_memory_does_not_grow_with_the_file(tmp_path):
+    # rows of 204 seventeen-digit cells: 200 rows are about 0.8 MB, 1600 about 6.5 MB
+    def peak(rows: int) -> int:
+        root = harmonics_tree(tmp_path / f"tree{rows}", rows)
+        with StreamDatabase(tmp_path / f"pq{rows}.db") as db:
+            tracemalloc.start()
+            try:
+                report = ingest_directory(root, db)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert report.rows_inserted == Counter(harmonics=rows)
+        return peak
+
+    small, large = peak(200), peak(1600)
+    assert abs(large - small) < 1_000_000, (small, large)
+
+
+@pytest.mark.parametrize("change, reason", [
+    (lambda rows: rows + rows[-1:], "file changed while it was read: 60 rows, then 61"),
+    (lambda rows: rows[1:], "file changed while it was read: 60 rows, then 59"),
+    (lambda rows: rows[:7] + [rows[7] + ["1"]] + rows[8:],
+     "file changed while it was read: a row no longer holds 6 cells"),
+])
+def test_ingest_file_changed_between_the_passes_is_malformed(
+    written_sag_run, tmp_path, monkeypatch, change, reason
+):
+    out_root, _, _ = written_sag_run
+    rms = out_root / "MP1" / "rms" / "rms_000.csv"
+    row_blocks = store._row_blocks
+
+    def changed_on_the_second_read(f):
+        blocks = list(row_blocks(f))
+        if Path(f.name) == rms:
+            blocks = [change([cells for block in blocks for cells in block])]
+        yield from blocks
+
+    monkeypatch.setattr(store, "_row_blocks", changed_on_the_second_read)
+    with StreamDatabase(tmp_path / "pq.db") as db:
+        report = ingest_directory(out_root, db)
+        assert report.files_malformed == [(str(rms), reason)]
+        assert "rms" not in report.rows_inserted
+        stored = db.conn.execute("SELECT COUNT(*) FROM transfer_file WHERE parameter_type = 'rms'")
+        assert stored.fetchone()[0] == 0
+        assert db.conn.execute("SELECT COUNT(*) FROM rms").fetchone()[0] == 0
 
 
 def test_ingest_report_summary_lines(written_sag_run, tmp_path):
