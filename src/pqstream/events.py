@@ -17,13 +17,16 @@ Each finalized event yields a record plus a compressed raw capture of all
 six channels spanning the event with a pre and post trigger margin.  An
 open event's capture is compressed one second at a time as the windows that
 cover it are judged (:class:`CaptureEncoder`), so it holds compressed bytes,
-not samples.  Raw samples are kept from the RMS window last judged minus the
-pre-trigger, or, if earlier, from the first sample an open capture has not
-compressed yet: at most one second behind.  With no sink attached no
+not samples.  One worker thread, made on first use, compresses every
+capture's seconds in the order they were pushed while the caller goes on
+with the analysis; each capture holds at most ``SECONDS_IN_FLIGHT`` copied
+seconds that the worker has yet to compress.  Raw samples are kept from the
+RMS window last judged minus the pre-trigger, or, if earlier, from the
+first sample an open capture has not pushed yet: at most one second behind.  With no sink attached no
 capture is made and an open event holds no samples.  The analyzer hands
 over each 3 s block's samples at the block end, before judging its RMS
 windows, so the capture buffer holds at most the pre-trigger, or the second
-an open capture has yet to compress, plus one block.  A capture is a
+an open capture has yet to push, plus one block.  A capture is a
 ``.pqz`` blob, version 2: one zlib stream holding a 40-byte header, then
 the samples in one-second blocks, each channel of a block stored as the
 eight byte planes of its float64 samples (the shuffle filter of HDF5 and
@@ -46,8 +49,11 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import struct
+import threading
 import zlib
+from collections import deque
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Iterator, Optional
 
@@ -78,6 +84,39 @@ _ZLIB_HEADER = b"\x78\x01"  # deflate, 32 KiB window, fastest level
 _STORED_BLOCK = struct.Struct("<BHH")  # not final, stored; length, its complement
 _PREFIX_SIZE = len(_ZLIB_HEADER) + _STORED_BLOCK.size + _RAW_HEADER.size
 _ADLER_BASE = 65521
+
+#: Seconds of one capture copied but not yet compressed: a push that leaves
+#: more waits for the oldest, so a capture holds a bounded number of samples
+#: whatever the worker's speed.  The analyzer's 3 s block pushes up to three
+#: seconds at once, which are then compressed while it analyzes the block.
+SECONDS_IN_FLIGHT = 3
+
+_worker = None  # the executor whose one thread compresses captures
+_worker_lock = threading.Lock()
+
+
+def _compressor():
+    """The process's capture worker: one thread, so jobs run in the order
+    they were submitted.  Made on first use, so importing this module
+    starts no thread."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="pqstream-capture")
+        return _worker
+
+
+def _forget_worker() -> None:
+    # a forked child holds the parent's executor but not its thread, and
+    # the lock as it was at the fork
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
 
 
 class RawCaptureError(ValueError):
@@ -142,13 +181,19 @@ def adler32_combine(adler1: int, adler2: int, len2: int) -> int:
 class CaptureEncoder:
     """One capture compressed as its samples arrive, a second at a time.
 
-    :meth:`push` takes the next samples from ``start_sample`` on; each
-    second of them becomes its byte planes, which go through a raw deflate
-    stream (level 1) and a running Adler-32, so only compressed bytes are
-    held.  Every push but the last must hold whole seconds.  :meth:`finish`
-    returns the blob as :func:`encode_raw_capture` documents it: the header
-    that carries the sample count, known only then, sits in a stored deflate
+    :meth:`push` takes the next samples from ``start_sample`` on and copies
+    each second of them, since the caller's array may change once push
+    returns.  The capture worker turns each copy into its byte planes, which
+    go through a raw deflate stream (level 1) and a running Adler-32, so
+    only compressed bytes are held, plus at most ``SECONDS_IN_FLIGHT``
+    copied seconds.  Every push but the last must hold whole seconds.  An
+    error in the worker is raised by the push that waits for that second, or
+    by :meth:`finish`.  :meth:`finish` waits for every second, then returns
+    the blob as :func:`encode_raw_capture` documents it: the header that
+    carries the sample count, known only then, sits in a stored deflate
     block ahead of the compressed planes, in space left for it at the start.
+    An encoder with seconds in flight when the process forks cannot be
+    finished in the child.
     """
 
     def __init__(self, start_sample: int) -> None:
@@ -157,21 +202,31 @@ class CaptureEncoder:
         self._deflate = zlib.compressobj(1, zlib.DEFLATED, -15)
         self._adler = zlib.adler32(b"")
         self._blob = bytearray(_PREFIX_SIZE)
+        self._pending: deque = deque()  # futures of the compressed seconds, oldest first
 
     def push(self, samples: np.ndarray) -> None:
         """Append a (6, m) channel block, a strided view too."""
         if self.count % SAMPLE_RATE:
             raise ValueError("the capture's last, partial second is already pushed")
+        pending = self._pending
         for lo in range(0, samples.shape[1], SAMPLE_RATE):
-            block = np.ascontiguousarray(samples[:, lo : lo + SAMPLE_RATE], dtype="<f8")
-            planes = block.view(np.uint8).reshape(RAW_CHANNELS, -1, 8).transpose(0, 2, 1)
-            planes = np.ascontiguousarray(planes)
-            self._adler = zlib.adler32(planes, self._adler)
-            self._blob += self._deflate.compress(planes)
+            block = np.array(samples[:, lo : lo + SAMPLE_RATE], dtype="<f8", order="C")
+            pending.append(_compressor().submit(self._compress, block))
             self.count += block.shape[1]
+            while pending and (len(pending) > SECONDS_IN_FLIGHT or pending[0].done()):
+                self._blob += pending.popleft().result()
+
+    def _compress(self, block: np.ndarray) -> bytes:
+        """One second's compressed byte planes; runs on the capture worker."""
+        planes = block.view(np.uint8).reshape(RAW_CHANNELS, -1, 8).transpose(0, 2, 1)
+        planes = np.ascontiguousarray(planes)
+        self._adler = zlib.adler32(planes, self._adler)
+        return self._deflate.compress(planes)
 
     def finish(self, event_id: int) -> bytearray:
         """The capture's blob; the encoder takes no more samples."""
+        while self._pending:
+            self._blob += self._pending.popleft().result()
         header = _RAW_HEADER.pack(
             RAW_MAGIC,
             RAW_VERSION,
@@ -317,7 +372,7 @@ class CaptureBuffer:
     the array's end and doubling it only when they do not fit; :meth:`trim`
     only moves ``first_sample``, which the detector sets to the window it last
     judged minus the pre-trigger, or to the first sample an open capture has
-    not compressed yet, if earlier.
+    not pushed yet, if earlier.
     """
 
     def __init__(self) -> None:
@@ -372,7 +427,7 @@ class EventDetector:
     than one RMS interval is truncated at the stream position where the
     exit was observed.  Whatever the frame length, samples are kept from the
     window just judged minus the pre-trigger, or from the first sample an
-    open capture has not compressed yet.  An open event is held as its start
+    open capture has not pushed yet.  An open event is held as its start
     sample and, with a sink, its :class:`CaptureEncoder`, which takes each
     whole second below the last judged window's end.  The one clock is ``_end``,
     the sample where the last judged window ends (0 before any update): an
@@ -512,7 +567,7 @@ class EventDetector:
 
     def _trim_capture(self, end_sample: int) -> None:
         # an event the next window opens starts where this window ends, and
-        # an open event's capture needs what it has not compressed yet
+        # an open event's capture needs what it has not pushed yet
         keep_from = end_sample - PRE_TRIGGER_SAMPLES
         judged = min(end_sample, self.capture.next_sample)
         for encoder in self._encoders.values():

@@ -493,21 +493,19 @@ class _ParsedFile:
     measurement_date: datetime
 
 
-def _line_blocks(f: BinaryIO, digest=None) -> Iterator[list[str]]:
+def _line_blocks(f: BinaryIO) -> Iterator[list[str]]:
     """The lines of an open UTF-8 file, a list for each ``READ_BLOCK`` read that ends one.
 
     A line that runs across a block edge comes whole in the later list, so
     the lines are those of ``str.splitlines`` on the whole text, except that
-    a CRLF split by the edge gives one more empty line.  Each block goes to
-    ``digest`` first, if given.  Invalid UTF-8 raises StoreError with the
-    message that decoding the whole file gives: positions count from its start.
+    a CRLF split by the edge gives one more empty line.  Invalid UTF-8
+    raises StoreError with the message that decoding the whole file gives:
+    positions count from its start.
     """
     decoder = codecs.getincrementaldecoder("utf-8")()
     carry, offset = "", 0
     while True:
         block = f.read(READ_BLOCK)
-        if digest is not None:
-            digest.update(block)
         try:
             text = carry + decoder.decode(block, final=not block)
         except UnicodeDecodeError as exc:
@@ -526,19 +524,25 @@ def _line_blocks(f: BinaryIO, digest=None) -> Iterator[list[str]]:
             return
 
 
-def _scan_transfer_csv(f: BinaryIO, expected_columns: int) -> tuple[str, _ParsedFile | str]:
-    """Pass 1 over an open transfer file: its SHA-256 hex digest, and its row
-    count and footer date or the reason it is malformed.
-
-    Every byte is hashed, also after an error, so a malformed copy of an
-    ingested file is still found to be a duplicate.  The last footer wins.
-    Invalid UTF-8 anywhere outranks a structural error before it, as it did
-    when the whole file was decoded before any line was read.
-    """
+def _file_hash(f: BinaryIO) -> str:
+    """SHA-256 hex digest of an open file, read ``READ_BLOCK`` at a time."""
     digest = hashlib.sha256()
+    while block := f.read(READ_BLOCK):
+        digest.update(block)
+    return digest.hexdigest()
+
+
+def _scan_transfer_csv(f: BinaryIO, expected_columns: int) -> _ParsedFile | str:
+    """Check an open transfer file: its row count and footer date, or the
+    reason it is malformed.
+
+    The last footer wins.  Invalid UTF-8 anywhere outranks a structural
+    error before it, as it did when the whole file was decoded before any
+    line was read.
+    """
     rows, measurement_date, error = 0, None, None
     try:
-        for lines in _line_blocks(f, digest):
+        for lines in _line_blocks(f):
             if error is not None:
                 continue  # decode on, for the outranking UTF-8 error
             try:
@@ -560,11 +564,9 @@ def _scan_transfer_csv(f: BinaryIO, expected_columns: int) -> tuple[str, _Parsed
                 error = str(exc)
     except StoreError as exc:
         error = str(exc)
-        while block := f.read(READ_BLOCK):
-            digest.update(block)
     if error is None and measurement_date is None:
         error = "missing #last_sample footer"
-    return digest.hexdigest(), error or _ParsedFile(rows, measurement_date)
+    return error or _ParsedFile(rows, measurement_date)
 
 
 def _footer_date(line: str) -> datetime:
@@ -705,17 +707,21 @@ def _ingest_one_file(
     parameter_type: str,
     path: Path,
 ) -> None:
-    """Ingest one transfer file in two passes over one open handle, a
-    ``READ_BLOCK`` at a time: the first hashes and checks it, the second,
-    for a new and well-formed file only, inserts its rows."""
+    """Ingest one transfer file in up to three passes over one open handle,
+    a ``READ_BLOCK`` at a time: the first hashes it, so a file already
+    ingested is a duplicate, however malformed, and is read no further; the
+    second, for a new file, checks it; the third, for a new and well-formed
+    file, inserts its rows."""
     with path.open("rb") as f:
-        content_hash, parsed = _scan_transfer_csv(f, len(FILE_COLUMNS[parameter_type]))
+        content_hash = _file_hash(f)
         exists = db.conn.execute(
             "SELECT 1 FROM transfer_file WHERE content_hash = ?", (content_hash,)
         ).fetchone()
         if exists is not None:
             report.files_skipped_duplicate += 1
             return
+        f.seek(0)
+        parsed = _scan_transfer_csv(f, len(FILE_COLUMNS[parameter_type]))
         if isinstance(parsed, str):
             report.files_malformed.append((str(path), parsed))
             return

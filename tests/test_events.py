@@ -5,7 +5,15 @@ from __future__ import annotations
 import copy
 import io
 import math
+import os
+import select
+import signal
 import struct
+import sys
+import threading
+import time
+import tracemalloc
+import warnings
 import zlib
 
 import numpy as np
@@ -19,6 +27,7 @@ from pqstream.events import (
     POST_TRIGGER_SAMPLES,
     PRE_TRIGGER_SAMPLES,
     SAG_THRESHOLD,
+    SECONDS_IN_FLIGHT,
     SWELL_THRESHOLD,
     UNBALANCE_HYSTERESIS,
     UNBALANCE_THRESHOLD,
@@ -720,6 +729,168 @@ def test_capture_encoder_refuses_samples_after_a_partial_second():
     with pytest.raises(ValueError, match="partial second"):
         encoder.push(np.zeros((6, 1)))
     assert encoder.count == SAMPLE_RATE + 1
+
+
+def synchronous_capture(event_id: int, start_sample: int, samples: np.ndarray) -> bytes:
+    """The blob as deflating each second on the caller's thread made it."""
+    deflate = zlib.compressobj(1, zlib.DEFLATED, -15)
+    adler, body = zlib.adler32(b""), b""
+    for lo in range(0, samples.shape[1], SAMPLE_RATE):
+        block = np.ascontiguousarray(samples[:, lo : lo + SAMPLE_RATE], dtype="<f8")
+        planes = block.view(np.uint8).reshape(6, -1, 8).transpose(0, 2, 1).tobytes()
+        adler = zlib.adler32(planes, adler)
+        body += deflate.compress(planes)
+    count = samples.shape[1]
+    header = struct.pack(
+        "<4sIQIIdQ", b"PQZ1", 2, event_id, 6, SAMPLE_RATE, start_sample / SAMPLE_RATE, count
+    )
+    stored = struct.pack("<BHH", 0, len(header), 0xFFFF ^ len(header))
+    check = adler32_combine(zlib.adler32(header), adler, 48 * count)
+    return b"\x78\x01" + stored + header + body + deflate.flush() + struct.pack(">I", check)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_interleaved_threaded_captures_equal_the_synchronous_deflate(data):
+    # each capture's push sizes in samples: whole seconds, then a last,
+    # possibly partial push; capture -1 is dropped unfinished, like a sag an
+    # interruption absorbs
+    whole = st.integers(0, 2).map(lambda n: n * SAMPLE_RATE)
+    plans = {
+        k: data.draw(st.lists(whole, max_size=3)) + [data.draw(st.integers(0, 4000))]
+        for k in range(data.draw(st.integers(1, 3)))
+    }
+    plans[-1] = data.draw(st.lists(whole, min_size=1, max_size=3))
+    order = data.draw(st.permutations([k for k, plan in plans.items() for _ in plan]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    streams = {k: np.round(rng.normal(size=(6, sum(plan))), 3) for k, plan in plans.items()}
+    encoders = {k: CaptureEncoder(100 * k + 100) for k in plans}
+    pushes = dict.fromkeys(plans, 0)
+    reused = np.empty((6, 2 * SAMPLE_RATE + 4000))  # every push's array, as a capture buffer's
+    blobs = {}
+    for k in order:
+        lo = sum(plans[k][: pushes[k]])
+        m = plans[k][pushes[k]]
+        reused[:, :m] = streams[k][:, lo : lo + m]
+        encoders[k].push(reused[:, :m])
+        reused.fill(np.nan)
+        pushes[k] += 1
+        if k >= 0 and pushes[k] == len(plans[k]):
+            blobs[k] = bytes(encoders[k].finish(k + 1))
+    del encoders[-1], streams[-1]
+    for k, samples in streams.items():
+        assert blobs[k] == synchronous_capture(k + 1, 100 * k + 100, samples)
+        assert decode_raw_capture(blobs[k])[1].tobytes() == samples.tobytes()
+
+
+def test_captures_encoded_on_many_threads_at_once_equal_the_synchronous_deflate():
+    # more caller threads than cores, switching as often as the interpreter
+    # allows, all sharing the one capture worker
+    rng = np.random.default_rng(8)
+    streams = [np.round(rng.normal(size=(6, k * SAMPLE_RATE + 77)), 2) for k in range(1, 7)]
+    blobs: dict[int, bytes] = {}
+
+    def encode(k: int) -> None:
+        encoder = CaptureEncoder(k)
+        for lo in range(0, streams[k].shape[1], SAMPLE_RATE):
+            encoder.push(streams[k][:, lo : lo + SAMPLE_RATE])
+        blobs[k] = bytes(encoder.finish(k))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=encode, args=(k,)) for k in range(len(streams))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for k, samples in enumerate(streams):
+        assert blobs[k] == synchronous_capture(k, k, samples)
+
+def test_capture_encoder_holds_a_bounded_number_of_seconds(monkeypatch):
+    # a worker slower than the pushes: without the cap every pushed second
+    # would wait in memory for it
+    compress = CaptureEncoder._compress
+
+    def slow(self, block):
+        time.sleep(0.002)
+        return compress(self, block)
+
+    monkeypatch.setattr(CaptureEncoder, "_compress", slow)
+    second = np.broadcast_to(np.arange(6.0)[:, None], (6, SAMPLE_RATE))  # holds 6 floats
+
+    def held(seconds: int) -> int:
+        """Peak traced bytes while pushing and finishing, less the blob's."""
+        tracemalloc.start()
+        try:
+            encoder = CaptureEncoder(0)
+            for _ in range(seconds):
+                encoder.push(second)
+            blob = encoder.finish(1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert decode_raw_capture(bytes(blob))[0]["sample_count"] == seconds * SAMPLE_RATE
+        return peak - len(blob)
+
+    held(1)  # the worker thread, and its imports, are made before this count
+    short, long = held(30), held(300)
+    assert long - short < SECONDS_IN_FLIGHT * second.size * 8, (short, long)
+
+
+@pytest.mark.parametrize("seconds", [1, SECONDS_IN_FLIGHT + 3])
+def test_an_error_in_the_capture_worker_is_raised_by_push_or_finish(monkeypatch, seconds):
+    def failing(self, block):
+        raise RuntimeError("deflate failed")
+
+    monkeypatch.setattr(CaptureEncoder, "_compress", failing)
+    encoder = CaptureEncoder(0)
+    with pytest.raises(RuntimeError, match="deflate failed"):
+        for _ in range(seconds):
+            encoder.push(np.zeros((6, SAMPLE_RATE)))
+        encoder.finish(1)
+
+
+def _read_child(fd: int, pid: int, timeout: float) -> bytes:
+    """All a forked child writes to ``fd`` before it exits; the child is
+    killed if it takes longer than ``timeout`` seconds."""
+    deadline, parts = time.monotonic() + timeout, []
+    with os.fdopen(fd, "rb", buffering=0) as pipe:
+        while select.select([pipe], [], [], max(deadline - time.monotonic(), 0))[0]:
+            part = pipe.read(1 << 16)
+            if not part:
+                break
+            parts.append(part)
+        else:
+            os.kill(pid, signal.SIGKILL)
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, "the child hung or failed"
+    return b"".join(parts)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is missing on this platform")
+def test_a_child_forked_after_a_capture_encodes_the_same_bytes():
+    samples = np.random.default_rng(3).normal(size=(6, 3 * SAMPLE_RATE + 7))
+    blob = encode_raw_capture(9, 640, samples)  # the worker thread now runs
+    read_fd, write_fd = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12 warns when a process that runs threads forks
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(encode_raw_capture(9, 640, samples))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    assert _read_child(read_fd, pid, timeout=20) == blob
 
 
 # -- end-to-end detection through the pipeline --------------------------------

@@ -688,6 +688,26 @@ def test_reingest_is_idempotent(written_sag_run, tmp_path):
         assert stat.event_count == 1
 
 
+def test_reingest_hashes_each_known_file_and_does_not_scan_it(
+    written_sag_run, tmp_path, monkeypatch
+):
+    out_root, _, _ = written_sag_run
+    scanned = []
+    scan = store._scan_transfer_csv
+
+    def counted(f, expected_columns):
+        scanned.append(Path(f.name).name)
+        return scan(f, expected_columns)
+
+    monkeypatch.setattr(store, "_scan_transfer_csv", counted)
+    with StreamDatabase(tmp_path / "pq.db") as db:
+        assert ingest_directory(out_root, db).files_ingested == 5
+        assert len(scanned) == 5
+        again = ingest_directory(out_root, db)
+    assert (again.files_ingested, again.files_skipped_duplicate) == (0, 5)
+    assert len(scanned) == 5
+
+
 def test_ingest_malformed_file_reported_and_skipped(written_sag_run, tmp_path):
     out_root, _, _ = written_sag_run
     bad = out_root / "MP1" / "power" / "power_000.csv"
@@ -998,7 +1018,14 @@ def whole_file_outcome(data: bytes, width: int):
             if len(cells) != width:
                 return f"row {len(rows) + 1} holds {len(cells)} cells, expected {width}"
             rows.append(cells)
-    return (rows, date) if date is not None else "missing #last_sample footer"
+    if date is None:
+        return "missing #last_sample footer"
+    for cells in rows:
+        try:
+            [float(c) for c in cells if c]
+        except ValueError as exc:  # a cell that is no number, found as the rows go in
+            return str(exc)
+    return rows, date
 
 
 def assert_ingested_as_the_whole_file(root: Path, data: bytes) -> None:
