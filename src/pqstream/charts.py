@@ -7,19 +7,24 @@ query layer promises for reproducible reporting.  Supported kinds are
 numeric cell), ``pie`` (one slice per row of a single non-negative measure)
 and ``table`` (aligned plain text).
 
-A time series is drawn column by column: each x coordinate is formatted once
-and shared by every polyline, and each column's y coordinates are mapped as
-one float64 array.  Every non-None cell gets one vertex, with no decimation,
-and the same table always gives the same bytes.  A numeric cell that is NaN
-or infinite has no coordinate, so every SVG kind refuses it.
+A time series is drawn a column at a time.  The x coordinates are mapped
+once as a float64 array and formatted once, for every polyline to share.
+Each column's y coordinates are mapped as one array and formatted by one
+vectorized fixed-point formatter, whose bytes equal ``format(v, ".2f")``.
+Every check runs before the file is opened, so a refused table leaves no
+file; then the header, each polyline and the trailer are written to the file
+as they are made, and the document is never joined in memory.  Every
+non-None cell gets one vertex, with no decimation, and the same table always
+gives the same bytes.  A numeric cell that is NaN, infinite or an integer too
+large for a float has no coordinate, so every SVG kind refuses it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import compress
 from pathlib import Path
 from types import NoneType
 
@@ -59,15 +64,51 @@ def _fmt(value: float) -> str:
     return format(value, ".2f")
 
 
+#: ``"%4d"`` of 0-1000 and ``".%02d"`` of 0-99, NUL for blank, each one
+#: little-endian 4-byte word: the text of a value below 1000 is one of each.
+_WHOLE = np.frombuffer(b"".join(b"%4d" % i for i in range(1001)).replace(b" ", b"\0"), "<u4")
+_CENTS = np.frombuffer(b"".join(b".%02d\0" % i for i in range(100)), "<u4")
+
+
+def _fixed_point(values: np.ndarray, end: bytes) -> np.ndarray:
+    """``format(v, ".2f")`` plus ``end`` of each value, one row of bytes each.
+
+    A row holds NUL bytes, then the text, then the one byte ``end``; its
+    width is a multiple of 4.  The digits come from ``q = rint(v * 100)``,
+    exact unless ``v * 100`` lies within 1e-6 of a half-cent tie.  A value
+    that near a tie, negative (``-0.0`` included) or at least 1000 takes its
+    text from ``format`` instead, so every row equals ``format(v, ".2f")``
+    byte for byte.
+    """
+    scaled = values * 100.0
+    cents = np.rint(scaled)
+    guarded = np.flatnonzero(
+        np.signbit(values) | (values >= 1000.0) | (np.abs(np.abs(scaled - cents) - 0.5) < 1e-6)
+    )
+    texts = [format(v, ".2f").encode("ascii") + end for v in values[guarded].tolist()]
+    # whole 4-byte words, two or as many as the longest guarded text needs
+    width = max([8, *(4 * -(-len(text) // 4) for text in texts)])
+    cents[guarded] = 0.0
+    whole, frac = np.divmod(cents.astype(np.int32), 100)
+    out = np.zeros((len(values), width), np.uint8)
+    words = out.view("<u4")
+    words[:, -2] = _WHOLE[whole]
+    words[:, -1] = _CENTS[frac] + (ord(end) << 24)
+    for i, text in zip(guarded.tolist(), texts):
+        out[i] = 0
+        out[i, width - len(text) :] = np.frombuffer(text, np.uint8)
+    return out
+
+
 def _numeric_columns(names: tuple[str, ...], columns: list[tuple]) -> dict[int, np.ndarray]:
     """Float64 cells, None dropped, of each column whose non-None cells are
     all numbers; keyed by column index.
 
     A column counts as numeric when the set of its cell types, less
     ``NoneType``, is non-empty and every type is an ``int`` or ``float``
-    subclass that is not a ``bool`` subclass.  A numeric column holding NaN
-    or an infinity raises :class:`ChartError` naming it, because no
-    coordinate can be drawn for it.
+    subclass that is not a ``bool`` subclass.  A numeric column holding NaN,
+    an infinity or an integer too large for a float raises
+    :class:`ChartError` naming it, because no coordinate can be drawn for it.
     """
     out = {}
     for idx, cells in enumerate(columns):
@@ -80,7 +121,12 @@ def _numeric_columns(names: tuple[str, ...], columns: list[tuple]) -> dict[int, 
             continue
         if has_none:
             cells = [c for c in cells if c is not None]
-        values = np.array(cells, dtype=np.float64)
+        try:
+            values = np.fromiter(cells, np.float64, len(cells))
+        except OverflowError:
+            raise ChartError(
+                f"column {names[idx]!r} holds a number that no float can hold"
+            ) from None
         finite = np.isfinite(values)
         if not finite.all():
             raise ChartError(
@@ -169,13 +215,26 @@ def _y_ticks(parts: list[str], lo: float, hi: float) -> None:
         )
 
 
-def _render_time_series(table: ResultTable, spec: ChartSpec) -> str:
+def _render_time_series(table: ResultTable, spec: ChartSpec) -> Iterator[bytes]:
+    """Check ``table`` as a time series, then return its SVG as byte chunks.
+
+    Every check runs here, before the first chunk is asked for, so a refused
+    table raises :class:`ChartError` before any file is opened.  The chunks
+    are the header, each polyline with its legend, and the trailer.
+    """
     if not table.rows:
         raise ChartError("time_series needs at least one row")
     columns = list(zip(*table.rows))
     times = columns[0]
     if not all(issubclass(k, datetime) for k in set(map(type, times))):
         raise ChartError("time_series needs timestamps in the first column")
+    t0 = times[0]
+    try:
+        xs = np.array([(t - t0).total_seconds() for t in times])
+    except TypeError:
+        raise ChartError(
+            "time_series needs timestamps that all carry a UTC offset or all carry none"
+        ) from None
     numeric = _numeric_columns(table.columns, columns)
     if not numeric:
         raise ChartError("time_series needs at least one numeric column")
@@ -183,43 +242,52 @@ def _render_time_series(table: ResultTable, spec: ChartSpec) -> str:
         float(min(v.min() for v in numeric.values())),
         float(max(v.max() for v in numeric.values())),
     )
+    return _time_series_svg(table, spec, xs, numeric, lo, hi)
+
+
+def _time_series_svg(
+    table: ResultTable,
+    spec: ChartSpec,
+    xs: np.ndarray,
+    numeric: dict[int, np.ndarray],
+    lo: float,
+    hi: float,
+) -> Iterator[bytes]:
     x0, y0 = MARGIN_LEFT, HEIGHT - MARGIN_BOTTOM
     x1, y1 = WIDTH - MARGIN_RIGHT, MARGIN_TOP
     parts = _svg_header(spec)
     _axis_frame(parts)
     _y_ticks(parts, lo, hi)
-    t0 = times[0]
-    xs = np.array([(t - t0).total_seconds() for t in times])
+    yield ("\n".join(parts) + "\n").encode("utf-8")
     span_x = xs[-1] - xs[0] or 1.0
     # each x is formatted once and shared by every polyline
-    xstr = list(map("%.2f,".__mod__, (x0 + (xs - xs[0]) / span_x * (x1 - x0)).tolist()))
+    xtext = _fixed_point(x0 + (xs - xs[0]) / span_x * (x1 - x0), b",")
     for n, (col, values) in enumerate(numeric.items()):
         color = PALETTE[n % len(PALETTE)]
+        present = xtext
+        if len(values) < len(xs):
+            present = xtext[np.array([row[col] is not None for row in table.rows])]
         ys = y0 - (values - lo) / (hi - lo) * (y0 - y1)
-        present = xstr
-        if len(values) < len(times):
-            present = list(compress(xstr, [c is not None for c in columns[col]]))
-        cells = [None, None] * len(values)
-        cells[::2], cells[1::2] = present, ys.tolist()
-        points = " ".join(["%s%.2f"] * len(values)) % tuple(cells)
-        parts.append(
+        # "x,y x,y ...": the rows of both texts side by side, less their NULs
+        vertices = np.concatenate((present, _fixed_point(ys, b" ")), axis=1)
+        vertices[-1, -1] = 0  # no space after the last vertex
+        yield (
             f'<polyline class="series" fill="none" stroke="{color}" '
-            f'stroke-width="1.5" points="{points}"/>'
-        )
-        parts.append(
-            f'<text x="{x1 - 150}" y="{y1 + 14 + 14 * n}" font-family="sans-serif" '
-            f'font-size="11" fill="{color}">{_escape(table.columns[col])}</text>'
-        )
-    parts.append(
+            f'stroke-width="1.5" points="'
+        ).encode("utf-8")
+        yield vertices.tobytes().translate(None, b"\0")
+        yield (
+            f'"/>\n<text x="{x1 - 150}" y="{y1 + 14 + 14 * n}" font-family="sans-serif" '
+            f'font-size="11" fill="{color}">{_escape(table.columns[col])}</text>\n'
+        ).encode("utf-8")
+    first, last = table.rows[0][0], table.rows[-1][0]
+    yield (
         f'<text x="{x0}" y="{y0 + 16}" font-family="sans-serif" font-size="10">'
-        f"{times[0].isoformat(timespec='seconds')}</text>"
-    )
-    parts.append(
+        f"{first.isoformat(timespec='seconds')}</text>\n"
         f'<text x="{x1}" y="{y0 + 16}" text-anchor="end" font-family="sans-serif" '
-        f'font-size="10">{times[-1].isoformat(timespec="seconds")}</text>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        f'font-size="10">{last.isoformat(timespec="seconds")}</text>\n'
+        "</svg>\n"
+    ).encode("utf-8")
 
 
 def _bar_items(table: ResultTable) -> list[tuple[str, float]]:
@@ -342,14 +410,16 @@ def render_chart(table: ResultTable, spec: ChartSpec, out_path: Path | str) -> P
     ``kind="table"``.  Byte-identical for identical inputs.
     """
     out_path = Path(out_path)
-    if spec.kind == "table":
-        payload = format_text_table(table) + "\n"
-    elif spec.kind == "time_series":
-        payload = _render_time_series(table, spec)
+    chunks: Iterable[bytes]
+    if spec.kind == "time_series":
+        chunks = _render_time_series(table, spec)
+    elif spec.kind == "table":
+        chunks = [(format_text_table(table) + "\n").encode("utf-8")]
     elif spec.kind == "bar":
-        payload = _render_bar(table, spec)
+        chunks = [_render_bar(table, spec).encode("utf-8")]
     else:
-        payload = _render_pie(table, spec)
+        chunks = [_render_pie(table, spec).encode("utf-8")]
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(payload, encoding="utf-8")
+    with out_path.open("wb") as out:
+        out.writelines(chunks)
     return out_path

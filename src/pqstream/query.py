@@ -4,8 +4,9 @@ Every function returns a :class:`ResultTable`, a plain column/row container
 that the chart renderer and the CLI share.  Queries never write to the
 database; identical inputs yield identical tables (rows are explicitly
 ordered) so rendered output is reproducible byte for byte.  Series reads date
-each transfer file once, select rows on ``(transfer_file_id, row_index)`` and
-date a file's rows with one datetime64 step.
+each transfer file once, select rows on ``(transfer_file_id, row_index)``,
+fetch them a block of about :data:`BLOCK_CELLS` cells at a time and date each
+block with one datetime64 step.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ POINT_ATTRIBUTES = tuple(f.name for f in fields(MeasurementPoint))
 
 #: EventStat counters usable in aggregations.
 STAT_COLUMNS = tuple(f.name for f in fields(EventStat) if f.name != "measurement_point_id")
+
+#: Cells (row index included) that a series read fetches per block.
+BLOCK_CELLS = 4096
 
 AGGREGATE_FUNCTIONS = ("sum", "count", "mean", "max", "min")
 _SQL_FUNC = {"sum": "SUM", "count": "COUNT", "mean": "AVG", "max": "MAX", "min": "MIN"}
@@ -126,6 +130,7 @@ def timeseries(
     columns = PARAMETERS[parameter_type].columns
     step = PARAMETERS[parameter_type].interval
     col_sql = ", ".join(f'"{c}"' for c in columns)
+    block_rows = BLOCK_CELLS // (1 + len(columns))
     out: list[tuple] = []
     cursor = db.conn.cursor()
     cursor.row_factory = None  # plain tuples
@@ -137,14 +142,15 @@ def timeseries(
         first = derive_timestamps(TransferFile.from_row(row), 0)
         lo = 0 if start is None else -((first - start) // step)
         hi = row["row_count"] - 1 if end is None else (end - first) // step
-        data = cursor.execute(
+        cursor.execute(
             f"SELECT row_index, {col_sql} FROM {parameter_type} WHERE transfer_file_id = ?"
             " AND row_index BETWEEN ? AND ? ORDER BY row_index",
             (row["id"], lo, hi),
-        ).fetchall()
-        index = np.array([d[0] for d in data], dtype=np.int64)
-        times = (np.datetime64(first, "us") + index * np.timedelta64(step)).tolist()
-        out.extend((t, *d[1:]) for t, d in zip(times, data))
+        )
+        while block := cursor.fetchmany(block_rows):
+            index = np.array([d[0] for d in block], dtype=np.int64)
+            times = (np.datetime64(first, "us") + index * np.timedelta64(step)).tolist()
+            out.extend((t, *d[1:]) for t, d in zip(times, block))
     out.sort(key=lambda r: r[0])
     return ResultTable(columns=("timestamp", *columns), rows=tuple(out))
 

@@ -6,7 +6,7 @@ import hashlib
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import replace
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -623,6 +623,13 @@ def chart_tables(draw) -> ResultTable:
         rows=((BASE_TIME, -1.79e308), (BASE_TIME + timedelta(seconds=1), 1.79e308)),
     )
 )
+# unsorted timestamps, which put the second vertex left of the plot, at x < 0
+@example(
+    table=ResultTable(
+        columns=("timestamp", "v"),
+        rows=tuple((BASE_TIME + timedelta(seconds=s), 1.0 * s) for s in (5, 0, 9)),
+    )
+)
 @settings(max_examples=200, deadline=None)
 def test_time_series_chart_bytes_equal_reference(table, tmp_path_factory):
     assert_chart_matches_reference(table, tmp_path_factory.getbasetemp() / "hypothesis.svg")
@@ -637,6 +644,55 @@ def test_time_series_chart_bytes_equal_reference_on_stored_series(
     assert tables[0].rows
     for n, table in enumerate(tables):
         assert_chart_matches_reference(table, tmp_path / f"{n}.svg")
+
+
+def half_cent_ties() -> np.ndarray:
+    """Every k + 0.5 cents below 1000, as the nearest floats."""
+    return (np.arange(100_000) + 0.5) / 100
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        half_cent_ties(),
+        np.nextafter(half_cent_ties(), 0.0),
+        np.nextafter(half_cent_ties(), np.inf),
+        # ties that floats hold exactly, which round half to even
+        np.array([0.125, 0.375, 0.625, 0.875, 12.125, 370.375, 511.625, 999.875]),
+        np.array([0.0, -0.0, -0.001, 5e-324, 0.004, 0.005, 9.995, 99.995]),
+        np.array([999.99, 999.995, 999.996, 1000.0, 1000.004, 12345.678, 1e20, -817.5]),
+        np.random.default_rng(5).uniform(0.0, 1000.0, 10_000),
+    ],
+    ids=["ties", "ties-1ulp", "ties+1ulp", "binary-ties", "zeros", "1000", "uniform"],
+)
+def test_fixed_point_text_equals_format(values):
+    rows = charts._fixed_point(values, b" ")
+    assert rows.dtype == np.uint8 and rows.shape[1] % 4 == 0
+    texts = [row.tobytes().lstrip(b"\0") for row in rows]
+    assert texts == [format(v, ".2f").encode() + b" " for v in values.tolist()]
+
+
+@pytest.mark.parametrize("kind", ["time_series", "bar", "pie"])
+def test_chart_refuses_a_number_no_float_holds(kind, tmp_path):
+    first = BASE_TIME if kind == "time_series" else "a"
+    table = ResultTable(("k", "v"), ((first, 10**400),))
+    out = tmp_path / "x.svg"
+    with pytest.raises(ChartError, match="column 'v' holds a number that no float can hold"):
+        render_chart(table, ChartSpec(kind=kind), out)
+    assert not out.exists()
+
+
+def test_time_series_chart_refuses_naive_and_offset_timestamps_together(tmp_path):
+    aware = BASE_TIME.replace(tzinfo=timezone.utc)
+    out = tmp_path / "x.svg"
+    for times in ((BASE_TIME, aware), (aware, BASE_TIME)):
+        table = ResultTable(("t", "v"), tuple((t, 1.0) for t in times))
+        with pytest.raises(ChartError, match="all carry a UTC offset or all carry none"):
+            render_chart(table, ChartSpec(kind="time_series"), out)
+    assert not out.exists()
+    # timestamps that all carry an offset are dated as before
+    table = ResultTable(("t", "v"), ((aware, 1.0), (aware + timedelta(seconds=1), 2.0)))
+    assert_chart_matches_reference(table, out)
 
 
 def test_bar_chart_one_bar_per_measure(db, tmp_path):
@@ -720,6 +776,7 @@ def test_chart_refuses_a_non_finite_cell(kind, columns, rows, tmp_path):
     table = ResultTable(columns=columns, rows=rows)
     with pytest.raises(ChartError, match="column 'bad'"):
         render_chart(table, ChartSpec(kind=kind), tmp_path / "x.svg")
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_time_series_chart_requires_time_column(tmp_path):
