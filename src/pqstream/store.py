@@ -15,7 +15,8 @@ cadences, which writing, the schema, ingestion and the traffic budget read.
 
 Ingestion walks such trees into an embedded SQLite database, reading each
 file a block at a time and skipping files whose content hash is already
-present.  The per-point event counters
+present.  A new file is checked and inserted in one pass under a savepoint,
+which a malformed file is rolled back to.  The per-point event counters
 are the ``event_stat`` view over the event table, so nothing keeps them in
 step.  Raw capture files are never loaded into the database; only their
 absolute paths are stored.  The schema carries :data:`SCHEMA_VERSION` in
@@ -487,12 +488,6 @@ READ_BLOCK = 64 * 1024
 _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-@dataclass(frozen=True)
-class _ParsedFile:
-    row_count: int
-    measurement_date: datetime
-
-
 def _line_blocks(f: BinaryIO) -> Iterator[list[str]]:
     """The lines of an open UTF-8 file, a list for each ``READ_BLOCK`` read that ends one.
 
@@ -532,43 +527,6 @@ def _file_hash(f: BinaryIO) -> str:
     return digest.hexdigest()
 
 
-def _scan_transfer_csv(f: BinaryIO, expected_columns: int) -> _ParsedFile | str:
-    """Check an open transfer file: its row count and footer date, or the
-    reason it is malformed.
-
-    The last footer wins.  Invalid UTF-8 anywhere outranks a structural
-    error before it, as it did when the whole file was decoded before any
-    line was read.
-    """
-    rows, measurement_date, error = 0, None, None
-    try:
-        for lines in _line_blocks(f):
-            if error is not None:
-                continue  # decode on, for the outranking UTF-8 error
-            try:
-                for line in lines:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    if line[0] == "#":
-                        if line.startswith("#last_sample="):
-                            measurement_date = _footer_date(line)
-                        continue
-                    cells = line.count(",") + 1
-                    if cells != expected_columns:
-                        raise StoreError(
-                            f"row {rows + 1} holds {cells} cells, expected {expected_columns}"
-                        )
-                    rows += 1
-            except StoreError as exc:
-                error = str(exc)
-    except StoreError as exc:
-        error = str(exc)
-    if error is None and measurement_date is None:
-        error = "missing #last_sample footer"
-    return error or _ParsedFile(rows, measurement_date)
-
-
 def _footer_date(line: str) -> datetime:
     try:
         measurement_date = datetime.fromisoformat(line.split("=", 1)[1])
@@ -579,17 +537,52 @@ def _footer_date(line: str) -> datetime:
     return measurement_date
 
 
-def _row_blocks(f: BinaryIO) -> Iterator[list[list[str]]]:
-    """Pass 2: the cells of each data row of an open transfer file, one list per read block."""
+def _checked_blocks(f: BinaryIO, width: int, footers: list[datetime]) -> Iterator[list[list[str]]]:
+    """The cells of the data rows of an open transfer file, one list per read
+    block, each row checked to hold ``width`` cells; each ``#last_sample=``
+    footer's date is appended to ``footers``, so the last one wins.
+
+    After the first bad row or footer no block is yielded, but the file is
+    decoded on, as invalid UTF-8 anywhere outranks a structural error before
+    it.  That error, or a missing footer, is raised once the file is read.
+    """
+    rows, error = 0, None
     for lines in _line_blocks(f):
-        yield [line.split(",") for line in map(str.strip, lines) if line and line[0] != "#"]
+        if error is not None:
+            continue  # decode on, for the outranking UTF-8 error
+        block = []
+        try:
+            for line in map(str.strip, lines):
+                if not line:
+                    continue
+                if line[0] == "#":
+                    if line.startswith("#last_sample="):
+                        footers.append(_footer_date(line))
+                    continue
+                cells = line.split(",")
+                if len(cells) != width:
+                    raise StoreError(
+                        f"row {rows + len(block) + 1} holds {len(cells)} cells, expected {width}"
+                    )
+                block.append(cells)
+        except StoreError as exc:
+            error = exc
+            continue
+        rows += len(block)
+        yield block
+    if error is not None:
+        raise error
+    if not footers:
+        raise StoreError("missing #last_sample footer")
 
 
-def _load_point_metadata(path: Path) -> tuple[MeasurementPoint, datetime]:
+def _load_point_metadata(path: Path) -> MeasurementPoint:
+    """The point a ``point.json`` describes; a ``base_time`` in it must be an ISO date."""
     meta = json.loads(path.read_text(encoding="utf-8"))
     point = MeasurementPoint.from_dict(meta)
-    base_time = datetime.fromisoformat(meta.get("base_time", "2000-01-01T00:00:00"))
-    return point, base_time
+    if "base_time" in meta:
+        datetime.fromisoformat(meta["base_time"])
+    return point
 
 
 def _row_to_sql(cells: list[str]) -> list[float | None]:
@@ -626,9 +619,6 @@ def _insert_series_rows(
     )
     index = 0
     for rows in blocks:
-        if set(map(len, rows)) - {len(columns)}:
-            raise StoreError(f"file changed while it was read: a row no longer holds"
-                             f" {len(columns)} cells")
         db.conn.executemany(sql, [[point.id, transfer_file_id, i, *_row_to_sql(cells)]
                                   for i, cells in enumerate(rows, index)])
         index += len(rows)
@@ -642,14 +632,16 @@ def _insert_event_rows(
     blocks: Iterable[list[list[str]]],
     transfer_file_id: int,
 ) -> int:
-    """One ``executemany`` per block of events; returns the rows read."""
+    """One ``executemany`` per block of events; returns the rows read.  An
+    event id or size that is no integer, or an unknown event type, raises
+    ValueError."""
     count = 0
     for rows in blocks:
         payload = []
         for event_id, event_type, start, end, size, raw in rows:
             event_id = int(event_id)
             if event_type not in EVENT_TYPES:
-                raise StoreError(f"unknown event type {event_type!r}")
+                raise ValueError(f"unknown event type {event_type!r}")
             raw_path = str((point_dir / raw).resolve()) if raw else None
             payload.append(
                 (point.id, event_id, event_type, start, end, int(size), raw_path, transfer_file_id)
@@ -683,7 +675,7 @@ def ingest_directory(root: Path | str, db: StreamDatabase) -> IngestReport:
             report.files_malformed.append((str(point_dir), "missing point metadata"))
             continue
         try:
-            point, _ = _load_point_metadata(meta_path)
+            point = _load_point_metadata(meta_path)
         except (ValueError, KeyError, TypeError) as exc:
             report.files_malformed.append((str(meta_path), f"bad metadata: {exc}"))
             continue
@@ -707,11 +699,12 @@ def _ingest_one_file(
     parameter_type: str,
     path: Path,
 ) -> None:
-    """Ingest one transfer file in up to three passes over one open handle,
-    a ``READ_BLOCK`` at a time: the first hashes it, so a file already
-    ingested is a duplicate, however malformed, and is read no further; the
-    second, for a new file, checks it; the third, for a new and well-formed
-    file, inserts its rows."""
+    """Ingest one transfer file in up to two passes over one open handle, a
+    ``READ_BLOCK`` at a time.  The first hashes it, so a file already ingested
+    is a duplicate, however malformed, and is read no further.  The second
+    checks a new file's blocks and inserts them under ``SAVEPOINT f``.  A
+    structural fault outranks a footer dated after the transfer time, which
+    outranks a bad cell; the first two are undone with ``ROLLBACK TO f``."""
     with path.open("rb") as f:
         content_hash = _file_hash(f)
         exists = db.conn.execute(
@@ -721,49 +714,51 @@ def _ingest_one_file(
             report.files_skipped_duplicate += 1
             return
         f.seek(0)
-        parsed = _scan_transfer_csv(f, len(FILE_COLUMNS[parameter_type]))
-        if isinstance(parsed, str):
-            report.files_malformed.append((str(path), parsed))
-            return
+        footers: list[datetime] = []
+        blocks = _checked_blocks(f, len(FILE_COLUMNS[parameter_type]), footers)
         transfer_time = datetime.now(timezone.utc).replace(tzinfo=None)
-        if parsed.measurement_date > transfer_time:
-            # TransferFile would refuse the stored row on every later read
-            report.files_malformed.append(
-                (str(path), f"last sample {parsed.measurement_date} is after the transfer time")
-            )
-            return
-        cursor = db.conn.execute(
+        if not db.conn.in_transaction:
+            db.conn.execute("BEGIN")  # else RELEASE would commit this file on its own
+        db.conn.execute("SAVEPOINT f")
+        file_id = db.conn.execute(
             "INSERT INTO transfer_file (measurement_point_id, parameter_type,"
             " measurement_date, transfer_time, path, row_count, content_hash)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?)",
-            (
-                point.id,
-                parameter_type,
-                parsed.measurement_date.isoformat(timespec=ISO_TIMESPEC),
-                transfer_time.isoformat(timespec=ISO_TIMESPEC),
-                str(path.resolve()),
-                parsed.row_count,
-                content_hash,
-            ),
-        )
+            " VALUES (?, ?, '', ?, ?, 0, ?)",
+            (point.id, parameter_type, transfer_time.isoformat(timespec=ISO_TIMESPEC),
+             str(path.resolve()), content_hash),
+        ).lastrowid
         before = db.conn.total_changes
-        f.seek(0)
-        blocks = _row_blocks(f)
+        bad_cell = None
         try:
-            if parameter_type == EVENT_LOG:
-                rows = _insert_event_rows(db, point, point_dir, blocks, cursor.lastrowid)
-            else:
-                rows = _insert_series_rows(db, point, parameter_type, blocks, cursor.lastrowid)
-            if rows != parsed.row_count:
-                raise StoreError(
-                    f"file changed while it was read: {parsed.row_count} rows, then {rows}"
-                )
-        except (StoreError, ValueError) as exc:
-            db.conn.rollback()
+            try:
+                if parameter_type == EVENT_LOG:
+                    rows = _insert_event_rows(db, point, point_dir, blocks, file_id)
+                else:
+                    rows = _insert_series_rows(db, point, parameter_type, blocks, file_id)
+            except ValueError as exc:
+                bad_cell = exc
+                for _ in blocks:  # read on: a structural fault further on outranks it
+                    pass
+            if footers[-1] > transfer_time:
+                # TransferFile would refuse the stored row on every later read
+                raise StoreError(f"last sample {footers[-1]} is after the transfer time")
+        except StoreError as exc:
+            db.conn.execute("ROLLBACK TO f")
+            db.conn.execute("RELEASE f")
             report.files_malformed.append((str(path), str(exc)))
             return
+    if bad_cell is not None:
+        # ROADMAP item 1, fault (b): this also undoes the point and its files before this one
+        db.conn.rollback()
+        report.files_malformed.append((str(path), str(bad_cell)))
+        return
     report.rows_inserted[parameter_type] += db.conn.total_changes - before
     report.files_ingested += 1
+    db.conn.execute(
+        "UPDATE transfer_file SET measurement_date = ?, row_count = ? WHERE id = ?",
+        (footers[-1].isoformat(timespec=ISO_TIMESPEC), rows, file_id),
+    )
+    db.conn.execute("RELEASE f")
 
 
 # -- traffic budget -----------------------------------------------------------

@@ -693,13 +693,13 @@ def test_reingest_hashes_each_known_file_and_does_not_scan_it(
 ):
     out_root, _, _ = written_sag_run
     scanned = []
-    scan = store._scan_transfer_csv
+    line_blocks = store._line_blocks
 
-    def counted(f, expected_columns):
+    def counted(f):
         scanned.append(Path(f.name).name)
-        return scan(f, expected_columns)
+        return line_blocks(f)
 
-    monkeypatch.setattr(store, "_scan_transfer_csv", counted)
+    monkeypatch.setattr(store, "_line_blocks", counted)
     with StreamDatabase(tmp_path / "pq.db") as db:
         assert ingest_directory(out_root, db).files_ingested == 5
         assert len(scanned) == 5
@@ -1091,6 +1091,12 @@ def widened_row(text: str, row: int) -> str:
     return "".join(lines)
 
 
+def spoiled_cell(text: str, row: int) -> str:
+    lines = text.splitlines(keepends=True)
+    lines[row] = "x" + lines[row]  # the row's first cell is no number
+    return "".join(lines)
+
+
 LONG = rms_text(2000)
 
 
@@ -1111,6 +1117,9 @@ LONG = rms_text(2000)
                  id="the-last-footer-wins"),
     pytest.param(LONG.encode()[:-41], id="no-footer"),
     pytest.param(widened_row(LONG, 1900).encode(), id="row-of-another-width-late"),
+    pytest.param(widened_row(spoiled_cell(LONG, 5), 1900).encode(),
+                 id="bad-cell-early-and-row-of-another-width-late"),
+    pytest.param(spoiled_cell(LONG, 5).encode()[:-41], id="bad-cell-and-no-footer"),
 ])
 def test_block_wise_ingest_equals_the_whole_file_parse(tmp_path, data):
     assert len(data) > 3 * READ_BLOCK
@@ -1183,33 +1192,53 @@ def test_ingest_memory_does_not_grow_with_the_file(tmp_path):
     assert abs(large - small) < 1_000_000, (small, large)
 
 
-@pytest.mark.parametrize("change, reason", [
-    (lambda rows: rows + rows[-1:], "file changed while it was read: 60 rows, then 61"),
-    (lambda rows: rows[1:], "file changed while it was read: 60 rows, then 59"),
-    (lambda rows: rows[:7] + [rows[7] + ["1"]] + rows[8:],
-     "file changed while it was read: a row no longer holds 6 cells"),
-])
-def test_ingest_file_changed_between_the_passes_is_malformed(
-    written_sag_run, tmp_path, monkeypatch, change, reason
-):
-    out_root, _, _ = written_sag_run
-    rms = out_root / "MP1" / "rms" / "rms_000.csv"
-    row_blocks = store._row_blocks
-
-    def changed_on_the_second_read(f):
-        blocks = list(row_blocks(f))
-        if Path(f.name) == rms:
-            blocks = [change([cells for block in blocks for cells in block])]
-        yield from blocks
-
-    monkeypatch.setattr(store, "_row_blocks", changed_on_the_second_read)
+def test_malformed_file_is_rolled_back_to_its_savepoint(tmp_path):
+    # rows of the bad file go in block by block before its fault is read
+    root = tmp_path / "tree"
+    (root / "P" / "rms").mkdir(parents=True)
+    (root / "P" / "point.json").write_text(json.dumps({"id": "P"}))
+    wide = widened_row(LONG, 1900).encode()
+    future = spoiled_cell(rms_text(20), 5).replace("2000-01-01", "2999-01-01")
+    files = [rms_text(3).encode(), wide, future.encode(), rms_text(4).encode()]
+    paths = [root / "P" / "rms" / f"rms_00{k}.csv" for k in range(len(files))]
+    for path, data in zip(paths, files):
+        path.write_bytes(data)
+    assert wide.index(b"\n1,") > READ_BLOCK
     with StreamDatabase(tmp_path / "pq.db") as db:
-        report = ingest_directory(out_root, db)
-        assert report.files_malformed == [(str(rms), reason)]
-        assert "rms" not in report.rows_inserted
-        stored = db.conn.execute("SELECT COUNT(*) FROM transfer_file WHERE parameter_type = 'rms'")
-        assert stored.fetchone()[0] == 0
-        assert db.conn.execute("SELECT COUNT(*) FROM rms").fetchone()[0] == 0
+        report = ingest_directory(root, db)
+        assert (report.files_ingested, report.rows_inserted) == (2, Counter(rms=7))
+        assert report.files_malformed == [
+            (str(paths[1]), "row 1900 holds 7 cells, expected 6"),
+            (str(paths[2]), "last sample 2999-01-01 00:10:00 is after the transfer time"),
+        ]
+        assert db.get_point("P") == MeasurementPoint("P", "P", "busbar", "Urban Only")
+        kept = db.conn.execute("SELECT id, path, row_count FROM transfer_file")
+        assert list(map(tuple, kept)) == [(1, str(paths[0].resolve()), 3),
+                                          (2, str(paths[3].resolve()), 4)]
+        stored = db.conn.execute("SELECT transfer_file_id, COUNT(*) FROM rms GROUP BY 1")
+        assert list(map(tuple, stored)) == [(1, 3), (2, 4)]
+        # the first block of the wide file was inserted, then undone
+        assert db.conn.total_changes > 7 + wide[:READ_BLOCK].count(b"\n")
+
+
+def test_each_file_savepoint_opens_inside_a_transaction(tmp_path):
+    # outside one, RELEASE would commit each file after a bad cell's rollback on its own
+    root = tmp_path / "tree"
+    texts = {"A": [spoiled_cell(rms_text(5), 2), rms_text(6), rms_text(7)], "B": [rms_text(8)]}
+    for point_id, files in texts.items():
+        (root / point_id / "rms").mkdir(parents=True)
+        (root / point_id / "point.json").write_text(json.dumps({"id": point_id}))
+        for k, text in enumerate(files):
+            (root / point_id / "rms" / f"rms_00{k}.csv").write_text(text)
+    with StreamDatabase(tmp_path / "pq.db") as db:
+        nested = []
+        db.conn.set_trace_callback(
+            lambda sql: sql == "SAVEPOINT f" and nested.append(db.conn.in_transaction)
+        )
+        report = ingest_directory(root, db)
+        db.conn.set_trace_callback(None)
+    assert [path for path, _ in report.files_malformed] == [str(root / "A" / "rms" / "rms_000.csv")]
+    assert nested == [True] * 4
 
 
 def test_ingest_report_summary_lines(written_sag_run, tmp_path):
