@@ -5,32 +5,42 @@ palette; rendering the same table twice produces identical bytes, which the
 query layer promises for reproducible reporting.  Supported kinds are
 ``time_series`` (one polyline per numeric column), ``bar`` (one bar per
 numeric cell), ``pie`` (one slice per row of a single non-negative measure)
-and ``table`` (aligned plain text).
+and ``table`` (aligned plain text).  :func:`write_text_table` writes that text
+from rows it reads twice, once for the column widths and once to write, so
+the CLI prints a series a block at a time.
 
-A time series is drawn a column at a time.  The x coordinates are mapped
-once as a float64 array and formatted once, for every polyline to share.
+A time series is drawn a column at a time.  A
+:class:`~pqstream.query.SeriesTable`, which ``timeseries`` returns, gives its
+arrays straight to the drawing: x is the int64 microseconds since the first
+date over 1e6, the bits of ``(t - t0).total_seconds()``, and each column is
+its float64 array, NaN for NULL.  Any other table goes through one adapter
+that turns its rows into the same x and columns.  The x coordinates are
+mapped once as a float64 array and formatted once, for every polyline to share.
 Each column's y coordinates are mapped as one array and formatted by one
 vectorized fixed-point formatter, whose bytes equal ``format(v, ".2f")``.
 Every check runs before the file is opened, so a refused table leaves no
 file; then the header, each polyline and the trailer are written to the file
 as they are made, and the document is never joined in memory.  Every
-non-None cell gets one vertex, with no decimation, and the same table always
-gives the same bytes.  A numeric cell that is NaN, infinite or an integer too
-large for a float has no coordinate, so every SVG kind refuses it.
+non-None cell gets one vertex, with no decimation, a column of None cells
+draws no polyline, and the same table always gives the same bytes.  A numeric
+cell that is NaN, infinite or an integer too large for a float has no
+coordinate, so every SVG kind refuses it.
 """
 
 from __future__ import annotations
 
+import io
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 from types import NoneType
+from typing import TextIO
 
 import numpy as np
 
-from .query import ResultTable
+from .query import ResultTable, SeriesTable
 
 CHART_KINDS = ("time_series", "bar", "pie", "table")
 
@@ -100,9 +110,12 @@ def _fixed_point(values: np.ndarray, end: bytes) -> np.ndarray:
     return out
 
 
-def _numeric_columns(names: tuple[str, ...], columns: list[tuple]) -> dict[int, np.ndarray]:
+def _numeric_columns(
+    names: tuple[str, ...], columns: list[tuple]
+) -> dict[int, tuple[np.ndarray, np.ndarray | None]]:
     """Float64 cells, None dropped, of each column whose non-None cells are
-    all numbers; keyed by column index.
+    all numbers, with the mask of the rows they are at (None when every row
+    is); keyed by column index.
 
     A column counts as numeric when the set of its cell types, less
     ``NoneType``, is non-empty and every type is an ``int`` or ``float``
@@ -113,13 +126,15 @@ def _numeric_columns(names: tuple[str, ...], columns: list[tuple]) -> dict[int, 
     out = {}
     for idx, cells in enumerate(columns):
         kinds = set(map(type, cells))
-        has_none = NoneType in kinds
-        kinds.discard(NoneType)
+        present = None
+        if NoneType in kinds:
+            kinds.discard(NoneType)
+            present = np.array([c is not None for c in cells])
         if not kinds or not all(
             issubclass(k, (int, float)) and not issubclass(k, bool) for k in kinds
         ):
             continue
-        if has_none:
+        if present is not None:
             cells = [c for c in cells if c is not None]
         try:
             values = np.fromiter(cells, np.float64, len(cells))
@@ -132,30 +147,47 @@ def _numeric_columns(names: tuple[str, ...], columns: list[tuple]) -> dict[int, 
             raise ChartError(
                 f"column {names[idx]!r} holds {values[~finite][0]}, which cannot be drawn"
             )
-        out[idx] = values
+        out[idx] = values, present
     return out
+
+
+def _cell_text(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, datetime):
+        return value.isoformat(timespec="microseconds")
+    if isinstance(value, float):
+        return format(value, ".10g")
+    return str(value)
+
+
+def write_text_table(
+    columns: tuple[str, ...], rows: Callable[[], Iterable[tuple]], out: TextIO
+) -> None:
+    """Write the column-aligned text of ``rows()``, a line at a time.
+
+    ``rows`` is called twice and must give the same rows both times: the
+    first pass finds each column's widest cell, the second writes the lines.
+    So only a line is held, not the table.
+    """
+    widths = [len(c) for c in columns]
+    for row in rows():
+        widths = [max(w, len(_cell_text(v))) for w, v in zip(widths, row)]
+
+    def line(texts: Iterable[str]) -> str:
+        return "  ".join(text.ljust(w) for text, w in zip(texts, widths)).rstrip() + "\n"
+
+    out.write(line(columns))
+    out.write(line("-" * w for w in widths))
+    for row in rows():
+        out.write(line(map(_cell_text, row)))
 
 
 def format_text_table(table: ResultTable) -> str:
     """Column-aligned plain text rendering, used for stdout and kind=table."""
-
-    def cell(value) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, datetime):
-            return value.isoformat(timespec="microseconds")
-        if isinstance(value, float):
-            return format(value, ".10g")
-        return str(value)
-
-    grid = [list(table.columns)] + [[cell(v) for v in row] for row in table.rows]
-    widths = [max(len(r[i]) for r in grid) for i in range(len(table.columns))]
-    lines = []
-    for n, row in enumerate(grid):
-        lines.append("  ".join(text.ljust(w) for text, w in zip(row, widths)).rstrip())
-        if n == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
+    text = io.StringIO()
+    write_text_table(table.columns, lambda: table.rows, text)
+    return text.getvalue()[:-1]
 
 
 def _svg_header(spec: ChartSpec) -> list[str]:
@@ -222,6 +254,42 @@ def _render_time_series(table: ResultTable, spec: ChartSpec) -> Iterator[bytes]:
     table raises :class:`ChartError` before any file is opened.  The chunks
     are the header, each polyline with its legend, and the trailer.
     """
+    if isinstance(table, SeriesTable):
+        xs, numeric, first, last = _series_columns(table)
+    else:
+        xs, numeric, first, last = _row_columns(table)
+    if not numeric:
+        raise ChartError("time_series needs at least one numeric column")
+    lo, hi = _value_span(
+        float(min(v.min() for v, _ in numeric.values())),
+        float(max(v.max() for v, _ in numeric.values())),
+    )
+    return _time_series_svg(spec, table.columns, xs, numeric, lo, hi, first, last)
+
+
+def _series_columns(table: SeriesTable):
+    """x, the numeric columns and the first and last dates, from the arrays."""
+    dates = table.dates
+    if not len(dates):
+        raise ChartError("time_series needs at least one row")
+    # (t - t0).total_seconds() divides int microseconds by 10**6; a float64
+    # holds them exactly below 2**53 us (285 years), so there numpy's
+    # division gives the same bits
+    us = (dates - dates[0]).astype(np.int64)
+    xs = us / 1e6 if us[-1] < 2**53 else np.array([u / 10**6 for u in us.tolist()])
+    numeric = {}
+    for j, column in enumerate(table.values.T, 1):
+        present = ~np.isnan(column)
+        if present.all():
+            numeric[j] = column, None
+        elif present.any():
+            numeric[j] = column[present], present
+    return xs, numeric, dates[0].item(), dates[-1].item()
+
+
+def _row_columns(table: ResultTable):
+    """The adapter: x, the numeric columns and the first and last dates,
+    from the rows of any other table."""
     if not table.rows:
         raise ChartError("time_series needs at least one row")
     columns = list(zip(*table.rows))
@@ -235,23 +303,18 @@ def _render_time_series(table: ResultTable, spec: ChartSpec) -> Iterator[bytes]:
         raise ChartError(
             "time_series needs timestamps that all carry a UTC offset or all carry none"
         ) from None
-    numeric = _numeric_columns(table.columns, columns)
-    if not numeric:
-        raise ChartError("time_series needs at least one numeric column")
-    lo, hi = _value_span(
-        float(min(v.min() for v in numeric.values())),
-        float(max(v.max() for v in numeric.values())),
-    )
-    return _time_series_svg(table, spec, xs, numeric, lo, hi)
+    return xs, _numeric_columns(table.columns, columns), times[0], times[-1]
 
 
 def _time_series_svg(
-    table: ResultTable,
     spec: ChartSpec,
+    names: tuple[str, ...],
     xs: np.ndarray,
-    numeric: dict[int, np.ndarray],
+    numeric: dict[int, tuple[np.ndarray, np.ndarray | None]],
     lo: float,
     hi: float,
+    first: datetime,
+    last: datetime,
 ) -> Iterator[bytes]:
     x0, y0 = MARGIN_LEFT, HEIGHT - MARGIN_BOTTOM
     x1, y1 = WIDTH - MARGIN_RIGHT, MARGIN_TOP
@@ -262,14 +325,13 @@ def _time_series_svg(
     span_x = xs[-1] - xs[0] or 1.0
     # each x is formatted once and shared by every polyline
     xtext = _fixed_point(x0 + (xs - xs[0]) / span_x * (x1 - x0), b",")
-    for n, (col, values) in enumerate(numeric.items()):
+    for n, (col, (values, present)) in enumerate(numeric.items()):
         color = PALETTE[n % len(PALETTE)]
-        present = xtext
-        if len(values) < len(xs):
-            present = xtext[np.array([row[col] is not None for row in table.rows])]
         ys = y0 - (values - lo) / (hi - lo) * (y0 - y1)
         # "x,y x,y ...": the rows of both texts side by side, less their NULs
-        vertices = np.concatenate((present, _fixed_point(ys, b" ")), axis=1)
+        vertices = np.concatenate(
+            (xtext if present is None else xtext[present], _fixed_point(ys, b" ")), axis=1
+        )
         vertices[-1, -1] = 0  # no space after the last vertex
         yield (
             f'<polyline class="series" fill="none" stroke="{color}" '
@@ -278,9 +340,8 @@ def _time_series_svg(
         yield vertices.tobytes().translate(None, b"\0")
         yield (
             f'"/>\n<text x="{x1 - 150}" y="{y1 + 14 + 14 * n}" font-family="sans-serif" '
-            f'font-size="11" fill="{color}">{_escape(table.columns[col])}</text>\n'
+            f'font-size="11" fill="{color}">{_escape(names[col])}</text>\n'
         ).encode("utf-8")
-    first, last = table.rows[0][0], table.rows[-1][0]
     yield (
         f'<text x="{x0}" y="{y0 + 16}" font-family="sans-serif" font-size="10">'
         f"{first.isoformat(timespec='seconds')}</text>\n"

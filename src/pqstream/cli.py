@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .analyzer import HARMONIC_WINDOW, PARAMETERS, PipelineConfig, run_pipeline
-from .charts import ChartError, ChartSpec, format_text_table, render_chart
+from .charts import ChartError, ChartSpec, format_text_table, render_chart, write_text_table
 from .events import EventDetector, EventThresholds
 from .query import (
     DEFAULT_AGGREGATES,
@@ -31,6 +31,8 @@ from .query import (
     aggregate_events,
     event_detail,
     extract_raw_capture,
+    series_columns,
+    series_rows,
     timeseries,
 )
 from .siggen import (
@@ -293,8 +295,15 @@ def cmd_query_series(args: argparse.Namespace) -> int:
     start = datetime.fromisoformat(args.start) if args.start else None
     end = datetime.fromisoformat(args.end) if args.end else None
     with StreamDatabase(args.db, readonly=True) as db:
-        table = timeseries(db, args.point, args.param, start, end)
-    _render_or_print(table, args, f"{args.param} at {args.point}")
+        if args.chart:
+            table = timeseries(db, args.point, args.param, start, end)
+            _render_or_print(table, args, f"{args.param} at {args.point}")
+        else:
+            # two passes over the blocks, for the widths and then the lines
+            columns = series_columns(args.param)
+            write_text_table(
+                columns, lambda: series_rows(db, args.point, args.param, start, end), sys.stdout
+            )
     return 0
 
 

@@ -3,17 +3,29 @@
 Every function returns a :class:`ResultTable`, a plain column/row container
 that the chart renderer and the CLI share.  Queries never write to the
 database; identical inputs yield identical tables (rows are explicitly
-ordered) so rendered output is reproducible byte for byte.  Series reads date
-each transfer file once, select rows on ``(transfer_file_id, row_index)``,
-fetch them a block of about :data:`BLOCK_CELLS` cells at a time and date each
-block with one datetime64 step.
+ordered) so rendered output is reproducible byte for byte.
+
+Series are read as columnar blocks (:func:`series_blocks`).  Each transfer
+file is dated once and its rows are selected on ``(transfer_file_id,
+row_index)``, then fetched about :data:`BLOCK_CELLS` cells at a time.  Each
+fetch becomes two arrays: the rows' dates as ``datetime64[us]`` (first date
+plus index times step) and their values as one float64 array, NaN for NULL.
+:func:`timeseries` joins the blocks into a :class:`SeriesTable`, which keeps
+the arrays and builds its row tuples only when they are first read, so the
+time-series chart draws from the arrays.  :func:`series_rows` yields the
+same rows a block at a time, merged over files in time order, so a caller
+that formats them holds a block per file, not the history.
 """
 
 from __future__ import annotations
 
 import sqlite3
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
-from datetime import datetime
+from datetime import datetime, timedelta
+from functools import cache, cached_property
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +83,35 @@ class ResultTable:
                 )
 
 
+class SeriesTable(ResultTable):
+    """A time series held as arrays, as :func:`timeseries` returns it.
+
+    ``dates`` holds one ``datetime64[us]`` per row, and ``values`` is a
+    float64 array of one row per row and one column per value column, NaN
+    for NULL.  ``rows`` is built from them when it is first read, and equals
+    what the stored rows read back as: a naive datetime, then per cell a
+    float, None for NULL, or an int in a value column whose index is in
+    ``integer`` (see :func:`_block_rows`).
+    """
+
+    dates: np.ndarray
+    values: np.ndarray
+    integer: tuple[int, ...]
+
+    def __init__(
+        self, columns: tuple[str, ...], dates: np.ndarray, values: np.ndarray,
+        integer: tuple[int, ...],
+    ) -> None:
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "dates", dates)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "integer", integer)
+
+    @cached_property
+    def rows(self) -> tuple[tuple, ...]:  # type: ignore[override]
+        return tuple(_block_rows(self.dates, self.values, self.integer))
+
+
 @dataclass(frozen=True)
 class QuerySpec:
     """Event aggregation request over the per-point counters.
@@ -108,6 +149,109 @@ class QuerySpec:
                 )
 
 
+def series_columns(parameter_type: str) -> tuple[str, ...]:
+    """The columns of a series table: ``timestamp``, then the parameter's."""
+    if parameter_type not in PARAMETERS:
+        raise QueryError(f"parameter type must be one of {tuple(PARAMETERS)}")
+    return ("timestamp", *PARAMETERS[parameter_type].columns)
+
+
+def series_blocks(
+    db: StreamDatabase,
+    point_id: str,
+    parameter_type: str,
+    start: datetime | None = None,
+    end: datetime | None = None,
+) -> list[Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """The stored rows of one parameter at one point, as columnar blocks.
+
+    One iterator per transfer file with rows, in ``transfer_file.id`` order;
+    each yields, per fetch of ``BLOCK_CELLS // (1 + columns)`` rows, the
+    rows' dates (``datetime64[us]``) and their values (float64, one row per
+    row, NaN for NULL), in row order.  ``start`` and ``end``, without UTC
+    offset, bound the dates inclusively as an index range per file.  The
+    arguments are checked here; each file is read when its iterator is.
+    """
+    columns = series_columns(parameter_type)[1:]
+    if any(b is not None and b.utcoffset() is not None for b in (start, end)):
+        raise QueryError("time bounds must not carry a UTC offset; stored times have none")
+    known = db.conn.execute("SELECT 1 FROM measurement_point WHERE id = ?", (point_id,))
+    if known.fetchone() is None:
+        raise NotFoundError(f"measurement point {point_id!r} not in the database")
+    step = PARAMETERS[parameter_type].interval
+    col_sql = ", ".join(f'"{c}"' for c in columns)
+    sql = (
+        f"SELECT row_index, {col_sql} FROM {parameter_type} WHERE transfer_file_id = ?"
+        " AND row_index BETWEEN ? AND ? ORDER BY row_index"
+    )
+    size = BLOCK_CELLS // (1 + len(columns))
+    files = []
+    for row in db.conn.execute(
+        "SELECT * FROM transfer_file WHERE measurement_point_id = ?"
+        " AND parameter_type = ? AND row_count > 0 ORDER BY id",
+        (point_id, parameter_type),
+    ).fetchall():
+        first = derive_timestamps(TransferFile.from_row(row), 0)
+        lo = 0 if start is None else -((first - start) // step)
+        hi = row["row_count"] - 1 if end is None else (end - first) // step
+        files.append(_file_blocks(db, sql, (row["id"], lo, hi), first, step, size))
+    return files
+
+
+def _file_blocks(
+    db: StreamDatabase, sql: str, params: tuple, first: datetime, step: timedelta, size: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    cursor = db.conn.cursor()
+    cursor.row_factory = None  # plain tuples
+    cursor.execute(sql, params)
+    first64, step64 = np.datetime64(first, "us"), np.timedelta64(step)
+    while block := cursor.fetchmany(size):
+        try:
+            cells = np.fromiter(chain.from_iterable(block), np.float64, len(block) * len(block[0]))
+        except TypeError:  # a NULL cell, which np.array reads as NaN
+            cells = np.array(block, dtype=np.float64)
+        cells = cells.reshape(len(block), -1)
+        yield first64 + cells[:, 0].astype(np.int64) * step64, cells[:, 1:]
+
+
+@cache
+def _integer_columns(parameter_type: str) -> tuple[int, ...]:
+    """Indices of the value columns the schema declares INTEGER: a bool
+    field's flag, as ``store`` lays the series tables out."""
+    parameter = PARAMETERS[parameter_type]
+    flags = {prefix for prefix, shape in parameter.fields if shape is bool}
+    return tuple(i for i, name in enumerate(parameter.columns) if name in flags)
+
+
+def _integer_cell(value: float) -> float | int | None:
+    # INTEGER affinity stores a whole float strictly inside int64 as an int
+    if value != value:
+        return None
+    if value.is_integer() and -(2.0**63) < value < 2.0**63:
+        return int(value)
+    return value
+
+
+def _block_rows(
+    dates: np.ndarray, values: np.ndarray, integer: tuple[int, ...]
+) -> list[tuple]:
+    """Row tuples of a block, as sqlite3 reads the stored rows back.
+
+    Every cell the store holds came from a float (ingest parses each cell
+    with ``float``), so float64 holds it exactly.  NaN is NULL, read as
+    None.  A column in ``integer`` has INTEGER affinity, which stores a
+    whole value strictly inside the int64 range as an int.
+    """
+    columns = values.T.tolist()
+    blank = np.isnan(values).any(axis=0)
+    for j, column in enumerate(columns):
+        if j in integer:
+            columns[j] = [_integer_cell(v) for v in column]
+        elif blank[j]:
+            columns[j] = [None if v != v else v for v in column]
+    return list(zip(dates.tolist(), *columns))
+
+
 def timeseries(
     db: StreamDatabase,
     point_id: str,
@@ -119,40 +263,48 @@ def timeseries(
 
     ``start`` and ``end``, without UTC offset, bound the derived timestamps
     inclusively; an interval with no rows yields an empty table with the usual columns.
+    The table is a :class:`SeriesTable` joined from :func:`series_blocks`;
+    rows of equal dates keep ``transfer_file.id`` order.
     """
-    if parameter_type not in PARAMETERS:
-        raise QueryError(f"parameter type must be one of {tuple(PARAMETERS)}")
-    if any(b is not None and b.utcoffset() is not None for b in (start, end)):
-        raise QueryError("time bounds must not carry a UTC offset; stored times have none")
-    known = db.conn.execute("SELECT 1 FROM measurement_point WHERE id = ?", (point_id,))
-    if known.fetchone() is None:
-        raise NotFoundError(f"measurement point {point_id!r} not in the database")
-    columns = PARAMETERS[parameter_type].columns
-    step = PARAMETERS[parameter_type].interval
-    col_sql = ", ".join(f'"{c}"' for c in columns)
-    block_rows = BLOCK_CELLS // (1 + len(columns))
-    out: list[tuple] = []
-    cursor = db.conn.cursor()
-    cursor.row_factory = None  # plain tuples
-    for row in db.conn.execute(
-        "SELECT * FROM transfer_file WHERE measurement_point_id = ?"
-        " AND parameter_type = ? AND row_count > 0 ORDER BY id",
-        (point_id, parameter_type),
-    ).fetchall():
-        first = derive_timestamps(TransferFile.from_row(row), 0)
-        lo = 0 if start is None else -((first - start) // step)
-        hi = row["row_count"] - 1 if end is None else (end - first) // step
-        cursor.execute(
-            f"SELECT row_index, {col_sql} FROM {parameter_type} WHERE transfer_file_id = ?"
-            " AND row_index BETWEEN ? AND ? ORDER BY row_index",
-            (row["id"], lo, hi),
-        )
-        while block := cursor.fetchmany(block_rows):
-            index = np.array([d[0] for d in block], dtype=np.int64)
-            times = (np.datetime64(first, "us") + index * np.timedelta64(step)).tolist()
-            out.extend((t, *d[1:]) for t, d in zip(times, block))
-    out.sort(key=lambda r: r[0])
-    return ResultTable(columns=("timestamp", *columns), rows=tuple(out))
+    files = series_blocks(db, point_id, parameter_type, start, end)
+    columns = series_columns(parameter_type)
+    blocks = [block for file in files for block in file]
+    if len(blocks) == 1:
+        dates, values = blocks[0]
+    elif blocks:
+        dates = np.concatenate([d for d, _ in blocks])
+        values = np.concatenate([v for _, v in blocks])
+    else:
+        dates = np.empty(0, "datetime64[us]")
+        values = np.empty((0, len(columns) - 1))
+    if len(files) > 1:
+        order = np.argsort(dates, kind="stable")
+        dates, values = dates[order], values[order]
+    return SeriesTable(columns, dates, values, _integer_columns(parameter_type))
+
+
+def series_rows(
+    db: StreamDatabase,
+    point_id: str,
+    parameter_type: str,
+    start: datetime | None = None,
+    end: datetime | None = None,
+) -> Iterator[tuple]:
+    """The rows :func:`timeseries` returns, read a block per file at a time.
+
+    The files' rows are merged by date with ``heapq.merge``, which keeps
+    rows of equal dates in ``transfer_file.id`` order, as the stable sort of
+    :func:`timeseries` does.  The arguments are checked on the call, before
+    the first row is asked for.
+    """
+    import heapq  # on first use, so that importing pqstream does not load it
+
+    files = series_blocks(db, point_id, parameter_type, start, end)
+    integer = _integer_columns(parameter_type)
+    return heapq.merge(
+        *(chain.from_iterable(_block_rows(d, v, integer) for d, v in f) for f in files),
+        key=itemgetter(0),
+    )
 
 
 def aggregate_events(db: StreamDatabase, spec: QuerySpec = QuerySpec()) -> ResultTable:

@@ -625,6 +625,10 @@ def _insert_series_rows(
     return index
 
 
+#: The largest value an SQLite INTEGER holds.
+_INT64_MAX = 2**63 - 1
+
+
 def _insert_event_rows(
     db: StreamDatabase,
     point: MeasurementPoint,
@@ -633,8 +637,9 @@ def _insert_event_rows(
     transfer_file_id: int,
 ) -> int:
     """One ``executemany`` per block of events; returns the rows read.  An
-    event id or size that is no integer, or an unknown event type, raises
-    ValueError."""
+    event id or size that is no integer, an id below 1, a negative size, an
+    id or size beyond SQLite's 64-bit INTEGER, or an unknown event type,
+    raises ValueError."""
     count = 0
     for rows in blocks:
         payload = []
@@ -642,9 +647,14 @@ def _insert_event_rows(
             event_id = int(event_id)
             if event_type not in EVENT_TYPES:
                 raise ValueError(f"unknown event type {event_type!r}")
+            size = int(size)
+            if not 1 <= event_id <= _INT64_MAX:
+                raise ValueError(f"event id {event_id} is not within 1 to {_INT64_MAX}")
+            if not 0 <= size <= _INT64_MAX:
+                raise ValueError(f"event size {size} is not within 0 to {_INT64_MAX}")
             raw_path = str((point_dir / raw).resolve()) if raw else None
             payload.append(
-                (point.id, event_id, event_type, start, end, int(size), raw_path, transfer_file_id)
+                (point.id, event_id, event_type, start, end, size, raw_path, transfer_file_id)
             )
         db.conn.executemany(
             "INSERT OR IGNORE INTO event (measurement_point_id, event_id, event_type,"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import re
@@ -10,7 +11,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
-from datetime import datetime
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from pqstream.analyzer import PipelineConfig, PipelineResult, run_pipeline
 from pqstream.cli import _signal_config, main
 from pqstream.events import EventDetector, EventRecord, EventThresholds
 from pqstream.siggen import SignalConfig, WaveformFrame, parse_script
-from pqstream.store import MeasurementPoint, StoreError, TransferFileWriter
+from pqstream.store import PARAMETERS, MeasurementPoint, StoreError, TransferFileWriter
 
 from conftest import gather
 
@@ -613,3 +614,31 @@ def test_gen_and_analyze_memory_does_not_grow_with_stream_length(tmp_path, monke
                 peaks[command, duration] = traced_peak(argv, held)
     assert peaks["gen", 300.0] < 1.1 * peaks["gen", 30.0], peaks
     assert peaks["analyze", 1200.0] < 1.1 * peaks["analyze", 600.0], peaks
+
+
+def test_query_series_text_memory_does_not_grow_with_history(tmp_path):
+    # the text is printed from a block per file at a time, in two passes, so
+    # 8x the rows peak where 1x does; a whole table would peak 8x higher
+    peaks = {}
+    for count in (2000, 16000):
+        root = tmp_path / f"h{count}"
+        base = datetime(2000, 1, 1)
+        writer = TransferFileWriter(
+            root / "transfer", MeasurementPoint("H", "History", "busbar", "Urban Only"), base
+        )
+        (writer.point_dir / "rms").mkdir(parents=True)
+        values = 230.0 + 1e-4 * np.arange(6 * count).reshape(count, 6)
+        last = base + count * PARAMETERS["rms"].interval
+        (writer.point_dir / "rms" / "rms_000.csv").write_text(
+            f"# columns: {','.join(PARAMETERS['rms'].columns)}\n"
+            + "".join(",".join(map(repr, row)) + "\n" for row in values.tolist())
+            + f"#last_sample={last.isoformat(timespec='microseconds')}\n"
+        )
+        db = str(root / "pq.db")
+        assert main(["ingest", "--root", str(root / "transfer"), "--db", db]) == 0
+        argv = ["query", "series", "--db", db, "--point", "H", "--param", "rms"]
+        with (root / "rms.txt").open("w") as out, contextlib.redirect_stdout(out):
+            assert main(argv) == 0  # one-time allocations
+            peaks[count] = traced_peak(argv, {})
+        assert len((root / "rms.txt").read_text().splitlines()) == 2 * (count + 2)
+    assert peaks[16000] < 1.1 * peaks[2000], peaks

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pqstream import charts
+from pqstream import charts, cli
 from pqstream.analyzer import run_pipeline
 from pqstream.charts import ChartError, ChartSpec, format_text_table, render_chart
 from pqstream.events import (
@@ -28,9 +28,11 @@ from pqstream.query import (
     QueryError,
     QuerySpec,
     ResultTable,
+    SeriesTable,
     aggregate_events,
     event_detail,
     extract_raw_capture,
+    series_rows,
     timeseries,
 )
 from pqstream.siggen import SAMPLE_RATE, generate_stream, parse_script
@@ -170,11 +172,12 @@ def test_timeseries_rejects_bounds_with_utc_offset(db):
 
 
 def write_series_file(point_dir: Path, parameter: str, seq: int, rows, last_sample) -> None:
-    """Lay down one transfer CSV by hand, as the writer formats it."""
+    """Lay down one transfer CSV by hand, as the writer formats it; a None
+    cell is left empty."""
     directory = point_dir / parameter
     directory.mkdir(exist_ok=True)
     lines = [f"# columns: {','.join(PARAMETERS[parameter].columns)}"]
-    lines += [",".join(repr(float(v)) for v in row) for row in rows]
+    lines += [",".join("" if v is None else repr(float(v)) for v in row) for row in rows]
     lines.append(f"#last_sample={last_sample.isoformat(timespec='microseconds')}")
     (directory / f"{parameter}_{seq:03d}.csv").write_text("\n".join(lines) + "\n")
 
@@ -257,6 +260,113 @@ def test_timeseries_matches_row_by_row_reference(overlap_db, parameter):
         expected = reference_timeseries(overlap_db, "MP9", parameter, start, end)
         assert list(table.rows) == expected, (start, end)
     assert timeseries(overlap_db, "MP9", parameter).rows  # both runs stored rows
+
+
+@pytest.fixture(scope="module")
+def blank_db(tmp_path_factory):
+    """Point MP8 with two overlapping hand-written files per parameter below.
+
+    rms: the first file has one empty cell, the second an all-empty column.
+    frequency: ``held`` cells that SQLite's INTEGER affinity stores as an
+    int (whole and strictly inside int64) or keeps as a float, and one empty.
+    """
+    root = tmp_path_factory.mktemp("blank")
+    writer = TransferFileWriter(
+        root / "transfer", MeasurementPoint("MP8", "Blank", "busbar", "Urban Only"), BASE_TIME
+    )
+    step = PARAMETERS["rms"].interval
+    rows = [[230.0 + i + 0.1 * c for c in range(6)] for i in range(8)]
+    rows[2][1] = None
+    write_series_file(writer.point_dir, "rms", 0, rows, BASE_TIME + 8 * step)
+    rows = [[231.5 + 0.5 * i] * 5 + [None] for i in range(6)]
+    write_series_file(writer.point_dir, "rms", 1, rows, BASE_TIME + 9 * step)
+    held = [0.0, 1.0, -0.0, 0.5, -3.0, 1e18, 2.0**63, -(2.0**63), 2.0**63 - 1024, 1e300, None]
+    rows = [[50.0 + 0.01 * i, h] for i, h in enumerate(held)]
+    last = BASE_TIME + timedelta(seconds=len(held))
+    write_series_file(writer.point_dir, "frequency", 0, rows, last)
+    write_series_file(writer.point_dir, "frequency", 1, rows[:4], last - timedelta(seconds=2))
+    with StreamDatabase(root / "pq.db") as handle:
+        assert not ingest_directory(root / "transfer", handle).files_malformed
+    with StreamDatabase(root / "pq.db", readonly=True) as handle:
+        yield handle
+
+
+def series_cases():
+    """Every parameter of the overlap point, and the hand-written blank ones."""
+    return [("overlap", p) for p in PARAMETERS] + [("blank", "rms"), ("blank", "frequency")]
+
+
+@pytest.mark.parametrize("source, parameter", series_cases())
+def test_timeseries_rows_have_the_types_sqlite_reads(request, source, parameter):
+    db = request.getfixturevalue(f"{source}_db")
+    point = {"overlap": "MP9", "blank": "MP8"}[source]
+    for start, end in bound_cases(db, point, parameter):
+        table = timeseries(db, point, parameter, start=start, end=end)
+        expected = reference_timeseries(db, point, parameter, start, end)
+        assert list(table.rows) == expected, (start, end)
+        assert [tuple(map(type, r)) for r in table.rows] == [
+            tuple(map(type, r)) for r in expected
+        ], (start, end)
+
+
+@pytest.mark.parametrize("source, parameter", series_cases())
+def test_chart_from_the_arrays_equals_the_chart_from_the_rows(
+    request, source, parameter, tmp_path
+):
+    db = request.getfixturevalue(f"{source}_db")
+    point = {"overlap": "MP9", "blank": "MP8"}[source]
+    spec = ChartSpec(kind="time_series", title=parameter)
+    for n, (start, end) in enumerate(bound_cases(db, point, parameter)):
+        table = timeseries(db, point, parameter, start=start, end=end)
+        rows = ResultTable(table.columns, tuple(table.rows))
+        try:
+            want = render_chart(rows, spec, tmp_path / f"rows{n}.svg").read_bytes()
+        except ChartError as exc:
+            with pytest.raises(ChartError, match=str(exc)):
+                render_chart(table, spec, tmp_path / f"arrays{n}.svg")
+            continue
+        got = render_chart(table, spec, tmp_path / f"arrays{n}.svg").read_bytes()
+        assert got == want, (start, end)
+
+
+def test_chart_x_from_the_arrays_has_the_bits_of_total_seconds():
+    # past 2**53 us a float64 no longer holds the microseconds exactly
+    dates = np.array(
+        ["1700-01-01", "1999-12-31T23:59:59.999999", "2100-01-01T00:00:00.000001"],
+        "datetime64[us]",
+    )
+    table = SeriesTable(("timestamp", "v"), dates, np.array([[1.0], [2.0], [3.0]]), ())
+    t0 = table.rows[0][0]
+    want = np.array([(t - t0).total_seconds() for t, _ in table.rows])
+    assert charts._series_columns(table)[0].tobytes() == want.tobytes()
+
+
+def test_blank_cells_draw_no_vertex_and_a_blank_column_no_polyline(blank_db, tmp_path):
+    table = timeseries(blank_db, "MP8", "rms")
+    out = render_chart(table, ChartSpec(kind="time_series"), tmp_path / "b.svg")
+    assert polyline_vertex_counts(out) == [14, 13, 14, 14, 14, 8]
+
+
+@pytest.mark.parametrize("source, parameter", series_cases())
+def test_series_rows_merge_the_files_as_timeseries_sorts_them(request, source, parameter):
+    db = request.getfixturevalue(f"{source}_db")
+    point = {"overlap": "MP9", "blank": "MP8"}[source]
+    for start, end in bound_cases(db, point, parameter):
+        table = timeseries(db, point, parameter, start=start, end=end)
+        assert list(series_rows(db, point, parameter, start, end)) == list(table.rows)
+
+
+@pytest.mark.parametrize("source, parameter", series_cases())
+def test_cli_series_text_equals_the_whole_table_text(request, source, parameter, capsys):
+    db = request.getfixturevalue(f"{source}_db")
+    point = {"overlap": "MP9", "blank": "MP8"}[source]
+    for start, end in bound_cases(db, point, parameter):
+        argv = ["query", "series", "--db", str(db.path), "--point", point, "--param", parameter]
+        argv += ["--from", start.isoformat()] if start else []
+        argv += ["--to", end.isoformat()] if end else []
+        assert cli.main(argv) == 0
+        table = timeseries(db, point, parameter, start=start, end=end)
+        assert capsys.readouterr().out == format_text_table(table) + "\n", (start, end)
 
 
 def test_ranged_read_cost_does_not_grow_with_history(tmp_path):

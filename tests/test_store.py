@@ -799,6 +799,54 @@ def test_ingest_unknown_event_type_is_malformed_and_stores_no_event(tmp_path):
         assert db.conn.execute("SELECT COUNT(*) FROM event").fetchone()[0] == 0
 
 
+@pytest.mark.parametrize(
+    "event_id, size, reason",
+    [
+        ("99999999999999999999", "3200", "event id 99999999999999999999 is not within 1 to"),
+        (str(2**63), "3200", f"event id {2**63} is not within 1 to"),
+        ("0", "3200", "event id 0 is not within 1 to"),
+        ("-4", "3200", "event id -4 is not within 1 to"),
+        ("1", "-3200", "event size -3200 is not within 0 to"),
+        ("1", "99999999999999999999", "event size 99999999999999999999 is not within 0 to"),
+    ],
+    ids=["id-beyond-int64", "id-2**63", "id-0", "id-negative", "size-negative", "size-beyond-int64"],
+)
+def test_ingest_event_id_or_size_out_of_range_is_malformed_and_stores_no_event(
+    event_id, size, reason, tmp_path
+):
+    root = tmp_path / "tree"
+    (root / "EV" / "event").mkdir(parents=True)
+    (root / "EV" / "point.json").write_text(json.dumps({"id": "EV"}))
+    path = root / "EV" / "event" / "event_000.csv"
+    path.write_text(
+        f"# columns: {','.join(FILE_COLUMNS['event'])}\n"
+        f"{event_id},sag,2000-01-01T00:00:01.000000,2000-01-01T00:00:02.000000,{size},\n"
+        "#last_sample=2000-01-01T00:00:02.000000\n"
+    )
+    with StreamDatabase(tmp_path / "pq.db") as db:
+        report = ingest_directory(root, db)
+        assert report.files_malformed == [(str(path), f"{reason} {2**63 - 1}")]
+        assert db.conn.execute("SELECT COUNT(*) FROM event").fetchone()[0] == 0
+
+
+def test_ingest_event_id_and_size_at_the_int64_edges_are_stored(tmp_path):
+    root = tmp_path / "tree"
+    (root / "EV" / "event").mkdir(parents=True)
+    (root / "EV" / "point.json").write_text(json.dumps({"id": "EV"}))
+    (root / "EV" / "event" / "event_000.csv").write_text(
+        f"# columns: {','.join(FILE_COLUMNS['event'])}\n"
+        f"1,sag,2000-01-01T00:00:01.000000,2000-01-01T00:00:02.000000,{2**63 - 1},\n"
+        f"{2**63 - 1},swell,2000-01-01T00:00:01.000000,2000-01-01T00:00:02.000000,0,\n"
+        "#last_sample=2000-01-01T00:00:02.000000\n"
+    )
+    with StreamDatabase(tmp_path / "pq.db") as db:
+        assert not ingest_directory(root, db).files_malformed
+        stored = db.conn.execute(
+            "SELECT event_id, size_in_samples FROM event ORDER BY event_id"
+        ).fetchall()
+        assert [tuple(r) for r in stored] == [(1, 2**63 - 1), (2**63 - 1, 0)]
+
+
 def test_ingest_point_directory_without_metadata_is_reported(written_sag_run, tmp_path):
     out_root, _, _ = written_sag_run
     (out_root / "STRAY" / "rms").mkdir(parents=True)
