@@ -19,54 +19,47 @@ into a generate / analyze / ingest / query workflow.
 
 from __future__ import annotations
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .siggen import (
-    DisturbanceScript,
-    DisturbanceSpec,
-    ScriptError,
-    SignalConfig,
-    WaveformFrame,
-    generate_stream,
-    parse_script,
-    serialize_script,
-)
-from .analyzer import (
-    PipelineConfig,
-    PipelineResult,
-    StreamGapError,
-    StreamPipeline,
-    run_pipeline,
-)
-from .events import EventDetector, EventRecord, EventThresholds
-from .store import (
-    MeasurementPoint,
-    StreamDatabase,
-    TransferFileWriter,
-    compute_traffic_budget,
-    ingest_directory,
-)
+#: Each exported name and the module it comes from.  The modules load on
+#: first use (PEP 562), so ``import pqstream`` loads no numpy: the console
+#: command can still choose numpy's BLAS threads before numpy starts them.
+_EXPORTS = {
+    "DisturbanceScript": "siggen",
+    "DisturbanceSpec": "siggen",
+    "EventDetector": "events",
+    "EventRecord": "events",
+    "EventThresholds": "events",
+    "MeasurementPoint": "store",
+    "PipelineConfig": "analyzer",
+    "PipelineResult": "analyzer",
+    "ScriptError": "siggen",
+    "SignalConfig": "siggen",
+    "StreamDatabase": "store",
+    "StreamGapError": "analyzer",
+    "StreamPipeline": "analyzer",
+    "TransferFileWriter": "store",
+    "WaveformFrame": "siggen",
+    "compute_traffic_budget": "store",
+    "generate_stream": "siggen",
+    "ingest_directory": "store",
+    "parse_script": "siggen",
+    "run_pipeline": "analyzer",
+    "serialize_script": "siggen",
+}
 
-__all__ = [
-    "DisturbanceScript",
-    "DisturbanceSpec",
-    "EventDetector",
-    "EventRecord",
-    "EventThresholds",
-    "MeasurementPoint",
-    "PipelineConfig",
-    "PipelineResult",
-    "ScriptError",
-    "SignalConfig",
-    "StreamDatabase",
-    "StreamGapError",
-    "StreamPipeline",
-    "TransferFileWriter",
-    "WaveformFrame",
-    "compute_traffic_budget",
-    "generate_stream",
-    "ingest_directory",
-    "parse_script",
-    "run_pipeline",
-    "serialize_script",
-]
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

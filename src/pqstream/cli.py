@@ -9,6 +9,16 @@ events), ``ingest`` loads trees into a SQLite database, and ``budget``,
 
 from __future__ import annotations
 
+import os
+
+# numpy's BLAS reads its thread count once, when numpy loads, and starts one
+# thread per core by default.  pqstream's matrix products are too small to
+# gain from more than one, and the extra threads take the cores the capture
+# worker runs on, so the console command asks for one before anything
+# imports numpy (``import pqstream`` does not).  A value the user set wins.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 import argparse
 import json
 import sys
@@ -230,7 +240,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     detector = EventDetector(
         EventThresholds(nominal_voltage_rms=nominal_v),
         measurement_point_id=point.id,
-        raw_sink=writer.raw_sink,
+        raw_sink=writer,  # each capture goes to its file as it is compressed
     )
     result = run_pipeline(_read_frames(voltage, current), config, detector=detector)
     written = writer.write_results(result)

@@ -16,10 +16,13 @@ unbalance.  A triple holding NaN or an infinity is refused.
 Each finalized event yields a record plus a compressed raw capture of all
 six channels spanning the event with a pre and post trigger margin.  An
 open event's capture is compressed one second at a time as the windows that
-cover it are judged (:class:`CaptureEncoder`), so it holds compressed bytes,
-not samples.  One worker thread, made on first use, compresses every
-capture's seconds in the order they were pushed while the caller goes on
-with the analysis; each capture holds at most ``SECONDS_IN_FLIGHT`` copied
+cover it are judged (:class:`CaptureEncoder`), and each compressed second
+goes to the capture's output as it is collected: a :class:`CaptureSink`,
+such as the transfer-file writer, puts it in the capture's file, so an open
+event holds neither samples nor compressed bytes, while a plain raw sink is
+handed the blob whole when the event ends.  One worker thread, made on first
+use, compresses every capture's seconds in the order they were pushed while
+the caller goes on with the analysis; each capture holds at most ``SECONDS_IN_FLIGHT`` copied
 seconds that the worker has yet to compress.  Raw samples are kept from the
 RMS window last judged minus the pre-trigger, or, if earlier, from the
 first sample an open capture has not pushed yet: at most one second behind.  With no sink attached no
@@ -55,7 +58,7 @@ import threading
 import zlib
 from collections import deque
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Iterator, Optional
+from typing import BinaryIO, Callable, Iterator, Optional, Protocol
 
 import numpy as np
 
@@ -167,6 +170,15 @@ class EventRecord:
     raw_write_error: bool = False
 
 
+RawSink = Callable[[str, int, bytes], str]
+
+
+class CaptureSink(Protocol):
+    """A raw sink that takes a capture's compressed pieces as they are made."""
+
+    def open_capture(self, event_type: str) -> CaptureOutput: ...
+
+
 def adler32_combine(adler1: int, adler2: int, len2: int) -> int:
     """Adler-32 of ``a + b`` from ``adler32(a)``, ``adler32(b)`` and ``len(b)``,
     as zlib's ``adler32_combine`` computes it."""
@@ -178,30 +190,79 @@ def adler32_combine(adler1: int, adler2: int, len2: int) -> int:
     return b << 16 | a
 
 
+class CaptureOutput(Protocol):
+    """Where a :class:`CaptureEncoder` puts a capture's compressed bytes.
+
+    :meth:`write` takes the pieces in order: first zero bytes that keep room
+    for the prefix, then the compressed seconds, then the deflate flush and
+    the Adler-32.  :meth:`finish` writes ``prefix`` (the zlib header, the
+    stored block and the 40-byte raw header) over that room and returns
+    where the capture went; :meth:`abort` drops whatever was written and
+    must not raise.
+    """
+
+    def write(self, piece: bytes) -> None: ...
+
+    def finish(self, event_id: int, prefix: bytes): ...
+
+    def abort(self) -> None: ...
+
+
+class BlobCapture:
+    """A capture output that grows the blob in one ``bytearray``.
+
+    :meth:`finish` writes the prefix into the room kept for it and returns
+    ``raw_sink(event_type, event_id, blob)``, or the blob itself when no
+    sink is given; the blob is handed over as it is, never copied.
+    """
+
+    def __init__(self, raw_sink: RawSink | None = None, event_type: str = "") -> None:
+        self._sink = raw_sink
+        self._event_type = event_type
+        self._blob = bytearray()
+
+    def write(self, piece: bytes) -> None:
+        self._blob += piece
+
+    def finish(self, event_id: int, prefix: bytes):
+        blob, self._blob = self._blob, bytearray()
+        blob[: len(prefix)] = prefix
+        return blob if self._sink is None else self._sink(self._event_type, event_id, blob)
+
+    def abort(self) -> None:
+        self._blob = bytearray()
+
+
 class CaptureEncoder:
     """One capture compressed as its samples arrive, a second at a time.
 
     :meth:`push` takes the next samples from ``start_sample`` on and copies
     each second of them, since the caller's array may change once push
     returns.  The capture worker turns each copy into its byte planes, which
-    go through a raw deflate stream (level 1) and a running Adler-32, so
-    only compressed bytes are held, plus at most ``SECONDS_IN_FLIGHT``
-    copied seconds.  Every push but the last must hold whole seconds.  An
-    error in the worker is raised by the push that waits for that second, or
-    by :meth:`finish`.  :meth:`finish` waits for every second, then returns
-    the blob as :func:`encode_raw_capture` documents it: the header that
-    carries the sample count, known only then, sits in a stored deflate
-    block ahead of the compressed planes, in space left for it at the start.
-    An encoder with seconds in flight when the process forks cannot be
-    finished in the child.
+    go through a raw deflate stream (level 1) and a running Adler-32; the
+    compressed pieces are collected in order on the caller's thread, in push
+    and :meth:`finish`, and written to ``output`` (by default a
+    :class:`BlobCapture`), so the encoder holds at most
+    ``SECONDS_IN_FLIGHT`` copied seconds and no compressed bytes.  Every
+    push but the last must hold whole seconds.  An error in the worker is
+    raised by the push that waits for that second, or by :meth:`finish`; an
+    error of the output, by the push or finish that writes to it.
+    :meth:`finish` waits for every second, writes the deflate flush and the
+    Adler-32, then hands the output the prefix as :func:`encode_raw_capture`
+    documents it: the header that carries the sample count, known only
+    then, in a stored deflate block ahead of the compressed planes.  It
+    returns what the output's finish returns: the blob, for the default
+    output.  An encoder with seconds in flight when the process forks cannot
+    be finished in the child.
     """
 
-    def __init__(self, start_sample: int) -> None:
+    def __init__(self, start_sample: int, output: CaptureOutput | None = None) -> None:
         self.start_sample = start_sample
         self.count = 0
+        self.output = BlobCapture() if output is None else output
+        self.output.write(bytes(_PREFIX_SIZE))  # room for the prefix, known at finish
         self._deflate = zlib.compressobj(1, zlib.DEFLATED, -15)
         self._adler = zlib.adler32(b"")
-        self._blob = bytearray(_PREFIX_SIZE)
         self._pending: deque = deque()  # futures of the compressed seconds, oldest first
 
     def push(self, samples: np.ndarray) -> None:
@@ -214,7 +275,7 @@ class CaptureEncoder:
             pending.append(_compressor().submit(self._compress, block))
             self.count += block.shape[1]
             while pending and (len(pending) > SECONDS_IN_FLIGHT or pending[0].done()):
-                self._blob += pending.popleft().result()
+                self.output.write(pending.popleft().result())
 
     def _compress(self, block: np.ndarray) -> bytes:
         """One second's compressed byte planes; runs on the capture worker."""
@@ -223,10 +284,10 @@ class CaptureEncoder:
         self._adler = zlib.adler32(planes, self._adler)
         return self._deflate.compress(planes)
 
-    def finish(self, event_id: int) -> bytearray:
-        """The capture's blob; the encoder takes no more samples."""
+    def finish(self, event_id: int):
+        """Complete the capture in its output; the encoder takes no more samples."""
         while self._pending:
-            self._blob += self._pending.popleft().result()
+            self.output.write(self._pending.popleft().result())
         header = _RAW_HEADER.pack(
             RAW_MAGIC,
             RAW_VERSION,
@@ -237,12 +298,17 @@ class CaptureEncoder:
             self.count,
         )
         stored = _STORED_BLOCK.pack(0, len(header), 0xFFFF ^ len(header))
-        blob = self._blob
-        blob[:_PREFIX_SIZE] = _ZLIB_HEADER + stored + header
-        blob += self._deflate.flush()
         payload_bytes = RAW_CHANNELS * 8 * self.count
-        blob += struct.pack(">I", adler32_combine(zlib.adler32(header), self._adler, payload_bytes))
-        return blob
+        check = adler32_combine(zlib.adler32(header), self._adler, payload_bytes)
+        self.output.write(self._deflate.flush() + struct.pack(">I", check))
+        return self.output.finish(event_id, _ZLIB_HEADER + stored + header)
+
+    def abort(self) -> None:
+        """Drop the capture: seconds the worker has not begun are cancelled,
+        and the output drops what it holds."""
+        while self._pending:
+            self._pending.popleft().cancel()
+        self.output.abort()
 
 
 def encode_raw_capture(event_id: int, start_sample: int, samples: np.ndarray) -> bytes:
@@ -411,17 +477,24 @@ class CaptureBuffer:
         return start, self._data[:, start - self._base : end - self._base]
 
 
-RawSink = Callable[[str, int, bytes], str]
-
-
 class EventDetector:
     """Runs the four event state machines over successive RMS points.
 
-    ``raw_sink`` is called as ``sink(event_type, event_id, blob)`` at
-    finalization, with the blob as a ``bytearray`` so it is never copied,
-    and must return the path it stored the capture under; a sink failure is
-    absorbed into the record's ``raw_write_error`` flag so raw data loss
-    never loses the event row.  With no sink attached the
+    ``raw_sink`` takes the captures, in one of two kinds:
+
+    - a callable, called as ``sink(event_type, event_id, blob)`` at
+      finalization with the whole blob as a ``bytearray``, so it is never
+      copied, that returns the path it stored the capture under;
+    - a :class:`CaptureSink` such as ``TransferFileWriter``, whose
+      ``open_capture(event_type)`` is called when an event opens and returns
+      a :class:`CaptureOutput`; the capture's compressed pieces are written
+      to it as they are collected, and its ``finish`` returns the path.  So
+      an open event holds no compressed bytes either.
+
+    An ``OSError`` of the sink, at open, at a write or at finish, aborts the
+    output and is absorbed into the record's ``raw_write_error`` flag, so
+    raw data loss never loses the event row; a sag an interruption absorbs
+    aborts its output, which leaves nothing.  With no sink attached the
     capture is skipped entirely.  Captures span the event plus the trigger
     margins, clamped to the samples seen so far, so a post trigger longer
     than one RMS interval is truncated at the stream position where the
@@ -439,7 +512,7 @@ class EventDetector:
         self,
         thresholds: EventThresholds,
         measurement_point_id: str = "MP1",
-        raw_sink: RawSink | None = None,
+        raw_sink: RawSink | CaptureSink | None = None,
     ) -> None:
         self.thresholds = thresholds
         self.measurement_point_id = measurement_point_id
@@ -450,6 +523,7 @@ class EventDetector:
         self._active: dict[str, int | None] = {t: None for t in EVENT_TYPES}
         # an open event's capture, compressed so far, when a sink is attached
         self._encoders: dict[str, CaptureEncoder] = {}
+        self._failed: set[str] = set()  # open events whose capture could not be written
         self._end = 0  # the sample where the last judged window ends
         self._next_event_id = 1
 
@@ -499,7 +573,7 @@ class EventDetector:
             # a sag the collapse opened on the way down is absorbed without
             # a record
             active["sag"] = None
-            self._encoders.pop("sag", None)
+            self._drop_capture("sag")
             self._enter("interruption", edge)
         elif active["sag"] is None:
             if low < SAG_THRESHOLD:
@@ -527,9 +601,25 @@ class EventDetector:
 
     def _enter(self, event_type: str, start_sample: int) -> None:
         self._active[event_type] = start_sample
-        if self.raw_sink is not None:
+        sink = self.raw_sink
+        if sink is not None:
             first = max(start_sample - PRE_TRIGGER_SAMPLES, self.capture.first_sample)
-            self._encoders[event_type] = CaptureEncoder(first)
+            output = None
+            try:
+                output = (BlobCapture(sink, event_type) if callable(sink)
+                          else sink.open_capture(event_type))
+                self._encoders[event_type] = CaptureEncoder(first, output)
+            except OSError:
+                if output is not None:
+                    output.abort()
+                self._failed.add(event_type)
+
+    def _drop_capture(self, event_type: str) -> None:
+        """Abort the open ``event_type`` event's capture, if it has one."""
+        self._failed.discard(event_type)
+        encoder = self._encoders.pop(event_type, None)
+        if encoder is not None:
+            encoder.abort()
 
     def _exit(self, event_type: str, end_sample: int) -> None:
         """End the open ``event_type`` event at ``end_sample`` and record it."""
@@ -538,14 +628,15 @@ class EventDetector:
         event_id = self._next_event_id
         self._next_event_id += 1
         path: str | None = None
-        failed = False
+        failed = event_type in self._failed
+        self._failed.discard(event_type)
         encoder = self._encoders.pop(event_type, None)
         if encoder is not None:
-            self._push(encoder, min(end_sample + POST_TRIGGER_SAMPLES, self.capture.next_sample))
-            blob = encoder.finish(event_id)
             try:
-                path = self.raw_sink(event_type, event_id, blob)
+                self._push(encoder, min(end_sample + POST_TRIGGER_SAMPLES, self.capture.next_sample))
+                path = encoder.finish(event_id)
             except OSError:
+                encoder.abort()
                 failed = True
         self.records.append(
             EventRecord(
@@ -570,10 +661,15 @@ class EventDetector:
         # an open event's capture needs what it has not pushed yet
         keep_from = end_sample - PRE_TRIGGER_SAMPLES
         judged = min(end_sample, self.capture.next_sample)
-        for encoder in self._encoders.values():
+        for event_type, encoder in list(self._encoders.items()):
             pushed = encoder.start_sample + encoder.count
             if judged - pushed >= SAMPLE_RATE:
-                self._push(encoder, judged - (judged - pushed) % SAMPLE_RATE)
+                try:
+                    self._push(encoder, judged - (judged - pushed) % SAMPLE_RATE)
+                except OSError:
+                    self._drop_capture(event_type)
+                    self._failed.add(event_type)
+                    continue
             keep_from = min(keep_from, encoder.start_sample + encoder.count)
         self.capture.trim(max(keep_from, 0))
 

@@ -26,9 +26,12 @@ absolute paths are stored.  The schema carries :data:`SCHEMA_VERSION` in
 from __future__ import annotations
 
 import codecs
+import contextlib
 import hashlib
 import json
 import math
+import mmap
+import os
 import sqlite3
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
@@ -46,6 +49,9 @@ LOAD_TYPES = ("Heavy Industry", "Industry+Urban", "Urban Only")
 RAW_DIR_NAMES = {t: t.capitalize() for t in EVENT_TYPES}
 
 POINT_METADATA_FILE = "point.json"
+#: An open capture's file in its event-type directory, renamed when it ends;
+#: the leading dot and the suffix keep ``raw_*.pqz`` globs off it.
+CAPTURE_PART = ".raw.part"
 ISO_TIMESPEC = "microseconds"
 
 
@@ -215,8 +221,10 @@ class TransferFileWriter:
     """Writes one run's records and raw captures under ``<root>/<point_id>/``.
 
     Directories appear lazily so an empty run leaves only the metadata
-    file.  Pass :meth:`raw_sink` to an event detector so raw captures land
-    in the tree while the stream is still being analyzed.
+    file.  Pass the writer itself to an event detector as its raw sink, so
+    each capture's compressed pieces go to its file as they are made
+    (:meth:`open_capture`); or pass :meth:`raw_sink`, which stores a
+    capture's blob whole when its event ends.
     """
 
     def __init__(self, out_root: Path | str, point: MeasurementPoint, base_time: datetime) -> None:
@@ -232,6 +240,7 @@ class TransferFileWriter:
         except OSError as exc:
             raise StoreError(f"output root not writable: {exc}") from exc
         self._write_metadata()
+        self._streamed = None  # the mapping of the capture file being finished
 
     def _write_metadata(self) -> None:
         meta = {
@@ -246,12 +255,19 @@ class TransferFileWriter:
 
     def raw_sink(self, event_type: str, event_id: int, blob: bytes) -> str:
         """Store one compressed capture; returns its path relative to the
-        point directory, as the event log stores it."""
+        point directory, as the event log stores it.  A capture an
+        :meth:`open_capture` output has written is only named: ``blob`` is
+        then that file's read-only mapping, which the output renames."""
         directory = RAW_DIR_NAMES[event_type]
-        (self.point_dir / directory).mkdir(exist_ok=True)
         path = f"{directory}/raw_{event_id}.pqz"
-        (self.point_dir / path).write_bytes(blob)
+        if blob is not self._streamed:
+            (self.point_dir / directory).mkdir(exist_ok=True)
+            (self.point_dir / path).write_bytes(blob)
         return path
+
+    def open_capture(self, event_type: str) -> "_CaptureFile":
+        """A capture output that writes one capture's pieces to its file."""
+        return _CaptureFile(self, event_type)
 
     def _write_csv(
         self, parameter_type: str, chunks: Iterable[str], last_sample: datetime, file_seq: int
@@ -295,6 +311,52 @@ class TransferFileWriter:
             event.size_in_samples,
             event.file_path or "",
         ]
+
+
+class _CaptureFile:
+    """One capture written to its event-type directory as its pieces come.
+
+    The pieces, the room kept for the prefix first, go to ``CAPTURE_PART``.
+    :meth:`finish` writes the prefix over that room and passes the
+    finished file, mapped read-only, to the writer's :meth:`raw_sink
+    <TransferFileWriter.raw_sink>`, which names it; the file is then renamed
+    to that name, so a ``raw_*.pqz`` file is always whole, and holds the
+    bytes the blob sink would have stored.
+    """
+
+    def __init__(self, writer: TransferFileWriter, event_type: str) -> None:
+        self._writer = writer
+        self._event_type = event_type
+        directory = writer.point_dir / RAW_DIR_NAMES[event_type]
+        directory.mkdir(exist_ok=True)
+        self._part = directory / CAPTURE_PART
+        self._file = self._part.open("w+b")
+
+    def write(self, piece: bytes) -> None:
+        self._file.write(piece)
+
+    def finish(self, event_id: int, prefix: bytes) -> str:
+        f, writer = self._file, self._writer
+        f.seek(0)
+        f.write(prefix)
+        f.flush()
+        with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as blob:
+            writer._streamed = blob
+            try:
+                path = writer.raw_sink(self._event_type, event_id, blob)
+            finally:
+                writer._streamed = None
+        f.close()
+        os.replace(self._part, writer.point_dir / path)
+        return path
+
+    def abort(self) -> None:
+        """Remove the file, and its directory if that is left empty."""
+        with contextlib.suppress(OSError):
+            self._file.close()
+        with contextlib.suppress(OSError):
+            self._part.unlink(missing_ok=True)
+            self._part.parent.rmdir()
 
 
 # -- database ---------------------------------------------------------------
@@ -629,6 +691,18 @@ def _insert_series_rows(
 _INT64_MAX = 2**63 - 1
 
 
+def _event_time(cell: str) -> datetime:
+    """An event log's start or end time: a naive ISO date, as the writer
+    formats it, or ValueError."""
+    try:
+        value = datetime.fromisoformat(cell)
+    except ValueError as exc:
+        raise ValueError(f"bad event time: {exc}") from None
+    if value.tzinfo is not None:
+        raise ValueError(f"bad event time {cell!r}: it carries a UTC offset")
+    return value
+
+
 def _insert_event_rows(
     db: StreamDatabase,
     point: MeasurementPoint,
@@ -638,9 +712,12 @@ def _insert_event_rows(
 ) -> int:
     """One ``executemany`` per block of events; returns the rows read.  An
     event id or size that is no integer, an id below 1, a negative size, an
-    id or size beyond SQLite's 64-bit INTEGER, or an unknown event type,
-    raises ValueError."""
+    id or size beyond SQLite's 64-bit INTEGER, an unknown event type, a start
+    or end time that is no naive ISO date, an end before its start, or a raw
+    path that is absolute or resolves outside ``point_dir``, raises
+    ValueError."""
     count = 0
+    point_root = point_dir.resolve()
     for rows in blocks:
         payload = []
         for event_id, event_type, start, end, size, raw in rows:
@@ -652,7 +729,14 @@ def _insert_event_rows(
                 raise ValueError(f"event id {event_id} is not within 1 to {_INT64_MAX}")
             if not 0 <= size <= _INT64_MAX:
                 raise ValueError(f"event size {size} is not within 0 to {_INT64_MAX}")
-            raw_path = str((point_dir / raw).resolve()) if raw else None
+            if _event_time(end) < _event_time(start):
+                raise ValueError(f"event end {end} is before its start {start}")
+            raw_path = None
+            if raw:
+                resolved = (point_root / raw).resolve()
+                if Path(raw).is_absolute() or not resolved.is_relative_to(point_root):
+                    raise ValueError(f"raw path {raw!r} is not inside the point directory")
+                raw_path = str(resolved)
             payload.append(
                 (point.id, event_id, event_type, start, end, size, raw_path, transfer_file_id)
             )

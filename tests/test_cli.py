@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
 import runpy
 import shutil
@@ -414,6 +415,40 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "6990.533"
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# checks that importing the package loads no numpy, then prints the BLAS
+# variables as numpy's import finds them when the CLI loads
+_BLAS_PROBE = f"""
+import os, sys
+import pqstream
+assert "numpy" not in sys.modules, "import pqstream loaded numpy"
+
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print(*(os.environ.get(k, "-") for k in {BLAS_VARIABLES!r}))
+        return None
+
+sys.meta_path.insert(0, Probe())
+import pqstream.cli
+from pqstream import *
+assert all(name in globals() for name in pqstream.__all__)
+"""
+
+
+@pytest.mark.parametrize("preset, seen", [({}, "1 1 1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2 1 1")])
+def test_the_cli_picks_one_blas_thread_before_numpy_loads_unless_the_user_chose(preset, seen):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_PROBE],
+        capture_output=True, text=True, timeout=60, env={**env, **preset},
+        cwd=Path(pqstream.__file__).resolve().parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [seen]
 
 
 def test_module_entry_point_runs_in_process(monkeypatch, capsys):

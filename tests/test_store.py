@@ -5,17 +5,20 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import mmap
 import random
 import re
 import sqlite3
 import tempfile
 import tracemalloc
+import zlib
 from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timedelta
 from pathlib import Path
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -32,7 +35,14 @@ from pqstream.analyzer import (
     RmsRecord,
     run_pipeline,
 )
-from pqstream.events import EventDetector, EventRecord, EventThresholds
+from pqstream.events import (
+    EVENT_TYPES,
+    CaptureEncoder,
+    EventDetector,
+    EventRecord,
+    EventThresholds,
+    decode_raw_capture,
+)
 from pqstream.siggen import SAMPLE_RATE, generate_stream, parse_script
 from pqstream.query import timeseries
 from pqstream.store import (
@@ -829,6 +839,58 @@ def test_ingest_event_id_or_size_out_of_range_is_malformed_and_stores_no_event(
         assert db.conn.execute("SELECT COUNT(*) FROM event").fetchone()[0] == 0
 
 
+_T1, _T2 = "2000-01-01T00:00:01.000000", "2000-01-01T00:00:02.000000"
+
+
+@pytest.mark.parametrize(
+    "start, end, raw, reason",
+    [
+        ("yesterday", _T2, "", "bad event time: Invalid isoformat string: 'yesterday'"),
+        (_T1 + "+01:00", _T2, "", f"bad event time '{_T1}+01:00': it carries a UTC offset"),
+        (_T1, _T2 + "Z", "", f"bad event time '{_T2}Z': it carries a UTC offset"),
+        (_T2, _T1, "", f"event end {_T1} is before its start {_T2}"),
+        (_T1, _T2, "/etc/hostname", "raw path '/etc/hostname' is not inside the point directory"),
+        (_T1, _T2, "../../../../../etc/hostname",
+         "raw path '../../../../../etc/hostname' is not inside the point directory"),
+        (_T1, _T2, "Sag/../../EW/Sag/raw_1.pqz",
+         "raw path 'Sag/../../EW/Sag/raw_1.pqz' is not inside the point directory"),
+    ],
+    ids=["start-not-iso", "start-offset", "end-utc", "end-before-start", "raw-absolute",
+         "raw-escapes", "raw-into-another-point"],
+)
+def test_ingest_bad_event_times_and_raw_paths_are_malformed_and_store_no_event(
+    start, end, raw, reason, tmp_path
+):
+    root = tmp_path / "tree"
+    (root / "EV" / "event").mkdir(parents=True)
+    (root / "EV" / "point.json").write_text(json.dumps({"id": "EV"}))
+    path = root / "EV" / "event" / "event_000.csv"
+    path.write_text(
+        f"# columns: {','.join(FILE_COLUMNS['event'])}\n"
+        f"1,sag,{start},{end},3200,{raw}\n"
+        f"#last_sample={_T2}\n"
+    )
+    with StreamDatabase(tmp_path / "pq.db") as db:
+        report = ingest_directory(root, db)
+        assert report.files_malformed == [(str(path), reason)]
+        assert db.conn.execute("SELECT COUNT(*) FROM event").fetchone()[0] == 0
+
+
+def test_ingest_stores_an_event_that_ends_where_it_starts_with_a_path_inside_its_point(tmp_path):
+    root = tmp_path / "tree"
+    (root / "EV" / "event").mkdir(parents=True)
+    (root / "EV" / "point.json").write_text(json.dumps({"id": "EV"}))
+    (root / "EV" / "event" / "event_000.csv").write_text(
+        f"# columns: {','.join(FILE_COLUMNS['event'])}\n"
+        f"1,sag,{_T1},{_T1},0,Swell/../Sag/raw_1.pqz\n"
+        f"#last_sample={_T1}\n"
+    )
+    with StreamDatabase(tmp_path / "pq.db") as db:
+        assert not ingest_directory(root, db).files_malformed
+        (raw,) = db.conn.execute("SELECT raw_path FROM event").fetchone()
+    assert raw == str((root / "EV" / "Sag" / "raw_1.pqz").resolve())
+
+
 def test_ingest_event_id_and_size_at_the_int64_edges_are_stored(tmp_path):
     root = tmp_path / "tree"
     (root / "EV" / "event").mkdir(parents=True)
@@ -1307,3 +1369,141 @@ def test_readonly_database_rejects_writes(written_sag_run, tmp_path):
         assert db.get_point("MP1") is not None
         with pytest.raises(Exception):
             db.upsert_point(make_point("MP2"))
+
+
+# -- captures streamed to their files -----------------------------------------
+
+
+def stream_script(script_text, duration, writer):
+    """Analyze a scripted stream with ``writer`` itself as the raw sink, so
+    each capture goes to its file as it is compressed."""
+    detector = EventDetector(
+        EventThresholds(nominal_voltage_rms=1.0),
+        measurement_point_id=writer.point.id,
+        raw_sink=writer,
+    )
+    return run_pipeline(
+        generate_stream(unit_config(duration), parse_script(script_text)),
+        unit_pipeline_config(),
+        detector=detector,
+    )
+
+
+@given(
+    seconds=st.lists(st.integers(0, 2), max_size=3),
+    last=st.integers(0, 4000),
+    seed=st.integers(0, 2**32 - 1),
+    event_type=st.sampled_from(EVENT_TYPES),
+)
+@example(seconds=[], last=0, seed=0, event_type="sag")
+@example(seconds=[2, 0, 1], last=SAMPLE_RATE + 77, seed=1, event_type="interruption")
+@settings(max_examples=30, deadline=None)
+def test_a_capture_streamed_to_its_file_holds_the_bytes_of_the_blob(seconds, last, seed, event_type):
+    # pushes of whole seconds, then a last one, possibly empty or partial
+    plan = [n * SAMPLE_RATE for n in seconds] + [last]
+    samples = np.round(np.random.default_rng(seed).normal(size=(6, sum(plan))), 3)
+    in_memory = CaptureEncoder(640)
+    with tempfile.TemporaryDirectory() as tmp:
+        writer = TransferFileWriter(tmp, make_point(), BASE_TIME)
+        streamed = CaptureEncoder(640, writer.open_capture(event_type))
+        lo = 0
+        for m in plan:
+            in_memory.push(samples[:, lo : lo + m])
+            streamed.push(samples[:, lo : lo + m])
+            lo += m
+        path = streamed.finish(7)
+        directory = store.RAW_DIR_NAMES[event_type]
+        assert path == f"{directory}/raw_7.pqz"
+        assert [p.name for p in (writer.point_dir / directory).iterdir()] == ["raw_7.pqz"]
+        assert (writer.point_dir / path).read_bytes() == bytes(in_memory.finish(7))
+
+
+def test_a_streamed_capture_reaches_raw_sink_once_as_a_mapping_of_its_file(tmp_path):
+    calls = []
+
+    class Counting(TransferFileWriter):
+        def raw_sink(self, event_type, event_id, blob):
+            path = super().raw_sink(event_type, event_id, blob)
+            header = zlib.decompressobj().decompress(blob, 40)
+            calls.append((event_type, event_id, type(blob), len(blob), header[-8:], path))
+            return path
+
+    writer = Counting(tmp_path, make_point(), BASE_TIME)
+    (event,) = stream_script("sag 1.0 4.0 A 0.5\n", 6.0, writer).events
+    stored = tmp_path / "MP1" / event.file_path
+    (call,) = calls
+    count = round(3.4 * SAMPLE_RATE).to_bytes(8, "little")
+    assert call == ("sag", 1, mmap.mmap, stored.stat().st_size, count, "Sag/raw_1.pqz")
+    assert decode_raw_capture(stored.read_bytes())[0]["sample_count"] == 3.4 * SAMPLE_RATE
+
+
+def test_a_sag_an_interruption_absorbs_leaves_no_capture_file(tmp_path):
+    writer = TransferFileWriter(tmp_path, make_point(), BASE_TIME)
+    # the sag has pushed whole seconds to its file when the collapse absorbs it
+    result = stream_script("sag 1.0 3.0 A 0.5\ninterruption 3.0 4.0 ABC 0\n", 6.0, writer)
+    assert [e.event_type for e in result.events] == ["interruption"]
+    assert sorted(p.name for p in (tmp_path / "MP1").iterdir()) == ["Interruption", "point.json"]
+    assert [p.name for p in (tmp_path / "MP1" / "Interruption").iterdir()] == ["raw_1.pqz"]
+
+
+@pytest.mark.parametrize("where", ["open", "write", "finish"])
+def test_a_capture_file_that_cannot_be_written_keeps_the_event_row(where, tmp_path, monkeypatch):
+    writer = TransferFileWriter(tmp_path, make_point(), BASE_TIME)
+    if where == "open":
+        (tmp_path / "MP1" / "Sag").write_text("not a directory")
+    elif where == "write":
+        write, pieces = store._CaptureFile.write, []
+
+        def write_once(self, piece):
+            pieces.append(piece)
+            if len(pieces) > 1:
+                raise OSError("disk full")
+            write(self, piece)
+
+        monkeypatch.setattr(store._CaptureFile, "write", write_once)
+    else:
+        def refuse(*args):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(store.os, "replace", refuse)
+    result = stream_script("sag 1.0 5.0 A 0.5\n", 7.0, writer)
+    (event,) = result.events
+    assert (event.event_type, event.file_path, event.raw_write_error) == ("sag", None, True)
+    writer.write_results(result)
+    row = (tmp_path / "MP1" / "event" / "event_000.csv").read_text().splitlines()[1]
+    assert row.startswith("1,sag,") and row.endswith(",")
+    assert not [p for p in tmp_path.rglob("*") if p.suffix in (".part", ".pqz")]
+
+
+def test_ingest_ignores_a_stray_part_file(written_sag_run, tmp_path):
+    out_root, _, _ = written_sag_run
+    with StreamDatabase(tmp_path / "clean.db") as db:
+        clean = ingest_directory(out_root, db)
+    # what a run cut short leaves of an open capture
+    (out_root / "MP1" / "Sag" / store.CAPTURE_PART).write_bytes(b"\x78\x01" + bytes(45))
+    with StreamDatabase(tmp_path / "stray.db") as db:
+        assert ingest_directory(out_root, db) == clean
+        (raw,) = db.conn.execute("SELECT raw_path FROM event").fetchone()
+    assert raw == str((out_root / "MP1" / "Sag" / "raw_1.pqz").resolve())
+
+
+def test_streamed_capture_memory_does_not_grow_with_the_event(tmp_path):
+    # the same 64 s stream with a sag of 10 s and of 60 s: a blob sink holds
+    # about 0.46 MB and 2.8 MB of compressed capture at the sag's end
+    def peak(sag_seconds: int) -> int:
+        writer = TransferFileWriter(tmp_path / str(sag_seconds), make_point(), BASE_TIME)
+        tracemalloc.start()
+        try:
+            result = stream_script(f"sag 1.0 {1 + sag_seconds}.0 A 0.5\n", 64.0, writer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (event,) = result.events
+        assert event.end_time - event.start_time == sag_seconds
+        return peak
+
+    peak(1)  # the capture worker, and its imports, are made before this count
+    # up to SECONDS_IN_FLIGHT copied seconds wait for the worker, as it is
+    # scheduled: the least of three runs leaves that out
+    short, long = (min(peak(n) for _ in range(3)) for n in (10, 60))
+    assert long <= 1.1 * short, (short, long)
