@@ -152,7 +152,9 @@ class Parameter:
     stored row: () one number, (3,) a triple, (3, HARMONIC_ORDERS) per
     phase the harmonic orders, ``bool`` one flag.  ``columns`` names the
     cells these give: ``prefix``, ``prefix_<phase>`` or
-    ``prefix_<phase>_h<order>``.
+    ``prefix_<phase>_h<order>``.  ``integer`` holds the indices in
+    ``columns`` of the flags, the one kind of column stored as INTEGER; every
+    other column is REAL.
     """
 
     name: str
@@ -160,11 +162,14 @@ class Parameter:
     samples: int
     fields: tuple[tuple[str, object], ...]
     columns: tuple[str, ...] = field(init=False)
+    integer: tuple[int, ...] = field(init=False)
     interval: timedelta = field(init=False)
 
     def __post_init__(self) -> None:
-        names = []
+        names, integer = [], []
         for prefix, shape in self.fields:
+            if shape is bool:
+                integer.append(len(names))
             if shape is bool or shape == ():
                 names.append(prefix)
             elif len(shape) == 1:
@@ -172,6 +177,7 @@ class Parameter:
             else:
                 names += [f"{prefix}_{p}_h{h}" for p in PHASES for h in range(1, shape[1] + 1)]
         object.__setattr__(self, "columns", tuple(names))
+        object.__setattr__(self, "integer", tuple(integer))
         object.__setattr__(self, "interval", timedelta(seconds=self.samples / SAMPLE_RATE))
 
     def end(self, windows: int) -> float:

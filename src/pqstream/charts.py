@@ -5,35 +5,35 @@ palette; rendering the same table twice produces identical bytes, which the
 query layer promises for reproducible reporting.  Supported kinds are
 ``time_series`` (one polyline per numeric column), ``bar`` (one bar per
 numeric cell), ``pie`` (one slice per row of a single non-negative measure)
-and ``table`` (aligned plain text).  :func:`write_text_table` writes that text
-from rows it reads twice, once for the column widths and once to write, so
-the CLI prints a series a block at a time.
+and ``table`` (aligned plain text).  :func:`write_text_table` is the one
+writer of that text, to a stream or a file: it reads its rows twice, once for
+the column widths and once to write, so the CLI writes a series a block at a
+time, whether it prints it or writes it with ``--chart table``.
 
-A time series is drawn a column at a time.  A
-:class:`~pqstream.query.SeriesTable`, which ``timeseries`` returns, gives its
-arrays straight to the drawing: x is the int64 microseconds since the first
-date over 1e6, the bits of ``(t - t0).total_seconds()``, and each column is
-its float64 array, NaN for NULL.  Any other table goes through one adapter
-that turns its rows into the same x and columns.  The x coordinates are
-mapped once as a float64 array and formatted once, for every polyline to share.
+A time series is drawn a column at a time from the arrays of a
+:class:`~pqstream.query.SeriesTable`, which ``timeseries`` returns; any other
+table is refused.  x is the int64 microseconds since the first date over 1e6,
+the bits of ``(t - t0).total_seconds()``, and each column is its float64
+array, NaN for NULL.  The x coordinates are mapped once as a float64 array
+and formatted once, for every polyline to share.
 Each column's y coordinates are mapped as one array and formatted by one
 vectorized fixed-point formatter, whose bytes equal ``format(v, ".2f")``.
 Every check runs before the file is opened, so a refused table leaves no
 file; then the header, each polyline and the trailer are written to the file
 as they are made, and the document is never joined in memory.  Every
-non-None cell gets one vertex, with no decimation, a column of None cells
-draws no polyline, and the same table always gives the same bytes.  A numeric
-cell that is NaN, infinite or an integer too large for a float has no
-coordinate, so every SVG kind refuses it.
+non-NULL cell gets one vertex, with no decimation, a column of NULL cells
+draws no polyline, and the same table always gives the same bytes.  A bar or
+pie cell that is NaN, infinite or an integer too large for a float has no
+coordinate, so those kinds refuse it.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import chain
 from pathlib import Path
 from types import NoneType
 from typing import TextIO
@@ -110,12 +110,8 @@ def _fixed_point(values: np.ndarray, end: bytes) -> np.ndarray:
     return out
 
 
-def _numeric_columns(
-    names: tuple[str, ...], columns: list[tuple]
-) -> dict[int, tuple[np.ndarray, np.ndarray | None]]:
-    """Float64 cells, None dropped, of each column whose non-None cells are
-    all numbers, with the mask of the rows they are at (None when every row
-    is); keyed by column index.
+def _numeric_columns(table: ResultTable) -> list[int]:
+    """The indices of the columns whose non-None cells are all numbers.
 
     A column counts as numeric when the set of its cell types, less
     ``NoneType``, is non-empty and every type is an ``int`` or ``float``
@@ -123,19 +119,14 @@ def _numeric_columns(
     an infinity or an integer too large for a float raises
     :class:`ChartError` naming it, because no coordinate can be drawn for it.
     """
-    out = {}
-    for idx, cells in enumerate(columns):
-        kinds = set(map(type, cells))
-        present = None
-        if NoneType in kinds:
-            kinds.discard(NoneType)
-            present = np.array([c is not None for c in cells])
+    names, out = table.columns, []
+    for idx, cells in enumerate(zip(*table.rows)):
+        kinds = set(map(type, cells)) - {NoneType}
         if not kinds or not all(
             issubclass(k, (int, float)) and not issubclass(k, bool) for k in kinds
         ):
             continue
-        if present is not None:
-            cells = [c for c in cells if c is not None]
+        cells = [c for c in cells if c is not None]
         try:
             values = np.fromiter(cells, np.float64, len(cells))
         except OverflowError:
@@ -147,7 +138,7 @@ def _numeric_columns(
             raise ChartError(
                 f"column {names[idx]!r} holds {values[~finite][0]}, which cannot be drawn"
             )
-        out[idx] = values, present
+        out.append(idx)
     return out
 
 
@@ -162,13 +153,15 @@ def _cell_text(value) -> str:
 
 
 def write_text_table(
-    columns: tuple[str, ...], rows: Callable[[], Iterable[tuple]], out: TextIO
+    columns: tuple[str, ...], rows: Callable[[], Iterable[tuple]], out: TextIO | Path
 ) -> None:
-    """Write the column-aligned text of ``rows()``, a line at a time.
+    """Write the column-aligned text of ``rows()`` to the stream ``out``, or
+    to a UTF-8 file at the path ``out``, a line at a time.
 
     ``rows`` is called twice and must give the same rows both times: the
     first pass finds each column's widest cell, the second writes the lines.
-    So only a line is held, not the table.
+    So only a line is held, not the table.  Both calls come before a file is
+    created, so rows that refuse their arguments on the call leave no file.
     """
     widths = [len(c) for c in columns]
     for row in rows():
@@ -177,17 +170,16 @@ def write_text_table(
     def line(texts: Iterable[str]) -> str:
         return "  ".join(text.ljust(w) for text, w in zip(texts, widths)).rstrip() + "\n"
 
-    out.write(line(columns))
-    out.write(line("-" * w for w in widths))
-    for row in rows():
-        out.write(line(map(_cell_text, row)))
-
-
-def format_text_table(table: ResultTable) -> str:
-    """Column-aligned plain text rendering, used for stdout and kind=table."""
-    text = io.StringIO()
-    write_text_table(table.columns, lambda: table.rows, text)
-    return text.getvalue()[:-1]
+    lines = chain(
+        (line(columns), line("-" * w for w in widths)),
+        (line(map(_cell_text, row)) for row in rows()),
+    )
+    if isinstance(out, Path):
+        out.parent.mkdir(parents=True, exist_ok=True)
+        with out.open("w", encoding="utf-8", newline="\n") as file:
+            file.writelines(lines)
+    else:
+        out.writelines(lines)
 
 
 def _svg_header(spec: ChartSpec) -> list[str]:
@@ -254,10 +246,9 @@ def _render_time_series(table: ResultTable, spec: ChartSpec) -> Iterator[bytes]:
     table raises :class:`ChartError` before any file is opened.  The chunks
     are the header, each polyline with its legend, and the trailer.
     """
-    if isinstance(table, SeriesTable):
-        xs, numeric, first, last = _series_columns(table)
-    else:
-        xs, numeric, first, last = _row_columns(table)
+    if not isinstance(table, SeriesTable):
+        raise ChartError("time_series draws a SeriesTable, as query.timeseries returns it")
+    xs, numeric, first, last = _series_columns(table)
     if not numeric:
         raise ChartError("time_series needs at least one numeric column")
     lo, hi = _value_span(
@@ -285,25 +276,6 @@ def _series_columns(table: SeriesTable):
         elif present.any():
             numeric[j] = column[present], present
     return xs, numeric, dates[0].item(), dates[-1].item()
-
-
-def _row_columns(table: ResultTable):
-    """The adapter: x, the numeric columns and the first and last dates,
-    from the rows of any other table."""
-    if not table.rows:
-        raise ChartError("time_series needs at least one row")
-    columns = list(zip(*table.rows))
-    times = columns[0]
-    if not all(issubclass(k, datetime) for k in set(map(type, times))):
-        raise ChartError("time_series needs timestamps in the first column")
-    t0 = times[0]
-    try:
-        xs = np.array([(t - t0).total_seconds() for t in times])
-    except TypeError:
-        raise ChartError(
-            "time_series needs timestamps that all carry a UTC offset or all carry none"
-        ) from None
-    return xs, _numeric_columns(table.columns, columns), times[0], times[-1]
 
 
 def _time_series_svg(
@@ -352,7 +324,7 @@ def _time_series_svg(
 
 
 def _bar_items(table: ResultTable) -> list[tuple[str, float]]:
-    numeric = list(_numeric_columns(table.columns, list(zip(*table.rows))))
+    numeric = _numeric_columns(table)
     if not numeric:
         raise ChartError("bar chart needs at least one numeric column")
     label_cols = [i for i in range(len(table.columns)) if i not in numeric]
@@ -408,7 +380,7 @@ def _render_bar(table: ResultTable, spec: ChartSpec) -> str:
 
 
 def _render_pie(table: ResultTable, spec: ChartSpec) -> str:
-    numeric = list(_numeric_columns(table.columns, list(zip(*table.rows))))
+    numeric = _numeric_columns(table)
     if len(numeric) != 1:
         raise ChartError(
             f"pie needs exactly one numeric measure column, table has {len(numeric)}"
@@ -468,14 +440,16 @@ def render_chart(table: ResultTable, spec: ChartSpec, out_path: Path | str) -> P
     """Render ``table`` per ``spec`` into ``out_path``; returns the path.
 
     Output is a self-contained SVG document, or aligned UTF-8 text for
-    ``kind="table"``.  Byte-identical for identical inputs.
+    ``kind="table"``, written by :func:`write_text_table`.  Byte-identical
+    for identical inputs.
     """
     out_path = Path(out_path)
     chunks: Iterable[bytes]
     if spec.kind == "time_series":
         chunks = _render_time_series(table, spec)
     elif spec.kind == "table":
-        chunks = [(format_text_table(table) + "\n").encode("utf-8")]
+        write_text_table(table.columns, lambda: table.rows, out_path)
+        return out_path
     elif spec.kind == "bar":
         chunks = [_render_bar(table, spec).encode("utf-8")]
     else:

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .analyzer import HARMONIC_WINDOW, PARAMETERS, PipelineConfig, run_pipeline
-from .charts import ChartError, ChartSpec, format_text_table, render_chart, write_text_table
+from .charts import ChartError, ChartSpec, render_chart, write_text_table
 from .events import EventDetector, EventThresholds
 from .query import (
     DEFAULT_AGGREGATES,
@@ -273,18 +273,25 @@ def cmd_budget(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_or_print(table, args, default_title: str) -> None:
-    if args.chart:
-        if not args.out:
-            raise ChartError("--chart needs --out to name the output file")
-        spec = ChartSpec(kind=args.chart, title=default_title)
-        path = render_chart(table, spec, Path(args.out))
-        print(f"wrote {path}")
+def _chart_out(args: argparse.Namespace) -> Path | None:
+    """The path ``--chart`` writes to, or None to print; refuses either flag
+    without the other."""
+    if args.chart and not args.out:
+        raise ChartError("--chart needs --out to name the output file")
+    if args.out is not None and not args.chart:
+        raise QueryError("--out needs --chart to say what to write there")
+    return Path(args.out) if args.chart else None
+
+
+def _render_or_print(table, out: Path | None, kind: str, title: str) -> None:
+    if out is None:
+        write_text_table(table.columns, lambda: table.rows, sys.stdout)
     else:
-        print(format_text_table(table))
+        print(f"wrote {render_chart(table, ChartSpec(kind=kind, title=title), out)}")
 
 
 def cmd_query_events(args: argparse.Namespace) -> int:
+    out = _chart_out(args)
     filters = []
     for item in args.filter or []:
         if "=" not in item:
@@ -297,27 +304,34 @@ def cmd_query_events(args: argparse.Namespace) -> int:
     spec = QuerySpec(filters=tuple(filters), group_by=group_by, aggregates=aggregates)
     with StreamDatabase(args.db, readonly=True) as db:
         table = aggregate_events(db, spec)
-    _render_or_print(table, args, "Event counts")
+    _render_or_print(table, out, args.chart, "Event counts")
     return 0
 
 
 def cmd_query_series(args: argparse.Namespace) -> int:
+    out = _chart_out(args)
     start = datetime.fromisoformat(args.start) if args.start else None
     end = datetime.fromisoformat(args.end) if args.end else None
     with StreamDatabase(args.db, readonly=True) as db:
-        if args.chart:
+        if args.chart == "time_series":
             table = timeseries(db, args.point, args.param, start, end)
-            _render_or_print(table, args, f"{args.param} at {args.point}")
+            _render_or_print(table, out, args.chart, f"{args.param} at {args.point}")
         else:
-            # two passes over the blocks, for the widths and then the lines
-            columns = series_columns(args.param)
+            # two passes over the blocks, for the widths and then the lines;
+            # the arguments are checked on the first, before a file is created
             write_text_table(
-                columns, lambda: series_rows(db, args.point, args.param, start, end), sys.stdout
+                series_columns(args.param),
+                lambda: series_rows(db, args.point, args.param, start, end),
+                out or sys.stdout,
             )
+            if out is not None:
+                print(f"wrote {out}")
     return 0
 
 
 def cmd_event(args: argparse.Namespace) -> int:
+    if args.out is not None and not args.raw:
+        raise QueryError("--out needs --raw: only an extracted capture is written there")
     with StreamDatabase(args.db, readonly=True) as db:
         event = event_detail(db, args.event_id, point_id=args.point)
     print(
@@ -330,7 +344,7 @@ def cmd_event(args: argparse.Namespace) -> int:
     else:
         print("raw capture: not available")
     if args.raw:
-        out = extract_raw_capture(event, Path(args.out))
+        out = extract_raw_capture(event, Path(args.out or "."))
         print(f"extracted {out}")
     return 0
 
@@ -398,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db", required=True)
     p.add_argument("--point", help="disambiguate when ids repeat across points")
     p.add_argument("--raw", action="store_true", help="extract the raw capture to CSV")
-    p.add_argument("--out", default=".", help="directory for extracted raw CSV")
+    p.add_argument("--out", help="directory for the --raw CSV (default: the current one)")
     p.set_defaults(func=cmd_event)
 
     return parser

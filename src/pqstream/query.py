@@ -1,9 +1,10 @@
 """Read-only access to ingested measurements: time series, event sums, detail.
 
-Every function returns a :class:`ResultTable`, a plain column/row container
-that the chart renderer and the CLI share.  Queries never write to the
-database; identical inputs yield identical tables (rows are explicitly
-ordered) so rendered output is reproducible byte for byte.
+Queries return a :class:`ResultTable`, a plain column/row container that the
+chart renderer and the CLI share, or, for a series, its blocks or rows.
+Queries never write to the database; identical inputs yield identical
+results (rows are explicitly ordered) so rendered output is reproducible
+byte for byte.
 
 Series are read as columnar blocks (:func:`series_blocks`).  Each transfer
 file is dated once and its rows are selected on ``(transfer_file_id,
@@ -11,10 +12,11 @@ row_index)``, then fetched about :data:`BLOCK_CELLS` cells at a time.  Each
 fetch becomes two arrays: the rows' dates as ``datetime64[us]`` (first date
 plus index times step) and their values as one float64 array, NaN for NULL.
 :func:`timeseries` joins the blocks into a :class:`SeriesTable`, which keeps
-the arrays and builds its row tuples only when they are first read, so the
-time-series chart draws from the arrays.  :func:`series_rows` yields the
-same rows a block at a time, merged over files in time order, so a caller
-that formats them holds a block per file, not the history.
+the arrays and builds its row tuples only when they are first read; the
+time-series chart draws from those arrays, and from nothing else.
+:func:`series_rows` yields the same rows a block at a time, merged over
+files in time order, so the text the CLI prints or writes with ``--chart
+table`` holds a block per file, not the history.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import sqlite3
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -214,15 +216,6 @@ def _file_blocks(
         yield first64 + cells[:, 0].astype(np.int64) * step64, cells[:, 1:]
 
 
-@cache
-def _integer_columns(parameter_type: str) -> tuple[int, ...]:
-    """Indices of the value columns the schema declares INTEGER: a bool
-    field's flag, as ``store`` lays the series tables out."""
-    parameter = PARAMETERS[parameter_type]
-    flags = {prefix for prefix, shape in parameter.fields if shape is bool}
-    return tuple(i for i, name in enumerate(parameter.columns) if name in flags)
-
-
 def _integer_cell(value: float) -> float | int | None:
     # INTEGER affinity stores a whole float strictly inside int64 as an int
     if value != value:
@@ -280,7 +273,7 @@ def timeseries(
     if len(files) > 1:
         order = np.argsort(dates, kind="stable")
         dates, values = dates[order], values[order]
-    return SeriesTable(columns, dates, values, _integer_columns(parameter_type))
+    return SeriesTable(columns, dates, values, PARAMETERS[parameter_type].integer)
 
 
 def series_rows(
@@ -300,7 +293,7 @@ def series_rows(
     import heapq  # on first use, so that importing pqstream does not load it
 
     files = series_blocks(db, point_id, parameter_type, start, end)
-    integer = _integer_columns(parameter_type)
+    integer = PARAMETERS[parameter_type].integer
     return heapq.merge(
         *(chain.from_iterable(_block_rows(d, v, integer) for d, v in f) for f in files),
         key=itemgetter(0),

@@ -405,10 +405,9 @@ FROM event GROUP BY measurement_point_id;
 
 
 def _series_table_sql(parameter: Parameter) -> str:
-    """A bool field's column is INTEGER, every other column REAL."""
-    flags = {prefix for prefix, shape in parameter.fields if shape is bool}
     cols = ",\n    ".join(
-        f'"{name}" {"INTEGER" if name in flags else "REAL"}' for name in parameter.columns
+        f'"{name}" {"INTEGER" if i in parameter.integer else "REAL"}'
+        for i, name in enumerate(parameter.columns)
     )
     return (
         f"CREATE TABLE IF NOT EXISTS {parameter.name} (\n"
@@ -523,6 +522,8 @@ class IngestReport:
     files_skipped_duplicate: int = 0
     files_malformed: list[tuple[str, str]] = field(default_factory=list)
     rows_inserted: Counter[str] = field(default_factory=Counter)
+    #: Event rows stored without their raw path, whose capture file is missing.
+    captures_missing: int = 0
 
     @property
     def total_rows_inserted(self) -> int:
@@ -537,6 +538,8 @@ class IngestReport:
         ]
         for path, reason in self.files_malformed:
             lines.append(f"  {path}: {reason}")
+        if self.captures_missing:
+            lines.append(f"captures missing: {self.captures_missing}")
         for table in sorted(self.rows_inserted):
             lines.append(f"rows into {table}: {self.rows_inserted[table]}")
         return "\n".join(lines)
@@ -709,14 +712,15 @@ def _insert_event_rows(
     point_dir: Path,
     blocks: Iterable[list[list[str]]],
     transfer_file_id: int,
-) -> int:
-    """One ``executemany`` per block of events; returns the rows read.  An
-    event id or size that is no integer, an id below 1, a negative size, an
-    id or size beyond SQLite's 64-bit INTEGER, an unknown event type, a start
-    or end time that is no naive ISO date, an end before its start, or a raw
-    path that is absolute or resolves outside ``point_dir``, raises
-    ValueError."""
-    count = 0
+) -> tuple[int, int]:
+    """One ``executemany`` per block of events; returns the rows read and
+    how many of them name a capture file that is missing, whose raw path is
+    stored as NULL.  An event id or size that is no integer, an id below 1, a
+    negative size, an id or size beyond SQLite's 64-bit INTEGER, an unknown
+    event type, a start or end time that is no naive ISO date, an end before
+    its start, or a raw path that is absolute or resolves outside
+    ``point_dir``, raises ValueError."""
+    count = missing = 0
     point_root = point_dir.resolve()
     for rows in blocks:
         payload = []
@@ -736,7 +740,9 @@ def _insert_event_rows(
                 resolved = (point_root / raw).resolve()
                 if Path(raw).is_absolute() or not resolved.is_relative_to(point_root):
                     raise ValueError(f"raw path {raw!r} is not inside the point directory")
-                raw_path = str(resolved)
+                # os.path.isfile, not Path.is_file: a name too long is False, not OSError
+                raw_path = str(resolved) if os.path.isfile(resolved) else None
+                missing += raw_path is None
             payload.append(
                 (point.id, event_id, event_type, start, end, size, raw_path, transfer_file_id)
             )
@@ -747,7 +753,7 @@ def _insert_event_rows(
             payload,
         )
         count += len(payload)
-    return count
+    return count, missing
 
 
 def ingest_directory(root: Path | str, db: StreamDatabase) -> IngestReport:
@@ -822,11 +828,11 @@ def _ingest_one_file(
              str(path.resolve()), content_hash),
         ).lastrowid
         before = db.conn.total_changes
-        bad_cell = None
+        bad_cell, missing = None, 0
         try:
             try:
                 if parameter_type == EVENT_LOG:
-                    rows = _insert_event_rows(db, point, point_dir, blocks, file_id)
+                    rows, missing = _insert_event_rows(db, point, point_dir, blocks, file_id)
                 else:
                     rows = _insert_series_rows(db, point, parameter_type, blocks, file_id)
             except ValueError as exc:
@@ -848,6 +854,7 @@ def _ingest_one_file(
         return
     report.rows_inserted[parameter_type] += db.conn.total_changes - before
     report.files_ingested += 1
+    report.captures_missing += missing
     db.conn.execute(
         "UPDATE transfer_file SET measurement_date = ?, row_count = ? WHERE id = ?",
         (footers[-1].isoformat(timespec=ISO_TIMESPEC), rows, file_id),

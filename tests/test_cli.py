@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -300,6 +301,46 @@ def test_query_series_chart_without_out_exits_2(workspace, capsys):
     assert "--chart needs --out" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, missing",
+    [
+        (["query", "events"], "--chart"),
+        (["query", "series", "--point", "CLI1", "--param", "rms"], "--chart"),
+        (["event", "1"], "--raw"),
+    ],
+    ids=["query-events", "query-series", "event"],
+)
+def test_out_without_its_flag_exits_2_and_writes_nothing(
+    workspace, tmp_path, capsys, command, missing
+):
+    out = tmp_path / "out"
+    assert main([*command, "--db", str(workspace / "pq.db"), "--out", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert printed.err.startswith(f"error: --out needs {missing}")
+    assert printed.out == ""
+    assert not out.exists()
+
+
+def test_a_refused_series_table_chart_writes_no_file(workspace, tmp_path, capsys):
+    out = tmp_path / "table" / "ghost.txt"
+    code = main([
+        "query", "series", "--db", str(workspace / "pq.db"), "--point", "ghost",
+        "--param", "rms", "--chart", "table", "--out", str(out),
+    ])
+    assert code == 3
+    assert "ghost" in capsys.readouterr().err
+    assert not (tmp_path / "table").exists()
+
+
+def test_event_raw_without_out_extracts_into_the_current_directory(
+    workspace, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(["event", "1", "--db", str(workspace / "pq.db"), "--raw"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "extracted raw_CLI1_1.csv"
+    assert (tmp_path / "raw_CLI1_1.csv").is_file()
+
+
 def test_event_detail_and_extraction(workspace, tmp_path, capsys):
     assert main([
         "event", "1", "--db", str(workspace / "pq.db"),
@@ -339,6 +380,24 @@ def test_event_without_a_capture_says_so(tmp_path, capsys):
     capsys.readouterr()
     assert main(["event", "1", "--db", db]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "raw capture: not available"
+
+
+def test_a_missing_capture_is_counted_and_its_event_stored_without_it(
+    workspace, tmp_path, capsys
+):
+    tree = tmp_path / "transfer"
+    shutil.copytree(workspace / "transfer", tree)
+    (capture,) = (tree / "CLI1" / "Sag").glob("raw_*.pqz")
+    capture.unlink()
+    db = str(tmp_path / "pq.db")
+    assert main(["ingest", "--root", str(tree), "--db", db]) == 0
+    summary = capsys.readouterr().out.splitlines()
+    assert "files malformed: 0" in summary and "captures missing: 1" in summary
+    assert main(["event", "1", "--db", db, "--point", "CLI1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "raw capture: not available"
+    code = main(["event", "1", "--db", db, "--point", "CLI1", "--raw", "--out", str(tmp_path)])
+    assert code == 3
+    assert "has no raw capture stored" in capsys.readouterr().err
 
 
 def test_event_extraction_into_an_existing_file_exits_4(workspace, tmp_path, capsys):
@@ -610,7 +669,11 @@ def test_analyze_refuses_a_non_finite_sample_and_writes_no_csv(tmp_path, capsys,
 
 def traced_peak(argv: list[str], held: dict[str, int]) -> int:
     """tracemalloc peak of one ``main(argv)`` call, less the memory that
-    :func:`run_pipeline`'s result still holds when it returns (its records)."""
+    :func:`run_pipeline`'s result still holds when it returns (its records).
+    A full collection first empties the interpreter's free lists, which a
+    collection at some other time would; so every object the call makes is
+    traced, whatever ran before it."""
+    gc.collect()
     tracemalloc.start()
     try:
         assert main(argv) == 0
@@ -651,29 +714,53 @@ def test_gen_and_analyze_memory_does_not_grow_with_stream_length(tmp_path, monke
     assert peaks["analyze", 1200.0] < 1.1 * peaks["analyze", 600.0], peaks
 
 
+def rms_history(root: Path, count: int) -> str:
+    """A database of ``count`` RMS rows at point H, ingested from one file; its path."""
+    base = datetime(2000, 1, 1)
+    writer = TransferFileWriter(
+        root / "transfer", MeasurementPoint("H", "History", "busbar", "Urban Only"), base
+    )
+    (writer.point_dir / "rms").mkdir(parents=True)
+    values = 230.0 + 1e-4 * np.arange(6 * count).reshape(count, 6)
+    last = base + count * PARAMETERS["rms"].interval
+    (writer.point_dir / "rms" / "rms_000.csv").write_text(
+        f"# columns: {','.join(PARAMETERS['rms'].columns)}\n"
+        + "".join(",".join(map(repr, row)) + "\n" for row in values.tolist())
+        + f"#last_sample={last.isoformat(timespec='microseconds')}\n"
+    )
+    db = str(root / "pq.db")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["ingest", "--root", str(root / "transfer"), "--db", db]) == 0
+    return db
+
+
 def test_query_series_text_memory_does_not_grow_with_history(tmp_path):
     # the text is printed from a block per file at a time, in two passes, so
     # 8x the rows peak where 1x does; a whole table would peak 8x higher
     peaks = {}
     for count in (2000, 16000):
         root = tmp_path / f"h{count}"
-        base = datetime(2000, 1, 1)
-        writer = TransferFileWriter(
-            root / "transfer", MeasurementPoint("H", "History", "busbar", "Urban Only"), base
-        )
-        (writer.point_dir / "rms").mkdir(parents=True)
-        values = 230.0 + 1e-4 * np.arange(6 * count).reshape(count, 6)
-        last = base + count * PARAMETERS["rms"].interval
-        (writer.point_dir / "rms" / "rms_000.csv").write_text(
-            f"# columns: {','.join(PARAMETERS['rms'].columns)}\n"
-            + "".join(",".join(map(repr, row)) + "\n" for row in values.tolist())
-            + f"#last_sample={last.isoformat(timespec='microseconds')}\n"
-        )
-        db = str(root / "pq.db")
-        assert main(["ingest", "--root", str(root / "transfer"), "--db", db]) == 0
+        db = rms_history(root, count)
         argv = ["query", "series", "--db", db, "--point", "H", "--param", "rms"]
         with (root / "rms.txt").open("w") as out, contextlib.redirect_stdout(out):
             assert main(argv) == 0  # one-time allocations
             peaks[count] = traced_peak(argv, {})
         assert len((root / "rms.txt").read_text().splitlines()) == 2 * (count + 2)
     assert peaks[16000] < 1.1 * peaks[2000], peaks
+
+
+def test_query_series_table_chart_memory_does_not_grow_with_history(tmp_path):
+    # --chart table writes the text stdout prints, from the same blocks, so
+    # 4x the rows peak within 1.25x; a table formatted whole peaks 4x higher
+    peaks = {}
+    for count in (2000, 8000):
+        root = tmp_path / f"h{count}"
+        db = rms_history(root, count)
+        out = root / "rms.txt"
+        argv = ["query", "series", "--db", db, "--point", "H", "--param", "rms",
+                "--chart", "table", "--out", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0  # one-time allocations
+            peaks[count] = traced_peak(argv, {})
+        assert len(out.read_text().splitlines()) == count + 2
+    assert peaks[8000] < 1.25 * peaks[2000], peaks

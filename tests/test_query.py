@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pqstream import charts, cli
 from pqstream.analyzer import run_pipeline
-from pqstream.charts import ChartError, ChartSpec, format_text_table, render_chart
+from pqstream.charts import ChartError, ChartSpec, render_chart, write_text_table
 from pqstream.events import (
     EventDetector,
     EventThresholds,
@@ -318,9 +319,8 @@ def test_chart_from_the_arrays_equals_the_chart_from_the_rows(
     spec = ChartSpec(kind="time_series", title=parameter)
     for n, (start, end) in enumerate(bound_cases(db, point, parameter)):
         table = timeseries(db, point, parameter, start=start, end=end)
-        rows = ResultTable(table.columns, tuple(table.rows))
         try:
-            want = render_chart(rows, spec, tmp_path / f"rows{n}.svg").read_bytes()
+            want = reference_time_series(table, spec).encode("utf-8")
         except ChartError as exc:
             with pytest.raises(ChartError, match=str(exc)):
                 render_chart(table, spec, tmp_path / f"arrays{n}.svg")
@@ -339,6 +339,12 @@ def test_chart_x_from_the_arrays_has_the_bits_of_total_seconds():
     t0 = table.rows[0][0]
     want = np.array([(t - t0).total_seconds() for t, _ in table.rows])
     assert charts._series_columns(table)[0].tobytes() == want.tobytes()
+
+
+def text_table(table: ResultTable) -> str:
+    out = io.StringIO()
+    write_text_table(table.columns, lambda: table.rows, out)
+    return out.getvalue()
 
 
 def test_blank_cells_draw_no_vertex_and_a_blank_column_no_polyline(blank_db, tmp_path):
@@ -366,7 +372,23 @@ def test_cli_series_text_equals_the_whole_table_text(request, source, parameter,
         argv += ["--to", end.isoformat()] if end else []
         assert cli.main(argv) == 0
         table = timeseries(db, point, parameter, start=start, end=end)
-        assert capsys.readouterr().out == format_text_table(table) + "\n", (start, end)
+        assert capsys.readouterr().out == text_table(table), (start, end)
+
+
+@pytest.mark.parametrize("source, parameter", series_cases())
+def test_cli_series_table_chart_equals_stdout(request, source, parameter, capsys, tmp_path):
+    db = request.getfixturevalue(f"{source}_db")
+    point = {"overlap": "MP9", "blank": "MP8"}[source]
+    for n, (start, end) in enumerate(bound_cases(db, point, parameter)):
+        argv = ["query", "series", "--db", str(db.path), "--point", point, "--param", parameter]
+        argv += ["--from", start.isoformat()] if start else []
+        argv += ["--to", end.isoformat()] if end else []
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out.encode("utf-8")
+        out = tmp_path / f"{n}.txt"
+        assert cli.main([*argv, "--chart", "table", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert out.read_bytes() == printed, (start, end)
 
 
 def test_ranged_read_cost_does_not_grow_with_history(tmp_path):
@@ -598,12 +620,10 @@ def test_time_series_chart_polyline_per_column(db, tmp_path):
     assert svg.count('class="series"') == 6
     assert svg.startswith("<svg") or svg.startswith("<?xml")
     assert polyline_vertex_counts(out) == [len(table.rows)] * 6
-    # a None cell gets no vertex, and a column of None cells no polyline
-    rows = tuple(
-        (row[0], None if n % 3 == 0 else row[1], None, *row[3:])
-        for n, row in enumerate(table.rows)
-    )
-    table = ResultTable(columns=table.columns, rows=rows)
+    # a NULL cell gets no vertex, and a column of NULL cells no polyline
+    values = table.values.copy()
+    values[::3, 0] = values[:, 1] = np.nan
+    table = SeriesTable(table.columns, table.dates, values, ())
     out = render_chart(table, ChartSpec(kind="time_series"), tmp_path / "n.svg")
     assert polyline_vertex_counts(out) == [40, 60, 60, 60, 60]
 
@@ -681,7 +701,7 @@ def reference_time_series(table: ResultTable, spec: ChartSpec) -> str:
     return "\n".join(parts) + "\n"
 
 
-def assert_chart_matches_reference(table: ResultTable, out: Path) -> None:
+def assert_chart_matches_reference(table: SeriesTable, out: Path) -> None:
     spec = ChartSpec(kind="time_series", title="ref")
     try:
         expected = reference_time_series(table, spec)
@@ -692,52 +712,60 @@ def assert_chart_matches_reference(table: ResultTable, out: Path) -> None:
     assert render_chart(table, spec, out).read_bytes() == expected.encode("utf-8")
 
 
+def series_table(
+    columns: tuple[str, ...], rows: list[tuple], integer: tuple[int, ...] = ()
+) -> SeriesTable:
+    """The :class:`SeriesTable` of dated rows; a None cell is NaN, as NULL is."""
+    dates = np.array([row[0] for row in rows], "datetime64[us]")
+    values = [[np.nan if v is None else float(v) for v in row[1:]] for row in rows]
+    return SeriesTable(
+        columns, dates, np.array(values, np.float64).reshape(len(rows), -1), integer
+    )
+
+
 @st.composite
-def chart_tables(draw) -> ResultTable:
-    """1-50 rows under arbitrary timestamps; 1-4 float, int or constant
-    columns with None cells, plus at times a bool column, which is not drawn."""
+def chart_tables(draw) -> SeriesTable:
+    """1-50 rows under arbitrary dates; 1-4 float, integer or constant
+    columns with NULL cells.  An integer column reads back as ints, as the
+    INTEGER ``held`` column does."""
     n = draw(st.integers(min_value=1, max_value=50))
     micros = draw(st.lists(st.integers(min_value=0, max_value=10**11), min_size=n, max_size=n))
     columns = [[BASE_TIME + timedelta(microseconds=us) for us in micros]]
     kinds = draw(st.lists(st.sampled_from(("float", "int", "constant")), min_size=1, max_size=4))
-    if draw(st.booleans()):
-        kinds.insert(draw(st.integers(min_value=0, max_value=len(kinds))), "bool")
     for kind in kinds:
         cell = {
             "float": st.floats(min_value=-1e9, max_value=1e9),
             "int": st.integers(min_value=-10**6, max_value=10**6),
             "constant": st.just(draw(st.floats(min_value=-1e3, max_value=1e3))),
-            "bool": st.booleans(),
         }[kind]
         columns.append(draw(st.lists(st.none() | cell, min_size=n, max_size=n)))
     names = ("timestamp", *(f"{kind}{i}" for i, kind in enumerate(kinds)))
-    return ResultTable(columns=names, rows=tuple(zip(*columns)))
+    integer = tuple(i for i, kind in enumerate(kinds) if kind == "int")
+    return series_table(names, list(zip(*columns)), integer)
 
 
 @given(table=chart_tables())
 # rounding to 0.01 tells apart a reordered x or y mapping only near a tie, as here
 @example(
-    table=ResultTable(
-        columns=("timestamp", "v"),
-        rows=tuple(
-            (BASE_TIME + timedelta(seconds=s), v) for s, v in ((0, 158), (259, -363), (400, 437))
-        ),
+    table=series_table(
+        ("timestamp", "v"),
+        [(BASE_TIME + timedelta(seconds=s), v) for s, v in ((0, 158), (259, -363), (400, 437))],
     )
 )
 # a constant subnormal column, whose 5 % pad underflows to 0
-@example(table=ResultTable(columns=("timestamp", "v"), rows=((BASE_TIME, 5e-324),) * 2))
+@example(table=series_table(("timestamp", "v"), [(BASE_TIME, 5e-324)] * 2))
 # values whose span overflows a float
 @example(
-    table=ResultTable(
-        columns=("timestamp", "v"),
-        rows=((BASE_TIME, -1.79e308), (BASE_TIME + timedelta(seconds=1), 1.79e308)),
+    table=series_table(
+        ("timestamp", "v"),
+        [(BASE_TIME, -1.79e308), (BASE_TIME + timedelta(seconds=1), 1.79e308)],
     )
 )
 # unsorted timestamps, which put the second vertex left of the plot, at x < 0
 @example(
-    table=ResultTable(
-        columns=("timestamp", "v"),
-        rows=tuple((BASE_TIME + timedelta(seconds=s), 1.0 * s) for s in (5, 0, 9)),
+    table=series_table(
+        ("timestamp", "v"),
+        [(BASE_TIME + timedelta(seconds=s), 1.0 * s) for s in (5, 0, 9)],
     )
 )
 @settings(max_examples=200, deadline=None)
@@ -782,27 +810,24 @@ def test_fixed_point_text_equals_format(values):
     assert texts == [format(v, ".2f").encode() + b" " for v in values.tolist()]
 
 
-@pytest.mark.parametrize("kind", ["time_series", "bar", "pie"])
+@pytest.mark.parametrize("kind", ["bar", "pie"])
 def test_chart_refuses_a_number_no_float_holds(kind, tmp_path):
-    first = BASE_TIME if kind == "time_series" else "a"
-    table = ResultTable(("k", "v"), ((first, 10**400),))
+    table = ResultTable(("k", "v"), (("a", 10**400),))
     out = tmp_path / "x.svg"
     with pytest.raises(ChartError, match="column 'v' holds a number that no float can hold"):
         render_chart(table, ChartSpec(kind=kind), out)
     assert not out.exists()
 
 
-def test_time_series_chart_refuses_naive_and_offset_timestamps_together(tmp_path):
-    aware = BASE_TIME.replace(tzinfo=timezone.utc)
+def test_time_series_chart_refuses_a_table_of_rows(db, tmp_path):
+    # the rows of a stored series, naive or with a UTC offset, as rows only
+    series = timeseries(db, "MP1", "rms")
+    aware = tuple((row[0].replace(tzinfo=timezone.utc), *row[1:]) for row in series.rows)
     out = tmp_path / "x.svg"
-    for times in ((BASE_TIME, aware), (aware, BASE_TIME)):
-        table = ResultTable(("t", "v"), tuple((t, 1.0) for t in times))
-        with pytest.raises(ChartError, match="all carry a UTC offset or all carry none"):
-            render_chart(table, ChartSpec(kind="time_series"), out)
+    for rows in (series.rows, aware):
+        with pytest.raises(ChartError, match="^time_series draws a SeriesTable"):
+            render_chart(ResultTable(series.columns, rows), ChartSpec(kind="time_series"), out)
     assert not out.exists()
-    # timestamps that all carry an offset are dated as before
-    table = ResultTable(("t", "v"), ((aware, 1.0), (aware + timedelta(seconds=1), 2.0)))
-    assert_chart_matches_reference(table, out)
 
 
 def test_bar_chart_one_bar_per_measure(db, tmp_path):
@@ -877,7 +902,7 @@ def test_bar_chart_of_all_zero_values_draws(tmp_path):
 @pytest.mark.parametrize(
     "kind, columns, rows",
     [
-        ("time_series", ("t", "v", "bad"), ((BASE_TIME, 1.0, 2.0), (BASE_TIME, 1.5, float("inf")))),
+        ("bar", ("k", "bad"), (("a", float("nan")),)),
         ("bar", ("k", "v", "bad"), (("a", 1.0, 2.0), ("b", 1.5, float("-inf")))),
         ("pie", ("k", "bad", "label"), (("a", 1.0, "x"), ("b", float("nan"), "y"))),
     ],
@@ -909,17 +934,20 @@ def test_table_kind_writes_aligned_text(db, tmp_path):
     text = out.read_text()
     assert "load_type" in text
     assert "Heavy Industry" in text
-    assert text == format_text_table(table) + "\n"
+    assert text == text_table(table)
 
 
-def test_format_text_table_none_and_datetime_cells():
+def test_text_table_none_and_datetime_cells():
     table = ResultTable(
         columns=("timestamp", "value"),
         rows=((datetime(2000, 1, 1), None), (datetime(2000, 1, 2), 1.5)),
     )
-    text = format_text_table(table)
-    assert "2000-01-01T00:00:00.000000" in text
-    assert "1.5" in text
+    assert text_table(table).splitlines() == [
+        "timestamp                   value",
+        "--------------------------  -----",
+        "2000-01-01T00:00:00.000000",
+        "2000-01-02T00:00:00.000000  1.5",
+    ]
 
 
 def test_result_table_row_width_checked():

@@ -44,7 +44,7 @@ from pqstream.events import (
     decode_raw_capture,
 )
 from pqstream.siggen import SAMPLE_RATE, generate_stream, parse_script
-from pqstream.query import timeseries
+from pqstream.query import event_detail, timeseries
 from pqstream.store import (
     FILE_COLUMNS,
     PARAMETERS,
@@ -880,6 +880,8 @@ def test_ingest_stores_an_event_that_ends_where_it_starts_with_a_path_inside_its
     root = tmp_path / "tree"
     (root / "EV" / "event").mkdir(parents=True)
     (root / "EV" / "point.json").write_text(json.dumps({"id": "EV"}))
+    (root / "EV" / "Sag").mkdir()
+    (root / "EV" / "Sag" / "raw_1.pqz").write_bytes(b"")
     (root / "EV" / "event" / "event_000.csv").write_text(
         f"# columns: {','.join(FILE_COLUMNS['event'])}\n"
         f"1,sag,{_T1},{_T1},0,Swell/../Sag/raw_1.pqz\n"
@@ -889,6 +891,30 @@ def test_ingest_stores_an_event_that_ends_where_it_starts_with_a_path_inside_its
         assert not ingest_directory(root, db).files_malformed
         (raw,) = db.conn.execute("SELECT raw_path FROM event").fetchone()
     assert raw == str((root / "EV" / "Sag" / "raw_1.pqz").resolve())
+
+
+@pytest.mark.parametrize("raw", ["Sag/raw_2.pqz", "Sag", "Sag/" + "x" * 300 + ".pqz"],
+                         ids=["no-such-file", "a-directory", "a-name-too-long"])
+def test_ingest_stores_an_event_whose_capture_is_missing_without_it_and_counts_it(raw, tmp_path):
+    root = tmp_path / "tree"
+    (root / "EV" / "event").mkdir(parents=True)
+    (root / "EV" / "Sag").mkdir()
+    (root / "EV" / "Sag" / "raw_1.pqz").write_bytes(b"")
+    (root / "EV" / "point.json").write_text(json.dumps({"id": "EV"}))
+    (root / "EV" / "event" / "event_000.csv").write_text(
+        f"# columns: {','.join(FILE_COLUMNS['event'])}\n"
+        f"1,sag,{_T1},{_T2},3200,Sag/raw_1.pqz\n"
+        f"2,sag,{_T1},{_T2},3200,{raw}\n"
+        f"#last_sample={_T2}\n"
+    )
+    with StreamDatabase(tmp_path / "pq.db") as db:
+        report = ingest_directory(root, db)
+        stored = db.conn.execute("SELECT event_id, raw_path FROM event ORDER BY event_id")
+        assert [tuple(r) for r in stored] == [
+            (1, str((root / "EV" / "Sag" / "raw_1.pqz").resolve())), (2, None)
+        ]
+    assert (report.files_malformed, report.captures_missing) == ([], 1)
+    assert report.summary().splitlines()[4] == "captures missing: 1"
 
 
 def test_ingest_event_id_and_size_at_the_int64_edges_are_stored(tmp_path):
@@ -907,6 +933,71 @@ def test_ingest_event_id_and_size_at_the_int64_edges_are_stored(tmp_path):
             "SELECT event_id, size_in_samples FROM event ORDER BY event_id"
         ).fetchall()
         assert [tuple(r) for r in stored] == [(1, 2**63 - 1), (2**63 - 1, 0)]
+
+
+#: The files of the fuzz tree: two points with one event and its capture each.
+FUZZ_FILES = [
+    f"{point}/{name}"
+    for point, capture in (("FA", "Sag"), ("FB", "Swell"))
+    for name in (f"{capture}/raw_1.pqz", "event/event_000.csv", "frequency/frequency_000.csv",
+                 "harmonics/harmonics_000.csv", "point.json", "power/power_000.csv",
+                 "rms/rms_000.csv")
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_tree(tmp_path_factory):
+    """The tree of :data:`FUZZ_FILES`, each point 3 s long."""
+    root = tmp_path_factory.mktemp("fuzz") / "tree"
+    for point, script in ((make_point("FA"), "sag 1.0 2.0 A 0.7\n"),
+                          (make_point("FB", "Heavy Industry"), "swell 0.4 1.6 C 1.2\n")):
+        writer = TransferFileWriter(root, point, BASE_TIME)
+        writer.write_results(analyze_script(script, 3.0, writer))
+    assert sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()) == FUZZ_FILES
+    return root
+
+
+def mutate(data: bytes, kind: str, at: int, arg: int) -> bytes:
+    """``data`` with one edit at byte ``at % (len(data) + 1)``; ``arg`` picks
+    the bit, the digit or how many bytes are duplicated."""
+    at %= len(data) + 1
+    if kind == "flip":
+        at = min(at, len(data) - 1)
+        return data[:at] + bytes([data[at] ^ 1 << arg % 8]) + data[at + 1 :]
+    if kind == "truncate":
+        return data[:at]
+    if kind == "duplicate":
+        return data[: at + arg] + data[at:]
+    insert = {"digit": str(arg % 10).encode(), "minus": b"-", "e999": b"e999"}[kind]
+    return data[:at] + insert + data[at:]
+
+
+@given(
+    name=st.sampled_from(FUZZ_FILES),
+    kind=st.sampled_from(["flip", "digit", "truncate", "minus", "e999", "duplicate"]),
+    at=st.integers(0, 2**16),
+    arg=st.integers(1, 16),
+)
+# raw_1.pqz read as raw_0.pqz, a capture that is not there
+@example(name="FA/event/event_000.csv", kind="flip", at=149, arg=0)
+@settings(max_examples=200, deadline=None)
+def test_ingest_of_a_tree_with_one_mutated_file(fuzz_tree, name, kind, at, arg):
+    target = fuzz_tree / name
+    original = target.read_bytes()
+    target.write_bytes(mutate(original, kind, at, arg))
+    try:
+        with StreamDatabase(":memory:") as db:
+            report = ingest_directory(fuzz_tree, db)
+            # fault 1 (b): a bad cell still rolls back the point, so only the
+            # report is asserted for it, not the fate of the other files
+            assert {path for path, _ in report.files_malformed} <= {str(target)}
+            for event_id, point_id in db.conn.execute(
+                "SELECT event_id, measurement_point_id FROM event"
+            ).fetchall():
+                stored = event_detail(db, event_id, point_id)
+                assert stored.raw_path is None or Path(stored.raw_path).is_file()
+    finally:
+        target.write_bytes(original)
 
 
 def test_ingest_point_directory_without_metadata_is_reported(written_sag_run, tmp_path):
