@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import xml.etree.ElementTree as ET
 from datetime import datetime
 from pathlib import Path
 
@@ -53,6 +54,13 @@ def gather(config: SignalConfig, script: DisturbanceScript | None = None):
         voltage[:, sl] = frame.voltage_samples
         current[:, sl] = frame.current_samples
     return voltage, current
+
+
+def polyline_vertex_counts(path: Path) -> list[int]:
+    """Vertices per polyline, counted the way the benchmark's SVG check does."""
+    root = ET.parse(path).getroot()
+    lines = [el for el in root.iter() if el.tag.rsplit("}", 1)[-1] == "polyline"]
+    return [len(el.get("points", "").split()) for el in lines]
 
 
 def script_from(text: str) -> DisturbanceScript:

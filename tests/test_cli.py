@@ -27,34 +27,57 @@ from pqstream.events import EventDetector, EventRecord, EventThresholds
 from pqstream.siggen import SignalConfig, WaveformFrame, parse_script
 from pqstream.store import PARAMETERS, MeasurementPoint, StoreError, TransferFileWriter
 
-from conftest import gather
+from conftest import gather, polyline_vertex_counts
 
 
-@pytest.fixture(scope="module")
+def run_to(path: Path, argv: list[str]) -> None:
+    """``main(argv)``, which must succeed, with what it prints written to ``path``."""
+    with path.open("w") as out, contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+
+
+def pipeline_run(root: Path, config: dict, script: str = "") -> Path:
+    """gen -> analyze -> ingest in ``root``: the directories ``stream`` and
+    ``transfer`` and the database ``pq.db``, with what each command prints
+    in ``gen.txt``, ``analyze.txt`` and ``ingest.txt``; ``root``."""
+    (root / "config.json").write_text(json.dumps(config))
+    gen = ["gen", "--config", str(root / "config.json"), "--out", str(root / "stream")]
+    if script:
+        (root / "dist.txt").write_text(script)
+        gen += ["--script", str(root / "dist.txt")]
+    run_to(root / "gen.txt", gen)
+    run_to(root / "analyze.txt", [
+        "analyze", "--in", str(root / "stream"), "--out", str(root / "transfer"),
+    ])
+    run_to(root / "ingest.txt", [
+        "ingest", "--root", str(root / "transfer"), "--db", str(root / "pq.db"),
+    ])
+    return root
+
+
+@pytest.fixture(scope="session")
 def workspace(tmp_path_factory):
-    """gen -> analyze -> ingest chain shared by the query-side tests."""
-    root = tmp_path_factory.mktemp("cliws")
+    """An 8 s stream with a 1 s sag, shared by the query-side tests."""
     config = {
         "nominal_voltage_rms": 1.0,
         "nominal_current_rms": 1.0,
         "duration": 8.0,
         "point": {"id": "CLI1", "name": "CLI point", "load_type": "Urban Only"},
     }
-    (root / "config.json").write_text(json.dumps(config))
-    (root / "dist.txt").write_text("sag 2.0 3.0 A 0.8\n")
+    return pipeline_run(tmp_path_factory.mktemp("cliws"), config, "sag 2.0 3.0 A 0.8\n")
 
-    assert main([
-        "gen", "--config", str(root / "config.json"),
-        "--script", str(root / "dist.txt"),
-        "--out", str(root / "stream"),
-    ]) == 0
-    assert main([
-        "analyze", "--in", str(root / "stream"), "--out", str(root / "transfer"),
-    ]) == 0
-    assert main([
-        "ingest", "--root", str(root / "transfer"), "--db", str(root / "pq.db"),
-    ]) == 0
-    return root
+
+@pytest.fixture(scope="session")
+def long_run(tmp_path_factory):
+    """A clean 120 s stream at point MP1 and the default nominals."""
+    return pipeline_run(tmp_path_factory.mktemp("long"), {"duration": 120.0})
+
+
+@pytest.fixture(scope="session")
+def sagged(tmp_path_factory):
+    """A 4 s stream at point MP1 whose sag lasts to the stream's end, so
+    closing the stream finishes its capture."""
+    return pipeline_run(tmp_path_factory.mktemp("sagged"), {"duration": 4.0}, "sag 1.0 4.0 A 0.5\n")
 
 
 def test_gen_writes_stream_arrays(workspace):
@@ -67,11 +90,23 @@ def test_gen_writes_stream_arrays(workspace):
     assert meta["base_time"] == "2000-01-01T00:00:00"
 
 
-def test_analyze_writes_transfer_tree(workspace):
+def test_analyze_writes_transfer_tree(workspace, long_run, sagged, tmp_path):
     point_dir = workspace / "transfer" / "CLI1"
     assert (point_dir / "rms" / "rms_000.csv").exists()
     assert (point_dir / "event" / "event_000.csv").exists()
     assert list((point_dir / "Sag").glob("raw_*.pqz"))
+    # the record counts come from len() of each stored series
+    assert any(
+        line.startswith("records: power=120 rms=600 harmonics=40 frequency=120 ")
+        for line in (long_run / "analyze.txt").read_text().splitlines()
+    )
+    # a capture is renamed when it is finished, also when closing the stream
+    # finishes it: no open part is left
+    assert list((sagged / "transfer" / "MP1" / "Sag").glob("raw_*.pqz"))
+    assert not list((sagged / "transfer").rglob("*.part"))
+    # the capture worker thread leaves every byte as it was, .pqz included
+    assert main(["analyze", "--in", str(sagged / "stream"), "--out", str(tmp_path / "again")]) == 0
+    assert tree_files(tmp_path / "again") == tree_files(sagged / "transfer")
 
 
 def test_analyze_reports_discards_and_capture_write_errors(workspace, tmp_path, capsys):
@@ -83,8 +118,8 @@ def test_analyze_reports_discards_and_capture_write_errors(workspace, tmp_path, 
     out = capsys.readouterr().out
     assert (
         "discarded: harmonic_samples_discarded=6400 pst_half_cycles_discarded=800"
-        " demand_windows_discarded=1\n"
-    ) in out
+        " demand_windows_discarded=1"
+    ) in out.splitlines()
     assert "capture write errors: 1\n" in out
     event_log = (tmp_path / "CLI1" / "event" / "event_000.csv").read_text().splitlines()
     assert event_log[1].split(",")[1] == "sag" and event_log[1].endswith(",")
@@ -182,14 +217,36 @@ def test_analyze_refuses_a_point_id_that_is_not_one_path_component(tmp_path, cap
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "s"]
 
 
-def test_ingest_summary_output(workspace, capsys):
-    # a second ingest run of the same tree must change nothing
-    assert main([
-        "ingest", "--root", str(workspace / "transfer"), "--db", str(workspace / "pq.db"),
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "files ingested: 0" in out
-    assert "files skipped (duplicate): 5" in out
+def test_ingest_summary_output(workspace, long_run, capsys):
+    assert "rows into rms: 600" in (long_run / "ingest.txt").read_text().splitlines()
+    assert len(list((workspace / "transfer").rglob("*.csv"))) == 5
+    # a second ingest run of the same tree must change nothing: every
+    # transfer file is a duplicate
+    for run in (workspace, long_run):
+        assert main([
+            "ingest", "--root", str(run / "transfer"), "--db", str(run / "pq.db"),
+        ]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "files ingested: 0" in out
+        assert f"files skipped (duplicate): {len(list((run / 'transfer').rglob('*.csv')))}" in out
+
+
+def test_a_row_after_the_harmonics_footer_rolls_back_that_file_alone(long_run, tmp_path, capsys):
+    # a 2-cell row after the footer of the ~185 KB harmonics file: the blocks
+    # before it go in under the file's savepoint and roll back with it, while
+    # the point's other files stay
+    tree = tmp_path / "transfer"
+    shutil.copytree(long_run / "transfer", tree)
+    with (tree / "MP1" / "harmonics" / "harmonics_000.csv").open("a") as f:
+        f.write("1,2\n")
+    db = str(tmp_path / "pq.db")
+    assert main(["ingest", "--root", str(tree), "--db", db]) == 0
+    summary = capsys.readouterr().out.splitlines()
+    assert "files malformed: 1" in summary
+    assert any(line.endswith(": row 41 holds 2 cells, expected 204") for line in summary)
+    assert "rows into rms: 600" in summary
+    assert main(["query", "series", "--db", db, "--point", "MP1", "--param", "harmonics"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2  # the header and its rule
 
 
 def test_budget_table_output(capsys):
@@ -212,7 +269,7 @@ def test_budget_totals_flags_conflict(capsys):
         main(["budget", "--with-events", "--without-events"])
 
 
-def test_query_events_text(workspace, capsys):
+def test_query_events_text(workspace, long_run, tmp_path, capsys):
     assert main([
         "query", "events", "--db", str(workspace / "pq.db"),
         "--group-by", "load_type",
@@ -221,6 +278,12 @@ def test_query_events_text(workspace, capsys):
     assert "load_type" in out
     assert "Urban Only" in out
     assert "sum_sag_count" in out
+    # stdout and the table chart are written by one writer: the same bytes
+    argv = ["query", "events", "--db", str(long_run / "pq.db"), "--group-by", "load_type"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main([*argv, "--chart", "table", "--out", str(tmp_path / "events.txt")]) == 0
+    assert (tmp_path / "events.txt").read_bytes() == printed.encode("utf-8")
 
 
 def test_query_events_filter_and_chart(workspace, tmp_path, capsys):
@@ -282,7 +345,33 @@ def test_query_series_bound_with_utc_offset_exits_2(workspace, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_query_series_chart(workspace, tmp_path, capsys):
+def test_query_series_text(workspace, long_run, tmp_path, capsys):
+    for run, point in ((workspace, "CLI1"), (long_run, "MP1")):
+        for param in ("rms", "harmonics", "frequency"):
+            argv = ["query", "series", "--db", str(run / "pq.db"), "--point", point, "--param", param]
+            assert main(argv) == 0
+            printed = capsys.readouterr().out
+            # stdout and the table chart are written by one writer, a block
+            # at a time in two passes (widths, then lines): the same bytes
+            out = tmp_path / f"{point}_{param}.txt"
+            assert main([*argv, "--chart", "table", "--out", str(out)]) == 0
+            assert capsys.readouterr().out == f"wrote {out}\n"
+            assert out.read_bytes() == printed.encode("utf-8")
+            # headers from the one parameter registry; held is the one INTEGER column
+            header = printed.splitlines()[0]
+            if param == "frequency":
+                assert re.sub(" +", " ", header) == "timestamp frequency held"
+            elif param == "harmonics":
+                assert len(header.split()) == 205
+    # each stored row is dated by its index from the footer: the header, its
+    # rule and 600 rows, the first ending at 0.2 s and the last at 120 s
+    lines = (tmp_path / "MP1_rms.txt").read_text().splitlines()
+    assert len(lines) == 602
+    assert lines[2].split(" ")[0] == "2000-01-01T00:00:00.200000"
+    assert lines[-1].split(" ")[0] == "2000-01-01T00:02:00.000000"
+
+
+def test_query_series_chart(workspace, long_run, tmp_path, capsys):
     chart = tmp_path / "series.svg"
     assert main([
         "query", "series", "--db", str(workspace / "pq.db"),
@@ -290,6 +379,13 @@ def test_query_series_chart(workspace, tmp_path, capsys):
         "--chart", "time_series", "--out", str(chart),
     ]) == 0
     assert chart.read_text().count('class="series"') == 12
+    # the same series drawn twice: the same bytes both times, and one
+    # polyline of 600 vertices for each of the six RMS columns
+    argv = ["query", "series", "--db", str(long_run / "pq.db"), "--point", "MP1", "--param", "rms"]
+    for name in ("rms.svg", "rms2.svg"):
+        assert main([*argv, "--chart", "time_series", "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "rms.svg").read_bytes() == (tmp_path / "rms2.svg").read_bytes()
+    assert polyline_vertex_counts(tmp_path / "rms.svg") == [600] * 6
 
 
 def test_query_series_chart_without_out_exits_2(workspace, capsys):
@@ -341,7 +437,7 @@ def test_event_raw_without_out_extracts_into_the_current_directory(
     assert (tmp_path / "raw_CLI1_1.csv").is_file()
 
 
-def test_event_detail_and_extraction(workspace, tmp_path, capsys):
+def test_event_detail_and_extraction(workspace, sagged, tmp_path, capsys):
     assert main([
         "event", "1", "--db", str(workspace / "pq.db"),
         "--point", "CLI1", "--raw", "--out", str(tmp_path),
@@ -353,6 +449,11 @@ def test_event_detail_and_extraction(workspace, tmp_path, capsys):
     assert extracted.exists()
     # 0.2 s margins around the 1 s sag
     assert len(extracted.read_text().splitlines()) == 1 + int(1.4 * 3200)
+    # a sag that lasts to the stream's end: the header line plus 0.8 s (the
+    # pre-trigger) to the 4 s end at 3200 Hz
+    raw = tmp_path / "raw"
+    assert main(["event", "1", "--db", str(sagged / "pq.db"), "--raw", "--out", str(raw)]) == 0
+    assert len((raw / "raw_MP1_1.csv").read_text().splitlines()) == 10241
 
 
 def test_event_extraction_of_a_damaged_capture_exits_2(workspace, tmp_path, capsys):
@@ -458,11 +559,36 @@ def test_bad_script_exits_2(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
-def test_missing_input_exits_4(tmp_path, capsys):
-    code = main([
-        "analyze", "--in", str(tmp_path / "nothere"), "--out", str(tmp_path / "o"),
-    ])
-    assert code in (2, 4)  # surfaced as unreadable config or missing file
+@pytest.mark.parametrize(
+    "command, missing, code, prefix",
+    [
+        ("analyze", "s/meta.json", 2, "error: cannot read config {path}: "),
+        ("gen", "nothere.txt", 4, "io error: "),
+        ("analyze", "s/current.npy", 4, "io error: "),
+    ],
+    ids=["analyze-missing-dir", "gen-missing-script", "analyze-missing-current"],
+)
+def test_a_missing_input_exits_with_its_code_and_writes_nothing(
+    tmp_path, capsys, command, missing, code, prefix
+):
+    # a stream directory without meta.json is refused as a config; a missing
+    # script or sample file is an I/O error
+    (tmp_path / "config.json").write_text(json.dumps({"duration": 1.0}))
+    gen = ["gen", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "s")]
+    if missing == "s/current.npy":
+        assert main(gen) == 0
+        (tmp_path / missing).unlink()
+    argv = {
+        "gen": [*gen[:-1], str(tmp_path / "out"), "--script", str(tmp_path / missing)],
+        "analyze": ["analyze", "--in", str(tmp_path / "s"), "--out", str(tmp_path / "out")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == code
+    path = tmp_path / missing
+    assert capsys.readouterr().err == (
+        prefix.format(path=path) + f"[Errno 2] No such file or directory: '{path}'\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_console_entry_point_runs():

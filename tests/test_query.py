@@ -50,6 +50,7 @@ from pqstream.store import (
 from conftest import (
     BASE_TIME,
     V1_CAPTURE,
+    polyline_vertex_counts,
     unit_config,
     unit_pipeline_config,
     v1_capture_samples,
@@ -604,13 +605,6 @@ def test_extract_raw_capture_missing_blob(tmp_path, db):
 
 
 # -- charts -------------------------------------------------------------------
-
-
-def polyline_vertex_counts(path: Path) -> list[int]:
-    """Vertices per polyline, counted the way the benchmark's SVG check does."""
-    root = ET.parse(path).getroot()
-    lines = [el for el in root.iter() if el.tag.rsplit("}", 1)[-1] == "polyline"]
-    return [len(el.get("points", "").split()) for el in lines]
 
 
 def test_time_series_chart_polyline_per_column(db, tmp_path):

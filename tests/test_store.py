@@ -13,6 +13,7 @@ import tempfile
 import tracemalloc
 import zlib
 from collections import Counter
+from concurrent.futures import Future
 from dataclasses import replace
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pqstream import store
+from pqstream import events, store
 from pqstream.analyzer import (
     HARMONIC_ORDERS,
     DemandRecord,
@@ -1465,13 +1466,14 @@ def test_readonly_database_rejects_writes(written_sag_run, tmp_path):
 # -- captures streamed to their files -----------------------------------------
 
 
-def stream_script(script_text, duration, writer):
+def stream_script(script_text, duration, writer, raw_sink=None):
     """Analyze a scripted stream with ``writer`` itself as the raw sink, so
-    each capture goes to its file as it is compressed."""
+    each capture goes to its file as it is compressed, unless another
+    ``raw_sink`` is given."""
     detector = EventDetector(
         EventThresholds(nominal_voltage_rms=1.0),
         measurement_point_id=writer.point.id,
-        raw_sink=writer,
+        raw_sink=writer if raw_sink is None else raw_sink,
     )
     return run_pipeline(
         generate_stream(unit_config(duration), parse_script(script_text)),
@@ -1578,14 +1580,28 @@ def test_ingest_ignores_a_stray_part_file(written_sag_run, tmp_path):
     assert raw == str((out_root / "MP1" / "Sag" / "raw_1.pqz").resolve())
 
 
-def test_streamed_capture_memory_does_not_grow_with_the_event(tmp_path):
+class InlineExecutor:
+    """Runs each job as it is submitted, on the caller's thread."""
+
+    def submit(self, fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+
+def test_streamed_capture_memory_does_not_grow_with_the_event(tmp_path, monkeypatch):
     # the same 64 s stream with a sag of 10 s and of 60 s: a blob sink holds
-    # about 0.46 MB and 2.8 MB of compressed capture at the sag's end
-    def peak(sag_seconds: int) -> int:
-        writer = TransferFileWriter(tmp_path / str(sag_seconds), make_point(), BASE_TIME)
+    # about 0.46 MB and 2.8 MB of compressed capture at the sag's end.  Each
+    # second is compressed as it is pushed, so no copied second waits for
+    # the worker and a run's peak does not depend on how threads are scheduled.
+    monkeypatch.setattr(events, "_compressor", InlineExecutor)
+
+    def peak(sag_seconds: int, blob: bool = False) -> int:
+        writer = TransferFileWriter(tmp_path / f"{sag_seconds}{blob}", make_point(), BASE_TIME)
+        script = f"sag 1.0 {1 + sag_seconds}.0 A 0.5\n"
         tracemalloc.start()
         try:
-            result = stream_script(f"sag 1.0 {1 + sag_seconds}.0 A 0.5\n", 64.0, writer)
+            result = stream_script(script, 64.0, writer, writer.raw_sink if blob else None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1593,8 +1609,10 @@ def test_streamed_capture_memory_does_not_grow_with_the_event(tmp_path):
         assert event.end_time - event.start_time == sag_seconds
         return peak
 
-    peak(1)  # the capture worker, and its imports, are made before this count
-    # up to SECONDS_IN_FLIGHT copied seconds wait for the worker, as it is
-    # scheduled: the least of three runs leaves that out
-    short, long = (min(peak(n) for _ in range(3)) for n in (10, 60))
+    peak(1)  # one-time allocations, imports among them, are made before this count
+    short, long = peak(10), peak(60)
     assert long <= 1.1 * short, (short, long)
+    # the control: a blob sink, which holds the whole compressed capture,
+    # grows with the event past the bound
+    short, long = peak(10, blob=True), peak(60, blob=True)
+    assert long > 1.1 * short, (short, long)
