@@ -33,11 +33,19 @@ an open capture has yet to push, plus one block.  A capture is a
 ``.pqz`` blob, version 2: one zlib stream holding a 40-byte header, then
 the samples in one-second blocks, each channel of a block stored as the
 eight byte planes of its float64 samples (the shuffle filter of HDF5 and
-Blosc), which compresses better and about ten times faster than plain
-samples at level 6.  The header, which carries the sample count, is written
-last, into a stored deflate block ahead of the level-1 compressed blocks;
-the decompressed bytes are those of one level-1 stream over header and
-blocks, so no decoder needs to know.  Version 1 captures (one channel-major
+Blosc), which compress better than plain samples.  Planes 0-1 of a channel
+(``STORED_PLANES``), mantissa bits 0-15, are rounding noise that deflate
+hardly shrinks yet spends most of its time on, so they go into a stored
+deflate block as they are, and only planes 2-7 through the level-1
+compressor.  Each deflated piece ends in a full flush, which ends it on the
+byte boundary the next stored block starts on and clears the compressor's
+history, since that lacks the stored bytes.  A dead or exactly constant
+channel, whose planes 0-1 are each one repeated byte, is deflated whole.
+The header, which carries the sample count, is written last, into a stored
+deflate block ahead of the rest.  Which bytes are stored and which deflated
+changes only the compressed blob: it inflates to the same header, planes
+and Adler-32 as one level-1 stream over them all, so the layout is still
+version 2 and no decoder needs to know.  Version 1 captures (one channel-major
 block of plain samples) still decode, and both versions are read one block
 at a time, so a raw export holds one second of samples.  The
 detector keeps time in samples: an event starts and ends at the first sample
@@ -86,6 +94,9 @@ _READ_CHUNK = 1 << 16  # compressed bytes read from a capture at a time
 _ZLIB_HEADER = b"\x78\x01"  # deflate, 32 KiB window, fastest level
 _STORED_BLOCK = struct.Struct("<BHH")  # not final, stored; length, its complement
 _PREFIX_SIZE = len(_ZLIB_HEADER) + _STORED_BLOCK.size + _RAW_HEADER.size
+#: Byte planes of each channel written in a stored deflate block: planes 0-1
+#: hold mantissa bits 0-15, rounding noise that deflate hardly shrinks.
+STORED_PLANES = 2
 _ADLER_BASE = 65521
 
 #: Seconds of one capture copied but not yet compressed: a push that leaves
@@ -120,6 +131,12 @@ def _forget_worker() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _stored_block(data: bytes) -> bytes:
+    """``data``, at most 65 535 bytes, as one stored deflate block, not the
+    final one (RFC 1951, 3.2.4); it must start on a byte boundary."""
+    return _STORED_BLOCK.pack(0, len(data), 0xFFFF ^ len(data)) + data
 
 
 class RawCaptureError(ValueError):
@@ -238,12 +255,14 @@ class CaptureEncoder:
 
     :meth:`push` takes the next samples from ``start_sample`` on and copies
     each second of them, since the caller's array may change once push
-    returns.  The capture worker turns each copy into its byte planes, which
-    go through a raw deflate stream (level 1) and a running Adler-32; the
-    compressed pieces are collected in order on the caller's thread, in push
-    and :meth:`finish`, and written to ``output`` (by default a
-    :class:`BlobCapture`), so the encoder holds at most
-    ``SECONDS_IN_FLIGHT`` copied seconds and no compressed bytes.  Every
+    returns.  The capture worker turns each copy into its byte planes and
+    a running Adler-32; per channel, planes 0-1 go into a stored deflate
+    block unless each is one repeated byte, and the other planes through a
+    raw deflate stream (level 1) up to a full flush, as the module
+    docstring explains.  The compressed pieces are collected in order on
+    the caller's thread, in push and :meth:`finish`, and written to
+    ``output`` (by default a :class:`BlobCapture`), so the encoder holds at
+    most ``SECONDS_IN_FLIGHT`` copied seconds and no compressed bytes.  Every
     push but the last must hold whole seconds.  An error in the worker is
     raised by the push that waits for that second, or by :meth:`finish`; an
     error of the output, by the push or finish that writes to it.
@@ -282,7 +301,16 @@ class CaptureEncoder:
         planes = block.view(np.uint8).reshape(RAW_CHANNELS, -1, 8).transpose(0, 2, 1)
         planes = np.ascontiguousarray(planes)
         self._adler = zlib.adler32(planes, self._adler)
-        return self._deflate.compress(planes)
+        pieces = []
+        for channel in planes:
+            low = channel[:STORED_PLANES]
+            if (low != low[:, :1]).any():  # not a dead or exactly constant channel
+                pieces.append(_stored_block(low.tobytes()))
+                channel = channel[STORED_PLANES:]
+            # the full flush ends on a byte boundary, for the next stored block,
+            # and forgets the history, which lacks the stored bytes
+            pieces += [self._deflate.compress(channel), self._deflate.flush(zlib.Z_FULL_FLUSH)]
+        return b"".join(pieces)
 
     def finish(self, event_id: int):
         """Complete the capture in its output; the encoder takes no more samples."""
@@ -297,11 +325,10 @@ class CaptureEncoder:
             self.start_sample / SAMPLE_RATE,
             self.count,
         )
-        stored = _STORED_BLOCK.pack(0, len(header), 0xFFFF ^ len(header))
         payload_bytes = RAW_CHANNELS * 8 * self.count
         check = adler32_combine(zlib.adler32(header), self._adler, payload_bytes)
         self.output.write(self._deflate.flush() + struct.pack(">I", check))
-        return self.output.finish(event_id, _ZLIB_HEADER + stored + header)
+        return self.output.finish(event_id, _ZLIB_HEADER + _stored_block(header))
 
     def abort(self) -> None:
         """Drop the capture: seconds the worker has not begun are cancelled,
@@ -321,8 +348,10 @@ def encode_raw_capture(event_id: int, start_sample: int, samples: np.ndarray) ->
     block holds the six channels in turn, and each channel as 8 byte planes
     of its little-endian float64 samples: byte 0 of every sample, then byte
     1, up to byte 7.  One zlib stream covers the header and every block: the
-    header in a stored (uncompressed) deflate block, the blocks' planes
-    compressed at level 1, so the blob can be built one second at a time
+    header in a stored (uncompressed) deflate block, then per channel of a
+    block its planes 0-1 stored (but deflated with the rest where each is
+    one repeated byte) and planes 2-7 compressed at level 1 up to a full
+    flush.  So the blob can be built one second at a time
     (:class:`CaptureEncoder`) and still inflates with any zlib decoder to
     the same bytes as before.  Version 1 captures, whose payload is one
     channel-major block of plain samples, still decode.  Any (6, n) array

@@ -731,22 +731,95 @@ def test_capture_encoder_refuses_samples_after_a_partial_second():
     assert encoder.count == SAMPLE_RATE + 1
 
 
-def synchronous_capture(event_id: int, start_sample: int, samples: np.ndarray) -> bytes:
-    """The blob as deflating each second on the caller's thread made it."""
-    deflate = zlib.compressobj(1, zlib.DEFLATED, -15)
-    adler, body = zlib.adler32(b""), b""
+def second_planes(samples: np.ndarray):
+    """Each second's (6, 8, m) byte planes, in order."""
     for lo in range(0, samples.shape[1], SAMPLE_RATE):
         block = np.ascontiguousarray(samples[:, lo : lo + SAMPLE_RATE], dtype="<f8")
-        planes = block.view(np.uint8).reshape(6, -1, 8).transpose(0, 2, 1).tobytes()
-        adler = zlib.adler32(planes, adler)
-        body += deflate.compress(planes)
-    count = samples.shape[1]
+        yield np.ascontiguousarray(block.view(np.uint8).reshape(6, -1, 8).transpose(0, 2, 1))
+
+
+def stored_block(data: bytes) -> bytes:
+    return struct.pack("<BHH", 0, len(data), 0xFFFF ^ len(data)) + data
+
+
+def capture_blob(event_id: int, start_sample: int, samples: np.ndarray, body: bytes) -> bytes:
+    """A version 2 blob: zlib header, the raw header stored, ``body`` (the
+    planes' deflate blocks, the final one included) and the Adler-32."""
     header = struct.pack(
-        "<4sIQIIdQ", b"PQZ1", 2, event_id, 6, SAMPLE_RATE, start_sample / SAMPLE_RATE, count
+        "<4sIQIIdQ",
+        b"PQZ1", 2, event_id, 6, SAMPLE_RATE, start_sample / SAMPLE_RATE, samples.shape[1],
     )
-    stored = struct.pack("<BHH", 0, len(header), 0xFFFF ^ len(header))
-    check = adler32_combine(zlib.adler32(header), adler, 48 * count)
-    return b"\x78\x01" + stored + header + body + deflate.flush() + struct.pack(">I", check)
+    payload = header + b"".join(planes.tobytes() for planes in second_planes(samples))
+    return b"\x78\x01" + stored_block(header) + body + struct.pack(">I", zlib.adler32(payload))
+
+
+def parent_layout_capture(event_id: int, start_sample: int, samples: np.ndarray) -> bytes:
+    """The blob as version 2 was first written, as captures already in the
+    field are: every plane through one level-1 deflate stream."""
+    deflate = zlib.compressobj(1, zlib.DEFLATED, -15)
+    body = b"".join(deflate.compress(planes) for planes in second_planes(samples))
+    return capture_blob(event_id, start_sample, samples, body + deflate.flush())
+
+
+def synchronous_capture(event_id: int, start_sample: int, samples: np.ndarray) -> bytes:
+    """The blob as compressing each second on the caller's thread makes it:
+    per channel, planes 0-1 in a stored block unless each is one repeated
+    byte, then the other planes deflated up to a full flush."""
+    deflate = zlib.compressobj(1, zlib.DEFLATED, -15)
+    body = b""
+    for planes in second_planes(samples):
+        for channel in planes:
+            if len(set(channel[0].tobytes())) > 1 or len(set(channel[1].tobytes())) > 1:
+                body += stored_block(channel[:2].tobytes())
+                channel = channel[2:]
+            body += deflate.compress(channel) + deflate.flush(zlib.Z_FULL_FLUSH)
+    return capture_blob(event_id, start_sample, samples, body + deflate.flush())
+
+
+def kinds_of_capture(kind: str) -> np.ndarray:
+    """Three seconds less some samples of unrounded noise, of values rounded
+    to 0.01, or of three dead channels and three constant ones."""
+    rng = np.random.default_rng(38)
+    n = 3 * SAMPLE_RATE - 123
+    if kind == "noisy":
+        return rng.normal(size=(6, n))
+    if kind == "rounded":
+        return np.round(230 * rng.normal(size=(6, n)), 2)
+    samples = np.zeros((6, n))
+    samples[3:] = np.array([[230.1], [-0.3], [7.7]])  # planes 0-1 not zero, but constant
+    return samples
+
+
+@pytest.mark.parametrize("kind", ["noisy", "rounded", "dead"])
+def test_capture_inflates_to_the_parent_layouts_bytes(kind):
+    samples = kinds_of_capture(kind)
+    blob = encode_raw_capture(9, 320, samples)
+    parent = parent_layout_capture(9, 320, samples)
+    assert blob == synchronous_capture(9, 320, samples) != parent
+    assert zlib.decompress(blob) == zlib.decompress(parent)
+    for stream in (blob, parent):
+        header, out = decode_raw_capture(stream)
+        assert header["sample_count"] == samples.shape[1]
+        assert out.tobytes() == samples.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["noisy", "rounded"])
+def test_each_channel_seconds_planes_0_and_1_are_stored_verbatim(kind):
+    samples = kinds_of_capture(kind)
+    blob = encode_raw_capture(9, 320, samples)
+    at = 0
+    for planes in second_planes(samples):
+        for channel in planes:
+            stored = stored_block(channel[:2].tobytes())
+            at = blob.index(stored, at) + len(stored)
+
+
+def test_dead_and_constant_channels_are_deflated_whole():
+    samples = kinds_of_capture("dead")
+    assert all(np.float64(v).tobytes()[:2] != b"\0\0" for v in samples[3:, 0])
+    blob = encode_raw_capture(9, 320, samples)
+    assert len(blob) < 0.01 * samples.nbytes
+    assert decode_raw_capture(blob)[1].tobytes() == samples.tobytes()
 
 
 @given(st.data())
